@@ -35,11 +35,12 @@ from .combinat import (
     bounded_subset_index,
     bounded_subset_unindex,
     floor_frac,
+    frac_str,
     iter_subsets_of_size,
 )
 from .core import UniverseParams
 from .filters import FailStateError, Seed
-from .witness import EnumerationTooLarge
+from .witness import check_enumeration_budget
 
 __all__ = [
     "BoundsParams",
@@ -57,15 +58,12 @@ __all__ = [
     "false_negative_set",
     "is_good_pair",
     "BestSeed",
+    "pick_best_seed",
     "find_best_seed",
     "DatasetCode",
     "encode_dataset",
     "decode_dataset",
 ]
-
-DATASET_BUDGET = 10**6
-SEED_BUDGET = 1 << 16
-
 
 class ParamsOutOfRange(ValueError):
     """Parameters outside the regime the bounds are stated for."""
@@ -140,19 +138,15 @@ class CountingBoundResult:
             "params": {
                 "u": self.params.u,
                 "n": self.params.n,
-                "eps_minus": _frac_str(self.params.eps_minus),
-                "p_fail": _frac_str(self.params.p_fail),
-                "alpha": _frac_str(self.params.alpha),
+                "eps_minus": frac_str(self.params.eps_minus),
+                "p_fail": frac_str(self.params.p_fail),
+                "alpha": frac_str(self.params.alpha),
                 "fspace_bits": self.fspace_bits,
             },
             "lhs": str(self.lhs),
-            "rhs": _frac_str(self.rhs),
+            "rhs": frac_str(self.rhs),
             "holds": self.holds,
         }
-
-
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoundResult:
@@ -184,7 +178,7 @@ class BinomScalingResult:
     def to_json_dict(self) -> dict:
         return {
             "name": "binom_scaling",
-            "params": {"u": self.u, "n": self.n, "beta": _frac_str(self.beta)},
+            "params": {"u": self.u, "n": self.n, "beta": frac_str(self.beta)},
             "lhs": self.lhs_bits,
             "rhs": self.rhs_bits,
             "holds": self.holds,
@@ -243,7 +237,7 @@ class SpaceBound:
         return {
             "name": "space_lower_bound",
             "params": {"kind": self.kind.value, "u": self.u, "n": self.n,
-                       "eps": _frac_str(self.eps)},
+                       "eps": frac_str(self.eps)},
             "leading_bits": self.leading_bits,
             "constant_bits": self.constant_bits,
             # the constant collects proof-chain slack; only the leading
@@ -322,40 +316,43 @@ class BestSeed:
     meets_bound: bool
 
 
+def pick_best_seed(
+    seeds: Sequence[Seed],
+    good_counts: Sequence[int],
+    params: BoundsParams,
+    dataset_count: int,
+) -> BestSeed:
+    """The seed with the most good datasets (good_counts[i] under seeds[i]).
+
+    Averaging guarantees some seed is good for at least a
+    (1 - 1/alpha - p_fail) share of datasets; taking the maximum can only
+    do better, and meets_bound records whether the guarantee held.  max
+    keeps the first of equal counts, so ties break to the earliest seed.
+    """
+    seed, count = max(zip(seeds, good_counts), key=lambda pair: pair[1])
+    required = (1 - 1 / params.alpha - params.p_fail) * dataset_count
+    return BestSeed(seed, count, required, count >= required)
+
+
 def find_best_seed(
     static_filter: StaticFilter,
     params: BoundsParams,
     seeds: Sequence[Seed],
 ) -> BestSeed:
-    """The seed with the most good datasets, by direct maximization.
-
-    Averaging guarantees some seed is good for at least a
-    (1 - 1/alpha - p_fail) share of datasets; taking the maximum can only
-    do better, and meets_bound records whether the guarantee held.  Ties
-    break to the earliest seed so the result is deterministic.
-    """
+    """pick_best_seed over good-pair counts taken with is_good_pair."""
     u, n = static_filter.params.u, static_filter.params.n
-    dataset_count = binom_exact(u, n)
-    if dataset_count > DATASET_BUDGET:
-        raise EnumerationTooLarge(
-            f"{dataset_count} datasets exceed budget {DATASET_BUDGET}"
-        )
+    dataset_count = check_enumeration_budget(u, n, len(seeds))
     if not seeds:
         raise ValueError("need at least one seed")
-    if len(seeds) > SEED_BUDGET:
-        raise EnumerationTooLarge(f"{len(seeds)} seeds exceed budget {SEED_BUDGET}")
-    best_seed = seeds[0]
-    best_count = -1
-    for seed in seeds:
-        count = sum(
+    good_counts = [
+        sum(
             1
             for dataset in iter_subsets_of_size(u, n)
             if is_good_pair(static_filter, params, seed, dataset)
         )
-        if count > best_count:
-            best_seed, best_count = seed, count
-    required = (1 - 1 / params.alpha - params.p_fail) * dataset_count
-    return BestSeed(best_seed, best_count, required, best_count >= required)
+        for seed in seeds
+    ]
+    return pick_best_seed(seeds, good_counts, params, dataset_count)
 
 
 @dataclass(frozen=True)

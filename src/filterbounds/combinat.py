@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
 
@@ -27,24 +27,6 @@ def binom_exact(u: int, k: int) -> int:
     if k > u:
         return 0
     return math.comb(u, k)
-
-
-def mask_from_elems(elems: Iterable[int]) -> int:
-    mask = 0
-    for x in elems:
-        mask |= 1 << x
-    return mask
-
-
-def elems_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    x = 0
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return tuple(out)
 
 
 def subset_rank(elems: tuple[int, ...]) -> int:
@@ -149,6 +131,11 @@ def ceil_log2_frac(num: int, den: int) -> int:
 
 def floor_frac(value: Fraction) -> int:
     return math.floor(value)
+
+
+def frac_str(value: Fraction) -> str:
+    """Exact 'p/q' text of a rational, denominator always shown ('1/1')."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 @functools.lru_cache(maxsize=None)

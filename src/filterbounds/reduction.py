@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .combinat import binom_exact, iter_subsets_of_size
+from .bounds import BestSeed, BoundsParams, pick_best_seed
+from .combinat import frac_str, iter_subsets_of_size
 from .core import UniverseParams
 from .filters import FilterModel, FilterState, Seed
-from .witness import EnumerationTooLarge, state_after, yes_set
-
-REDUCTION_DATASET_BUDGET = 10**6
-REDUCTION_SEED_BUDGET = 1 << 16
+from .witness import DATASET_BUDGET, check_enumeration_budget, state_after, yes_set
 
 
 @dataclass(frozen=True)
@@ -119,13 +117,14 @@ class PairedStaticFilter:
         return f"paired({self.model.describe()})"
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 @dataclass
 class ReductionReport:
-    """Exact certification results for one model over a seed space."""
+    """Exact certification results for one model over a seed space.
+
+    The last three fields are not reported; the sticky and best-seed checks
+    read them: the first false positive (seed, dataset, elements) in sweep
+    order, and per seed the false-negative count of each live dataset.
+    """
 
     u: int
     n: int
@@ -141,6 +140,21 @@ class ReductionReport:
     space_pair_bits: int = 0
     space_budget_bits: int = 0
     fail_fraction: Fraction = Fraction(0)
+    failed_pairs: int = 0
+    first_false_positive: tuple[Seed, tuple[int, ...], list[int]] | None = None
+    misses_by_seed: list[list[int]] = field(default_factory=list, repr=False)
+
+    def best_seed(self, seeds: Sequence[Seed], params: BoundsParams) -> BestSeed:
+        """pick_best_seed on this sweep's good-pair counts.
+
+        A dataset is good under a seed when its pair is live and misses at
+        most fn_limit members, as is_good_pair decides.
+        """
+        good_counts = [
+            sum(1 for misses in row if misses <= params.fn_limit)
+            for row in self.misses_by_seed
+        ]
+        return pick_best_seed(seeds, good_counts, params, self.dataset_count)
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,11 +166,11 @@ class ReductionReport:
             },
             "false_positive_count": self.false_positive_count,
             "completeness_violations": self.completeness_violations,
-            "max_false_negative_rate": _frac_str(self.max_false_negative_rate),
+            "max_false_negative_rate": frac_str(self.max_false_negative_rate),
             "fn_matches_delete_fp": self.fn_matches_delete_fp,
             "space_pair_bits": self.space_pair_bits,
             "space_budget_bits": self.space_budget_bits,
-            "fail_fraction": _frac_str(self.fail_fraction),
+            "fail_fraction": frac_str(self.fail_fraction),
         }
 
     def to_json(self) -> str:
@@ -167,41 +181,40 @@ def check_reduction(
     model: FilterModel,
     seeds: Sequence[Seed],
     *,
-    dataset_budget: int = REDUCTION_DATASET_BUDGET,
+    dataset_budget: int = DATASET_BUDGET,
 ) -> ReductionReport:
     """Exhaustively certify the paired filter over datasets x seeds.
 
-    Counts false positives (must be zero for a model with sticky wrong
-    yeses), per-(dataset, member) false-negative seed fractions, the widest
-    pair against twice the widest component state, and the failed-pair
-    fraction.  The false-negative events are cross-checked against the
-    base model's wrong yeses at the delete snapshot, which they must equal
-    cell by cell when the seed space is fully enumerated.
+    Every tally derives from the two snapshots' yes-sets, each read once
+    per (seed, dataset).  Counts false positives (must be zero for a model
+    with sticky wrong yeses), per-(dataset, member) false-negative seed
+    fractions, the widest pair against twice the widest component state,
+    and the failed-pair fraction.  The false-negative events are
+    cross-checked against the base model's wrong yeses at the delete
+    snapshot, which they must equal cell by cell when the seed space is
+    fully enumerated.
     """
     u, n = model.params.u, model.params.n
-    dataset_count = binom_exact(u, n)
-    if dataset_count > dataset_budget:
-        raise EnumerationTooLarge(
-            f"{dataset_count} datasets exceed budget {dataset_budget}"
-        )
-    if len(seeds) > REDUCTION_SEED_BUDGET:
-        raise EnumerationTooLarge(
-            f"{len(seeds)} seeds exceed budget {REDUCTION_SEED_BUDGET}"
-        )
+    dataset_count = check_enumeration_budget(
+        u, n, len(seeds), dataset_budget=dataset_budget
+    )
     datasets = list(iter_subsets_of_size(u, n))
     fp_count = 0
+    first_fp = None
     completeness_violations = 0
+    # misses without a yes at the delete snapshot; each breaks a cell's match
+    unexplained_misses = 0
     fn_counts: dict[tuple[tuple[int, ...], int], int] = {
         (ds, x): 0 for ds in datasets for x in ds
     }
-    delete_fp_counts: dict[tuple[tuple[int, ...], int], int] = {
-        (ds, x): 0 for ds in datasets for x in ds
-    }
     live_counts: dict[tuple[int, ...], int] = {ds: 0 for ds in datasets}
+    misses_by_seed: list[list[int]] = []
     fail_count = 0
     max_pair_bits = 0
     max_component_bits = 0
     for seed in seeds:
+        seed_misses: list[int] = []
+        misses_by_seed.append(seed_misses)
         for ds in datasets:
             pair = pair_init(model, seed, ds)
             if pair.is_fail:
@@ -214,27 +227,26 @@ def check_reduction(
                 pair.after_insert.nbits,
                 pair.after_delete.nbits,
             )
-            member = set(ds)
+            members = frozenset(ds)
+            insert_yes = yes_set(model, seed, pair.after_insert)
             delete_yes = yes_set(model, seed, pair.after_delete)
-            for x in range(u):
-                bit = pair_query(model, seed, pair, x)
-                if x in member:
-                    if bit == 0:
-                        fn_counts[(ds, x)] += 1
-                        if model.query_bit(seed, pair.after_insert, x) == 0:
-                            completeness_violations += 1
-                    if x in delete_yes:
-                        delete_fp_counts[(ds, x)] += 1
-                elif bit == 1:
-                    fp_count += 1
+            answered = insert_yes - delete_yes  # what pair_query answers 1 on
+            false_positives = answered - members
+            if false_positives:
+                fp_count += len(false_positives)
+                if first_fp is None:
+                    first_fp = (seed, ds, sorted(false_positives))
+            misses = members - answered
+            completeness_violations += len(members - insert_yes)
+            unexplained_misses += len(misses - delete_yes)
+            for x in misses:
+                fn_counts[(ds, x)] += 1
+            seed_misses.append(len(misses))
     total_cells = len(seeds) * dataset_count
     fn_rates = {
         cell: Fraction(count, live_counts[cell[0]]) if live_counts[cell[0]] else Fraction(0)
         for cell, count in fn_counts.items()
     }
-    matches = all(
-        fn_counts[cell] == delete_fp_counts[cell] for cell in fn_counts
-    )
     return ReductionReport(
         u=u,
         n=n,
@@ -246,8 +258,11 @@ def check_reduction(
         completeness_violations=completeness_violations,
         max_false_negative_rate=max(fn_rates.values(), default=Fraction(0)),
         fn_rate_by_cell=fn_rates,
-        fn_matches_delete_fp=matches,
+        fn_matches_delete_fp=unexplained_misses == 0,
         space_pair_bits=max_pair_bits,
         space_budget_bits=2 * max_component_bits,
         fail_fraction=Fraction(fail_count, total_cells) if total_cells else Fraction(0),
+        failed_pairs=fail_count,
+        first_false_positive=first_fp,
+        misses_by_seed=misses_by_seed,
     )

@@ -26,7 +26,22 @@ class EnumerationTooLarge(Exception):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-WITNESS_BUDGET = 10**6
+DATASET_BUDGET = 10**6
+SEED_BUDGET = 1 << 16
+
+
+def check_enumeration_budget(
+    u: int, n: int, seed_count: int = 0, *, dataset_budget: int = DATASET_BUDGET
+) -> int:
+    """Refuse, before any model step, a sweep too large; return C(u, n)."""
+    dataset_count = binom_exact(u, n)
+    if dataset_count > dataset_budget:
+        raise EnumerationTooLarge(
+            f"{dataset_count} datasets exceed budget {dataset_budget}"
+        )
+    if seed_count > SEED_BUDGET:
+        raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
+    return dataset_count
 
 
 def yes_set(model: FilterModel, seed: Seed, state: FilterState) -> frozenset[int]:
@@ -71,12 +86,8 @@ class WitnessModel(FilterModel):
     enumeration budget enforced at construction.
     """
 
-    def __init__(self, base: FilterModel, budget: int = WITNESS_BUDGET):
-        count = binom_exact(base.params.u, base.params.n)
-        if count > budget:
-            raise EnumerationTooLarge(
-                f"witness search needs {count} datasets, budget is {budget}"
-            )
+    def __init__(self, base: FilterModel, budget: int = DATASET_BUDGET):
+        check_enumeration_budget(base.params.u, base.params.n, dataset_budget=budget)
         self.base = base
         self.kind = base.kind
         self.params = base.params
@@ -122,7 +133,7 @@ class WitnessModel(FilterModel):
         return f"witness({self.base.describe()})"
 
 
-def witness_transform(base: FilterModel, budget: int = WITNESS_BUDGET) -> WitnessModel:
+def witness_transform(base: FilterModel, budget: int = DATASET_BUDGET) -> WitnessModel:
     """Wrap a model so its queries answer via witness search."""
     return WitnessModel(base, budget)
 

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from filterbounds.bounds import BoundsParams, find_best_seed
 from filterbounds.cli import main
+from filterbounds.combinat import iter_subsets_of_size
+from filterbounds.filters import ExactSetModel, FailStateError, seed_space
 from filterbounds.harness import (
     ConfigError,
     DEFAULT_NEGATIVE_PROBE,
@@ -27,6 +30,8 @@ from filterbounds.harness import (
     run_violation_demo,
     wilson_interval,
 )
+from filterbounds.reduction import PairedStaticFilter
+from filterbounds.witness import check_sticky, witness_transform
 
 
 class TestParseFraction:
@@ -264,6 +269,56 @@ class TestVerificationSuite:
         assert any("exact_set" in name for name in clean)
         assert any("noisy_exact" in name for name in clean)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [*default_verify_config().models, negative_control_config().models[-1]],
+        ids=lambda spec: spec.kind,
+    )
+    def test_one_sweep_matches_the_reference_checks(self, spec):
+        # the sticky and best-seed figures come from check_reduction's sweep;
+        # check_sticky and find_best_seed recompute them independently
+        cfg = config_from_dict(
+            {"models": [spec.to_dict()], "seed_bits": 6}, default_verify_config()
+        )
+        details = {c.name: c.details for c in run_verification_suite(cfg).checks}
+        model = witness_transform(spec.build())
+        seeds = list(seed_space(6))
+        violations = failed = 0
+        example = None
+        for seed in seeds:
+            for dataset in iter_subsets_of_size(spec.u, spec.n):
+                try:
+                    bad = check_sticky(model, seed, dataset)
+                except FailStateError:
+                    failed += 1
+                    continue
+                violations += len(bad)
+                if bad and example is None:
+                    example = {
+                        "seed": seed.value,
+                        "dataset": list(dataset),
+                        "elements": bad,
+                    }
+        if spec.kind == "fingerprint_multiset":
+            assert example is not None
+        sticky = details[f"sticky[{model.describe()}]"]
+        assert sticky["violations"] == violations
+        assert sticky["failed_cells"] == failed
+        assert sticky.get("example") == example
+
+        reduction = details[f"reduction[{model.describe()}]"]
+        params = BoundsParams(
+            u=spec.u,
+            n=spec.n,
+            eps_minus=parse_fraction(reduction["max_false_negative_rate"]),
+            p_fail=parse_fraction(reduction["fail_fraction"]),
+            alpha=cfg.best_seed_alpha,
+        )
+        best = find_best_seed(PairedStaticFilter(model), params, seeds)
+        coding = details[f"dataset_coding[{model.describe()}]"]
+        assert coding["best_seed"] == best.seed.value
+        assert coding["good_count"] == best.good_count
+
     def test_empty_zoo_warns_and_checks_nothing(self):
         cfg = config_from_dict({"models": []}, default_verify_config())
         with pytest.warns(UserWarning):
@@ -371,6 +426,17 @@ class TestCli:
 
     def test_seed_bits_flag_out_of_range_exits_two(self):
         assert main(["verify", "--seed-bits", "30"]) == 2
+
+    def test_seed_space_over_budget_exits_two_before_any_step(
+        self, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("a model was stepped")
+
+        monkeypatch.setattr(ExactSetModel, "insert_state", refuse)
+        assert main(["verify", "--seed-bits", "17"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
 
     def test_encode_decode_round_trip(self, capsys):
         assert main(["encode", "--elements", "1,3"]) == 0
