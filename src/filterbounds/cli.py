@@ -109,6 +109,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read bounds config: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("bounds config must hold a JSON object")
         checks = data.get("bounds_checks", [])
         if not isinstance(checks, list):
             raise ConfigError("bounds_checks must be a list")

@@ -7,6 +7,14 @@ the space charge.  A distinguished fail state acts as a sink: every
 non-init operation keeps it, and queries on it answer 1.  Seeds are not
 charged to space.
 
+A model also names, through seed_class, the part of the seed it reads.
+Two seeds with equal keys must give identical states and answers on every
+run, so exhaustive certifiers sweep one representative per class and weight
+its tallies by the class size; the enumeration stays complete and every
+rational stays exact.  The default key is the seed itself, which is plain
+brute force.  ExactSet reads none of the seed (one class), NoisyExact reads
+seed.value mod u, and FingerprintMultiset reads the hash pair (a, c).
+
 Three models ship here:
 
 * ExactSet: stores the current set exactly as a fixed-width rank over all
@@ -28,7 +36,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .combinat import (
     bounded_subset_count,
@@ -137,6 +145,13 @@ class FilterModel(ABC):
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
         """0/1 answer at a non-fail state; must not depend on op history."""
 
+    def seed_class(self, seed: Seed) -> Hashable:
+        """Key shared only by seeds that give identical states and answers.
+
+        The default, the seed itself, never merges two seeds.
+        """
+        return seed
+
     def step(
         self, seed: Seed, state: FilterState, op: Operation
     ) -> tuple[FilterState, int | None]:
@@ -207,6 +222,9 @@ class ExactSetModel(FilterModel):
             bounded_subset_unindex(state.value, self.params.u, self.params.n)
         )
 
+    def seed_class(self, seed: Seed) -> Hashable:
+        return None  # the seed is never read
+
     def fresh_state(self, seed: Seed) -> FilterState:
         return self.encode_set(())
 
@@ -249,6 +267,9 @@ class NoisyExactModel(ExactSetModel):
             )
         self.noise_m = noise_m
 
+    def seed_class(self, seed: Seed) -> Hashable:
+        return seed.value % self.params.u
+
     def noise_set(self, seed: Seed) -> frozenset[int]:
         start = seed.value % self.params.u
         return frozenset((start + j) % self.params.u for j in range(self.noise_m))
@@ -263,6 +284,11 @@ class NoisyExactModel(ExactSetModel):
             f"{self.kind.value}(u={self.params.u}, n={self.params.n}, "
             f"m={self.noise_m})"
         )
+
+
+def hash_params(seed: Seed, p: int) -> tuple[int, int]:
+    """The pair (a, c) of the fingerprint hash mod p, a nonzero."""
+    return 1 + seed_word(seed, 0) % (p - 1), seed_word(seed, 1) % p
 
 
 def fingerprint(
@@ -287,8 +313,7 @@ def fingerprint(
             raise ValueError(f"forced fingerprint {forced} wider than {nbits} bits")
         return forced
     p = next_prime(u)
-    a = 1 + seed_word(seed, 0) % (p - 1)
-    c = seed_word(seed, 1) % p
+    a, c = hash_params(seed, p)
     return ((a * x + c) % p) % (1 << nbits)
 
 
@@ -325,6 +350,9 @@ class FingerprintMultisetModel(FilterModel):
         self.count_bits = width_for_count(params.n)
         self.collision_table = dict(collision_table) if collision_table else None
         self._prime = next_prime(params.u)
+
+    def seed_class(self, seed: Seed) -> Hashable:
+        return hash_params(seed, self._prime)
 
     def fingerprint_of(self, seed: Seed, x: int) -> int:
         return fingerprint(x, seed, self.fp_bits, self.params.u, self.collision_table)

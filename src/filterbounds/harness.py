@@ -49,7 +49,7 @@ from .reduction import (
     check_reduction,
     parse_paired_state,
 )
-from .witness import witness_transform
+from .witness import SEED_BUDGET, witness_transform
 
 
 class ConfigError(ValueError):
@@ -108,6 +108,8 @@ class ModelSpec:
 
 
 def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"model spec must be an object, got {data!r}")
     try:
         kind = ModelKind(data["kind"]).value
     except (KeyError, ValueError) as exc:
@@ -124,13 +126,20 @@ def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad collision table {table!r}") from exc
     fp_bits = data.get("fingerprint_bits")
+    try:
+        noise_m = int(data.get("noise_m", 0))
+        fp_bits = int(fp_bits) if fp_bits is not None else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"noise_m and fingerprint_bits must be integers: {data!r}"
+        ) from exc
     return ModelSpec(
         kind=kind,
         u=u,
         n=n,
         eps_plus=parse_fraction(data.get("eps_plus", 0)),
-        noise_m=int(data.get("noise_m", 0)),
-        fingerprint_bits=int(fp_bits) if fp_bits is not None else None,
+        noise_m=noise_m,
+        fingerprint_bits=fp_bits,
         collision_table=table,
     )
 
@@ -191,6 +200,10 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+# the widest seed space check_enumeration_budget admits
+MAX_SEED_BITS = SEED_BUDGET.bit_length() - 1
+
+
 def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> ExperimentConfig:
     """Overlay a parsed config file onto a command's defaults."""
     known = {
@@ -200,6 +213,12 @@ def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> Experim
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    for key in ("alphas", "models"):
+        if key in data and not isinstance(data[key], (list, tuple)):
+            raise ConfigError(f"{key} must be a list")
+    probe = data.get("negative_probe")
+    if probe is not None and not isinstance(probe, Mapping):
+        raise ConfigError("negative_probe must be an object")
     kwargs: dict[str, Any] = {}
     for key in ("seed", "seed_bits", "trials"):
         if key in data:
@@ -227,8 +246,10 @@ def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> Experim
         kwargs["negative_probe"] = data["negative_probe"]
     replacements = {**_config_kwargs(base), **kwargs}
     cfg = ExperimentConfig(**replacements)
-    if cfg.seed_bits < 0 or cfg.seed_bits > 20:
-        raise ConfigError("seed_bits must lie in [0, 20] for exhaustive commands")
+    if not 0 <= cfg.seed_bits <= MAX_SEED_BITS:
+        raise ConfigError(
+            f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands"
+        )
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     return cfg
@@ -672,12 +693,18 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
 def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
     """Code a dataset under the deterministic best seed of the config zoo."""
     static, params, best = _coding_context(cfg)
-    code = encode_dataset(static, params, best.seed, sorted(elements))
+    dataset = sorted(elements)
+    u, n = static.params.u, static.params.n
+    if len(set(dataset)) != n or not all(0 <= x < u for x in dataset):
+        raise ConfigError(
+            f"encode needs {n} distinct elements of [0, {u}), got {dataset}"
+        )
+    code = encode_dataset(static, params, best.seed, dataset)
     return {
         "command": "encode",
         "model": static.describe(),
         "seed": {"value": best.seed.value, "bits": best.seed.bits},
-        "dataset": sorted(elements),
+        "dataset": dataset,
         "state": code.state.serialize(),
         "index": str(code.index),
         "config_hash": cfg.config_hash(),

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Sequence
 
-from .bounds import BestSeed, BoundsParams, pick_best_seed
+from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
 from .core import UniverseParams
 from .filters import FilterModel, FilterState, Seed
@@ -56,7 +56,10 @@ class PairedState:
 
 
 def parse_paired_state(text: str) -> PairedState:
-    """Inverse of PairedState.serialize for non-fail pairs."""
+    """Inverse of PairedState.serialize for non-fail pairs.
+
+    Raises InvalidCode, a ValueError, on a malformed literal.
+    """
     try:
         left, right = text.split("/")
         parts = []
@@ -67,7 +70,7 @@ def parse_paired_state(text: str) -> PairedState:
                 raise ValueError
             parts.append(FilterState(int(bits, 2) if nbits else 0, nbits))
     except ValueError:
-        raise ValueError(f"bad paired state literal {text!r}") from None
+        raise InvalidCode(f"bad paired state literal {text!r}") from None
     return PairedState(parts[0], parts[1])
 
 
@@ -124,6 +127,7 @@ class ReductionReport:
     The last three fields are not reported; the sticky and best-seed checks
     read them: the first false positive (seed, dataset, elements) in sweep
     order, and per seed the false-negative count of each live dataset.
+    Seeds of one seed class share one miss row.
     """
 
     u: int
@@ -150,10 +154,11 @@ class ReductionReport:
         A dataset is good under a seed when its pair is live and misses at
         most fn_limit members, as is_good_pair decides.
         """
-        good_counts = [
-            sum(1 for misses in row if misses <= params.fn_limit)
-            for row in self.misses_by_seed
-        ]
+        limit = params.fn_limit
+        # seeds of one class share a row object; count each row once
+        rows = {id(row): row for row in self.misses_by_seed}
+        good = {key: sum(1 for m in row if m <= limit) for key, row in rows.items()}
+        good_counts = [good[id(row)] for row in self.misses_by_seed]
         return pick_best_seed(seeds, good_counts, params, self.dataset_count)
 
     def to_json_dict(self) -> dict:
@@ -185,20 +190,29 @@ def check_reduction(
 ) -> ReductionReport:
     """Exhaustively certify the paired filter over datasets x seeds.
 
-    Every tally derives from the two snapshots' yes-sets, each read once
-    per (seed, dataset).  Counts false positives (must be zero for a model
-    with sticky wrong yeses), per-(dataset, member) false-negative seed
-    fractions, the widest pair against twice the widest component state,
-    and the failed-pair fraction.  The false-negative events are
-    cross-checked against the base model's wrong yeses at the delete
-    snapshot, which they must equal cell by cell when the seed space is
-    fully enumerated.
+    Seeds are grouped by model.seed_class; each class is swept once, under
+    its earliest seed, and every tally is weighted by the class size, so
+    the enumeration stays complete and the fractions exact.  Every tally
+    derives from the two snapshots' yes-sets, each read once per (class,
+    dataset).  Counts false positives (must be zero for a model with sticky
+    wrong yeses), per-(dataset, member) false-negative seed fractions, the
+    widest pair against twice the widest component state, and the
+    failed-pair fraction.  The false-negative events are cross-checked
+    against the base model's wrong yeses at the delete snapshot, which they
+    must equal cell by cell when the seed space is fully enumerated.
     """
     u, n = model.params.u, model.params.n
     dataset_count = check_enumeration_budget(
         u, n, len(seeds), dataset_budget=dataset_budget
     )
     datasets = list(iter_subsets_of_size(u, n))
+    # class key -> [earliest seed, multiplicity, miss row shared by its seeds]
+    classes: dict[Hashable, list] = {}
+    misses_by_seed: list[list[int]] = []
+    for seed in seeds:
+        entry = classes.setdefault(model.seed_class(seed), [seed, 0, []])
+        entry[1] += 1
+        misses_by_seed.append(entry[2])
     fp_count = 0
     first_fp = None
     completeness_violations = 0
@@ -208,19 +222,18 @@ def check_reduction(
         (ds, x): 0 for ds in datasets for x in ds
     }
     live_counts: dict[tuple[int, ...], int] = {ds: 0 for ds in datasets}
-    misses_by_seed: list[list[int]] = []
     fail_count = 0
     max_pair_bits = 0
     max_component_bits = 0
-    for seed in seeds:
-        seed_misses: list[int] = []
-        misses_by_seed.append(seed_misses)
+    # classes come in order of their earliest seed, so the first false
+    # positive found is the one a seed-by-seed sweep would find
+    for seed, weight, class_misses in classes.values():
         for ds in datasets:
             pair = pair_init(model, seed, ds)
             if pair.is_fail:
-                fail_count += 1
+                fail_count += weight
                 continue
-            live_counts[ds] += 1
+            live_counts[ds] += weight
             max_pair_bits = max(max_pair_bits, pair.space_bits)
             max_component_bits = max(
                 max_component_bits,
@@ -233,15 +246,15 @@ def check_reduction(
             answered = insert_yes - delete_yes  # what pair_query answers 1 on
             false_positives = answered - members
             if false_positives:
-                fp_count += len(false_positives)
+                fp_count += weight * len(false_positives)
                 if first_fp is None:
                     first_fp = (seed, ds, sorted(false_positives))
             misses = members - answered
-            completeness_violations += len(members - insert_yes)
-            unexplained_misses += len(misses - delete_yes)
+            completeness_violations += weight * len(members - insert_yes)
+            unexplained_misses += weight * len(misses - delete_yes)
             for x in misses:
-                fn_counts[(ds, x)] += 1
-            seed_misses.append(len(misses))
+                fn_counts[(ds, x)] += weight
+            class_misses.append(len(misses))
     total_cells = len(seeds) * dataset_count
     fn_rates = {
         cell: Fraction(count, live_counts[cell[0]]) if live_counts[cell[0]] else Fraction(0)

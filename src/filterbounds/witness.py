@@ -16,7 +16,7 @@ the sticky kind, which is what the fingerprint scheme exhibits.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .combinat import binom_exact, iter_subsets_of_size
 from .filters import FailStateError, FilterModel, FilterState, Seed
@@ -113,6 +113,10 @@ class WitnessModel(FilterModel):
             table[state_key] = mask
         self._cached = (key, table)
         return table
+
+    def seed_class(self, seed: Seed) -> Hashable:
+        # the table is built from base runs alone, so the base's classes hold
+        return self.base.seed_class(seed)
 
     def fresh_state(self, seed: Seed) -> FilterState:
         return self.base.fresh_state(seed)

@@ -1,6 +1,8 @@
 """Config plumbing, experiment runners, verification suite, CLI."""
 
 import json
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,10 @@ class TestConfig:
     def test_seed_bits_range(self):
         with pytest.raises(ConfigError):
             config_from_dict({"seed_bits": 21}, default_verify_config())
+        with pytest.raises(ConfigError):
+            config_from_dict({"seed_bits": 17}, default_verify_config())
+        widest = config_from_dict({"seed_bits": 16}, default_verify_config())
+        assert widest.seed_bits == 16
         with pytest.raises(ConfigError):
             config_from_dict({"seed_bits": -1}, default_verify_config())
 
@@ -449,3 +455,47 @@ class TestCli:
 
     def test_bad_elements_exit_two(self, capsys):
         assert main(["encode", "--elements", "1,banana"]) == 2
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ([1, 2], ["bounds"]),
+            ({"models": [5]}, ["verify"]),
+            ({"models": 5}, ["verify"]),
+            ({"alphas": 2}, ["verify"]),
+            ({"negative_probe": 3}, ["verify"]),
+            (
+                {"models": [{"kind": "noisy_exact", "u": 6, "n": 2,
+                             "eps_plus": "1/6", "noise_m": "x"}]},
+                ["verify"],
+            ),
+            (None, ["encode", "--elements", "7,8"]),
+            (None, ["encode", "--elements", "1"]),
+            (None, ["decode", "--state", "garbage", "--index", "0"]),
+        ],
+    )
+    def test_bad_input_exits_two_with_one_error_line(
+        self, config, argv, tmp_path, capsys
+    ):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_verify_certifies_sixteen_seed_bits(self, capsys):
+        # one pass per seed class makes the widest admitted seed space cheap
+        assert main(["verify", "--seed-bits", "16"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["passed"] is True
+        assert blob["seed_bits"] == 16
+
+    def test_runs_as_a_module(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["filterbounds", "demo-violations"])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("filterbounds", run_name="__main__")
+        assert stop.value.code == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True

@@ -1,16 +1,23 @@
 """Paired snapshot construction and its exhaustive certification."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from filterbounds.bounds import BoundsParams
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
+    FilterModel,
     FilterState,
     FingerprintMultisetModel,
+    ModelKind,
+    NoisyExactModel,
     Seed,
+    make_model,
+    seed_space,
 )
 from filterbounds.reduction import (
     PairedState,
@@ -21,7 +28,7 @@ from filterbounds.reduction import (
     pair_query,
     parse_paired_state,
 )
-from filterbounds.witness import EnumerationTooLarge, state_after
+from filterbounds.witness import EnumerationTooLarge, state_after, witness_transform
 
 S0 = Seed(0, 8)
 
@@ -31,6 +38,15 @@ class FailingInsert(FingerprintMultisetModel):
 
     def insert_state(self, seed, state, x):
         return FAIL_STATE
+
+
+class ForgetsNoiseStart(NoisyExactModel):
+    """Stub that answers no on its first noise element: incomplete per seed."""
+
+    def query_bit(self, seed, state, x):
+        if x == seed.value % self.params.u:
+            return 0
+        return super().query_bit(seed, state, x)
 
 
 class TestPairedState:
@@ -212,3 +228,105 @@ class TestReportJson:
     def test_json_is_stable(self, noisy62, seeds8):
         report = check_reduction(noisy62, seeds8[:8])
         assert report.to_json() == report.to_json()
+
+
+P62 = UniverseParams(6, 2)
+SEED_CLASS_MODELS = {
+    "exact_set": make_model(ModelKind.EXACT_SET, P62),
+    "noisy_exact": make_model(ModelKind.NOISY_EXACT, P62, Fraction(1, 6), noise_m=1),
+    "fingerprint_multiset": make_model(
+        ModelKind.FINGERPRINT_MULTISET, P62, Fraction(1, 2)
+    ),
+    "fingerprint_collisions": make_model(
+        ModelKind.FINGERPRINT_MULTISET,
+        P62,
+        Fraction(1, 2),
+        collision_table={1: 0, 2: 0},
+    ),
+}
+
+SWEEP_MODELS = {
+    **SEED_CLASS_MODELS,
+    "failing_insert": FailingInsert(P62, Fraction(1, 2)),
+    "forgets_noise_start": ForgetsNoiseStart(P62, Fraction(1, 6), noise_m=1),
+}
+
+
+def reachable_behaviour(model, seed):
+    """Answers and moves of every state reachable from init under one seed.
+
+    Runs may insert duplicates and delete nonelements; an insert the model
+    refuses (ExactSet over capacity) is recorded as refused.  Equal results
+    for two seeds mean equal states and answers on every run, so on every
+    insert run and every insert-then-delete run.
+    """
+    start = model.fresh_state(seed)
+    behaviour, seen, frontier = {}, {start}, [start]
+    while frontier:
+        state = frontier.pop()
+        if state.fail:
+            continue
+        universe = range(model.params.u)
+        behaviour[state] = [model.query_bit(seed, state, x) for x in universe]
+        for x in universe:
+            for op, apply in (("ins", model.insert_state), ("del", model.delete_state)):
+                try:
+                    succ = apply(seed, state, x)
+                except ValueError:
+                    behaviour[state, op, x] = "refused"
+                    continue
+                behaviour[state, op, x] = succ
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+    return behaviour
+
+
+class TestSeedClasses:
+    @pytest.mark.parametrize("name", SEED_CLASS_MODELS)
+    def test_equal_keys_behave_identically(self, name, seeds8):
+        model = SEED_CLASS_MODELS[name]
+        by_class = {}
+        for seed in seeds8:
+            behaviour = reachable_behaviour(model, seed)
+            first = by_class.setdefault(model.seed_class(seed), (seed, behaviour))
+            assert behaviour == first[1], f"{seed} and {first[0]} share a class"
+        if name != "exact_set":
+            assert len(by_class) > 1
+
+    @pytest.mark.parametrize(
+        "wrap", [witness_transform, lambda base: base], ids=["witness", "bare"]
+    )
+    @pytest.mark.parametrize(
+        "name, bits",
+        [
+            ("exact_set", 6),
+            ("noisy_exact", 6),
+            ("fingerprint_multiset", 6),
+            ("failing_insert", 6),
+            ("forgets_noise_start", 6),
+            # 256 = 6 * 42 + 4: classes of 43 and of 42 seeds
+            ("noisy_exact", 8),
+        ],
+    )
+    def test_class_sweep_matches_brute_force(self, name, bits, wrap, monkeypatch):
+        base = SWEEP_MODELS[name]
+        model = wrap(base)
+        seeds = list(seed_space(bits))
+        fast = check_reduction(model, seeds)
+        assert len({id(row) for row in fast.misses_by_seed}) < len(seeds)
+        # the default key makes every seed its own class: plain brute force
+        monkeypatch.setattr(type(base), "seed_class", FilterModel.seed_class)
+        slow = check_reduction(model, seeds)
+        assert len({id(row) for row in slow.misses_by_seed}) == len(seeds)
+        for f in fields(ReductionReport):
+            assert getattr(fast, f.name) == getattr(slow, f.name), f.name
+        for alpha in (Fraction(2), Fraction(4)):
+            params = BoundsParams(
+                u=base.params.u,
+                n=base.params.n,
+                eps_minus=fast.max_false_negative_rate,
+                p_fail=fast.fail_fraction,
+                alpha=alpha,
+            )
+            assert fast.best_seed(seeds, params) == slow.best_seed(seeds, params)
