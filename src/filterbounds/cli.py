@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .bounds import (
     BoundsParams,
@@ -43,12 +43,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
+def _reject_constant(name: str) -> NoReturn:
+    # json.load accepts NaN and Infinity, which no config field can use
+    raise ConfigError(f"config holds {name}, which is not a JSON number")
+
+
 def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -106,7 +111,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read bounds config: {exc}") from exc
         if not isinstance(data, dict):
@@ -150,7 +155,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 )
             else:
                 raise ConfigError(f"unknown bounds check {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad bounds check entry {entry!r}: {exc}") from exc

@@ -71,7 +71,8 @@ def subset_unrank(rank: int, size: int, ambient: int) -> tuple[int, ...]:
 
 def bounded_subset_count(ambient: int, max_size: int) -> int:
     """Number of subsets of [ambient] of cardinality at most max_size."""
-    return sum(binom_exact(ambient, k) for k in range(max_size + 1))
+    # sizes above ambient add nothing; a huge max_size must not loop
+    return sum(binom_exact(ambient, k) for k in range(min(max_size, ambient) + 1))
 
 
 def bounded_subset_index(elems: tuple[int, ...], ambient: int, max_size: int) -> int:
@@ -111,6 +112,8 @@ def iter_subsets_of_size(ambient: int, size: int) -> Iterator[tuple[int, ...]]:
     The order is itertools.combinations order; callers that only take a
     union or an existence answer do not depend on it.
     """
+    if size > ambient:
+        return iter(())  # combinations rejects a size beyond a C ssize_t
     return itertools.combinations(range(ambient), size)
 
 
@@ -138,24 +141,47 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); next_prime refuses anything larger
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 @functools.lru_cache(maxsize=None)
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n (trial division, desk scale)."""
+    """Smallest prime strictly greater than n.
+
+    Exact for every n whose answer lies below PRIME_TEST_LIMIT; larger n
+    raise ValueError instead of returning a probable prime.
+    """
     candidate = max(n + 1, 2)
     while True:
+        if candidate >= PRIME_TEST_LIMIT:
+            raise ValueError(f"no exact primality test at {candidate}")
         if _is_prime(candidate):
             return candidate
         candidate += 1
 
 
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= m < PRIME_TEST_LIMIT."""
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for p in _PRIME_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True

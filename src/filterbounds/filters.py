@@ -27,12 +27,23 @@ Three models ship here:
   multiset of fingerprints, so a duplicate insertion inflates a count and
   a deletion of a nonelement can knock out someone else's fingerprint.
   Those are exactly the behaviours the rest of the package studies.
+
+The fingerprint hot path derives the hash pair once per call.
+fingerprints hashes a whole batch under one (a, c), and a bulk insert
+tallies that batch instead of stepping the inserts.  A query scans the
+state instead of decoding the multiset.  The scan relies on the layout
+encode_multiset writes, the only layout a live fingerprint state has:
+slots in ascending fingerprint order, each a fingerprint field of fp_bits
+followed by a count field of count_bits.  So the fingerprint fields sit
+count_bits above the low end of the state value and every fp_bits +
+count_bits bits above that.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -291,6 +302,38 @@ def hash_params(seed: Seed, p: int) -> tuple[int, int]:
     return 1 + seed_word(seed, 0) % (p - 1), seed_word(seed, 1) % p
 
 
+def fingerprints(
+    xs: Iterable[int],
+    seed: Seed,
+    nbits: int,
+    u: int,
+    collision_table: Mapping[int, int] | None = None,
+) -> list[int]:
+    """Pairwise independent fingerprints of the xs in [2**nbits], in order.
+
+    h(x) = ((a*x + c) mod p) mod 2**nbits with p the smallest prime above
+    u and (a, c) derived from the seed once per call, a nonzero.  Entries
+    of the optional collision table override the hash; they exist to force
+    collisions in demonstrations.  Every x must lie in [0, u) and every
+    forced value must fit nbits, else ValueError.
+    """
+    p = next_prime(u)
+    a, c = hash_params(seed, p)
+    width = 1 << nbits
+    out = []
+    for x in xs:
+        if not 0 <= x < u:
+            raise ValueError(f"element {x} outside universe [0, {u})")
+        if collision_table is not None and x in collision_table:
+            forced = collision_table[x]
+            if not 0 <= forced < width:
+                raise ValueError(f"forced fingerprint {forced} wider than {nbits} bits")
+            out.append(forced)
+        else:
+            out.append(((a * x + c) % p) % width)
+    return out
+
+
 def fingerprint(
     x: int,
     seed: Seed,
@@ -298,23 +341,13 @@ def fingerprint(
     u: int,
     collision_table: Mapping[int, int] | None = None,
 ) -> int:
-    """Pairwise independent fingerprint of x in [2**nbits].
+    """The fingerprint of one element; see fingerprints."""
+    return fingerprints((x,), seed, nbits, u, collision_table)[0]
 
-    h(x) = ((a*x + c) mod p) mod 2**nbits with p the smallest prime above
-    u and (a, c) derived from the seed, a nonzero.  Entries of the
-    optional collision table override the hash; they exist to force
-    collisions in demonstrations.
-    """
-    if not 0 <= x < u:
-        raise ValueError(f"element {x} outside universe [0, {u})")
-    if collision_table is not None and x in collision_table:
-        forced = collision_table[x]
-        if not 0 <= forced < (1 << nbits):
-            raise ValueError(f"forced fingerprint {forced} wider than {nbits} bits")
-        return forced
-    p = next_prime(u)
-    a, c = hash_params(seed, p)
-    return ((a * x + c) % p) % (1 << nbits)
+
+# the widest fingerprint a model accepts; a false-positive rate of 2**-1024
+# is far below what any command can resolve, and a state holds n such fields
+MAX_FINGERPRINT_BITS = 1024
 
 
 class FingerprintMultisetModel(FilterModel):
@@ -346,6 +379,16 @@ class FingerprintMultisetModel(FilterModel):
             )
         if fingerprint_bits < 1:
             fingerprint_bits = 1
+        if fingerprint_bits > MAX_FINGERPRINT_BITS:
+            raise InvalidParams(
+                f"fingerprint width {fingerprint_bits} above {MAX_FINGERPRINT_BITS} bits"
+            )
+        for x, forced in (collision_table or {}).items():
+            if not (0 <= x < params.u and 0 <= forced < (1 << fingerprint_bits)):
+                raise InvalidParams(
+                    f"collision table entry {x}: {forced} needs an element of "
+                    f"[0, {params.u}) and a {fingerprint_bits}-bit fingerprint"
+                )
         self.fp_bits = fingerprint_bits
         self.count_bits = width_for_count(params.n)
         self.collision_table = dict(collision_table) if collision_table else None
@@ -380,14 +423,16 @@ class FingerprintMultisetModel(FilterModel):
         return counts
 
     def state_for_elements(self, seed: Seed, elems: Sequence[int]) -> FilterState:
-        """Bulk insert into a fresh state; equals stepping the inserts in order."""
-        counts: dict[int, int] = {}
-        for x in elems:
-            fp = self.fingerprint_of(seed, x)
-            if fp not in counts and len(counts) == self.params.n:
-                return FAIL_STATE
-            counts[fp] = min(counts.get(fp, 0) + 1, self.params.n)
-        return self.encode_multiset(counts)
+        """Bulk insert into a fresh state; equals stepping the inserts in order.
+
+        Inserts only add slots, so the run fails iff more than n distinct
+        fingerprints occur, and a slot's count is its tally capped at n.
+        """
+        u, n = self.params.u, self.params.n
+        tally = Counter(fingerprints(elems, seed, self.fp_bits, u, self.collision_table))
+        if len(tally) > n:
+            return FAIL_STATE
+        return self.encode_multiset({fp: min(k, n) for fp, k in tally.items()})
 
     def fresh_state(self, seed: Seed) -> FilterState:
         return FilterState(0, 0)
@@ -410,8 +455,18 @@ class FingerprintMultisetModel(FilterModel):
         return self.encode_multiset(counts)
 
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
+        if state.fail:
+            raise FailStateError("cannot query the fail state")
         fp = self.fingerprint_of(seed, x)
-        return 1 if fp in self.decode_multiset(state) else 0
+        # scan the fingerprint fields of the slots, last (largest) slot first
+        slot_bits = self.fp_bits + self.count_bits
+        fp_mask = (1 << self.fp_bits) - 1
+        value = state.value >> self.count_bits
+        for _ in range(state.nbits // slot_bits):
+            if value & fp_mask == fp:
+                return 1
+            value >>= slot_bits
+        return 0
 
     def describe(self) -> str:
         return (

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -342,24 +343,26 @@ def run_fp_experiment(cfg: ExperimentConfig) -> dict:
     u, n = model.params.u, model.params.n
     if n >= u:
         raise ConfigError("fp experiment needs nonmembers, so n < u")
+    if u > sys.maxsize:
+        raise ConfigError(f"fp experiment samples from u <= {sys.maxsize}, got {u}")
     trials = cfg.trials
     workload_rng = random.Random(f"fp-workload:{cfg.seed}")
     dataset = sorted(workload_rng.sample(range(u), n))
     member_set = set(dataset)
-    nonmembers = []
-    while len(nonmembers) < trials:
-        x = workload_rng.randrange(u)
-        if x not in member_set:
-            nonmembers.append(x)
     seed_rng = random.Random(f"fp-seeds:{cfg.seed}")
     fp_hits = 0
     member_hits = 0
     for t in range(trials):
+        # the two streams are independent, so drawing each nonmember here
+        # gives the same values as drawing them all before the first seed
+        nonmember = workload_rng.randrange(u)
+        while nonmember in member_set:
+            nonmember = workload_rng.randrange(u)
         seed = draw_seed(seed_rng, 64)
         state = model.state_for_elements(seed, dataset)
         if state.fail:
             continue  # cannot happen for a plain insert run of n elements
-        fp_hits += model.query_bit(seed, state, nonmembers[t])
+        fp_hits += model.query_bit(seed, state, nonmember)
         member_hits += model.query_bit(seed, state, dataset[t % n])
     eps = float(model.eps_plus)
     cushion = 3 * math.sqrt(eps * (1 - eps) / trials)

@@ -211,6 +211,7 @@ def test_6_fingerprint_false_positive_rate(verdict):
         and report["fp_rate"] <= report["bound_with_cushion"]
         and report["ci95_low"] <= 1 / 8
         and report["completeness_rate"] == "1/1"
+        and report["fp_hits"] == 11829
     )
     verdict(
         6,

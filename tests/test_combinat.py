@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filterbounds.combinat import (
+    PRIME_TEST_LIMIT,
     binom_exact,
     bounded_subset_count,
     bounded_subset_index,
@@ -136,3 +137,42 @@ def test_next_prime():
     assert next_prime(6) == 7
     assert next_prime(7) == 11
     assert next_prime(65536) == 65537
+
+
+def trial_division_is_prime(m: int) -> bool:
+    """Independent oracle: divide by every d with d * d <= m."""
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_next_prime_matches_trial_division():
+    oracle = [m for m in range(1, 20_000) if trial_division_is_prime(m)]
+    got = []
+    m = 0
+    while m < oracle[-1]:
+        m = next_prime(m)
+        got.append(m)
+    assert got == oracle
+
+
+def test_next_prime_is_exact_and_fast_at_huge_u():
+    # published values; trial division would take hours here
+    assert next_prime(10**20) == 10**20 + 39
+    assert next_prime(2**64) == 2**64 + 13
+    # strong pseudoprimes to every base up to 23 and up to 37
+    for spsp in (3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert next_prime(spsp - 1) != spsp
+
+
+def test_next_prime_refuses_beyond_the_exact_test():
+    # the limit itself is a strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError):
+        next_prime(PRIME_TEST_LIMIT - 1)
+    with pytest.raises(ValueError):
+        next_prime(10**25)

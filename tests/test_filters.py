@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
 from filterbounds.core import (
@@ -29,6 +31,7 @@ from filterbounds.filters import (
     Seed,
     draw_seed,
     fingerprint,
+    fingerprints,
     make_model,
     measure_space,
     run_sequence,
@@ -395,6 +398,93 @@ class TestFingerprintMultiset:
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
         with pytest.raises(ValueError):
             model.step(S0, model.fresh_state(S0), op_ins(8))
+
+
+@st.composite
+def fingerprint_models(draw):
+    """A small fingerprint model, with or without a collision table, and a seed."""
+    u = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 4))
+    fp_bits = draw(st.integers(1, 4))
+    table = draw(
+        st.none()
+        | st.dictionaries(
+            st.integers(0, u - 1), st.integers(0, (1 << fp_bits) - 1), max_size=u
+        )
+    )
+    model = FingerprintMultisetModel(
+        UniverseParams(u, n), Fraction(1, 2), fp_bits, table
+    )
+    return model, Seed(draw(st.integers(0, 255)), 8)
+
+
+def element_lists(model, draw):
+    # long enough for duplicates and for more than n distinct elements
+    u, n = model.params.u, model.params.n
+    return draw(st.lists(st.integers(0, u - 1), max_size=3 * n + 2))
+
+
+class TestFingerprintProperties:
+    """The batch hash, the tally bulk insert and the slot scan against the steps."""
+
+    @settings(deadline=None)
+    @given(fingerprint_models(), st.data())
+    def test_bulk_equals_stepping_inserts(self, case, data):
+        model, seed = case
+        elems = element_lists(model, data.draw)
+        state = model.fresh_state(seed)
+        for x in elems:
+            state, _ = model.step(seed, state, op_ins(x))
+        assert model.state_for_elements(seed, elems) == state
+
+    @settings(deadline=None)
+    @given(fingerprint_models(), st.data())
+    def test_query_scan_equals_decoded_membership(self, case, data):
+        model, seed = case
+        ops = data.draw(
+            st.lists(st.tuples(st.booleans(), st.integers(0, model.params.u - 1)))
+        )
+        state = model.fresh_state(seed)
+        for insert, x in ops:
+            state, _ = model.step(seed, state, op_ins(x) if insert else op_del(x))
+            if state.fail:
+                break
+            slots = model.decode_multiset(state)
+            for y in range(model.params.u):
+                want = 1 if model.fingerprint_of(seed, y) in slots else 0
+                assert model.query_bit(seed, state, y) == want
+
+    @settings(deadline=None)
+    @given(fingerprint_models(), st.data())
+    def test_batch_equals_one_at_a_time(self, case, data):
+        model, seed = case
+        elems = element_lists(model, data.draw)
+        u, table = model.params.u, model.collision_table
+        assert fingerprints(elems, seed, model.fp_bits, u, table) == [
+            fingerprint(x, seed, model.fp_bits, u, table) for x in elems
+        ]
+
+    @settings(deadline=None)
+    @given(fingerprint_models(), st.data())
+    def test_bad_elements_and_forced_values_still_raise(self, case, data):
+        model, seed = case
+        u, bits = model.params.u, model.fp_bits
+        elems = element_lists(model, data.draw)
+        outside = data.draw(st.sampled_from([-1, u, u + 7]))
+        spot = data.draw(st.integers(0, len(elems)))
+        bad = elems[:spot] + [outside] + elems[spot:]
+        with pytest.raises(ValueError):
+            fingerprints(bad, seed, bits, u, model.collision_table)
+        with pytest.raises(ValueError):
+            model.state_for_elements(seed, bad)
+        with pytest.raises(ValueError):
+            model.query_bit(seed, model.fresh_state(seed), outside)
+        x = data.draw(st.integers(0, u - 1))
+        wide = {x: data.draw(st.sampled_from([-1, 1 << bits]))}
+        with pytest.raises(ValueError):
+            fingerprints(elems + [x], seed, bits, u, wide)
+        with pytest.raises(InvalidParams):
+            FingerprintMultisetModel(model.params, model.eps_plus, bits, wide)
 
 
 class TestMakeModel:

@@ -1,11 +1,19 @@
 """Config plumbing, experiment runners, verification suite, CLI."""
 
+import contextlib
+import io
 import json
+import os
 import runpy
 import sys
+import tempfile
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterbounds.bounds import BoundsParams, find_best_seed
 from filterbounds.cli import main
@@ -172,6 +180,26 @@ class TestFpExperiment:
         assert report["eps_plus"] == "1/8"
         assert report["completeness_rate"] == "1/1"
         assert report["passed"] is True
+
+    def test_frozen_at_ten_thousand_trials(self):
+        report = run_fp_experiment(
+            config_from_dict({"trials": 10_000}, default_fp_config())
+        )
+        assert report["fp_hits"] == 1178
+        assert report["completeness_rate"] == "1/1"
+
+    def test_memory_does_not_grow_with_trials(self):
+        def traced_peak(trials):
+            cfg = config_from_dict({"trials": trials}, default_fp_config())
+            tracemalloc.start()
+            try:
+                run_fp_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a list of every nonmember would add about 36 bytes per trial
+        assert traced_peak(3000) - traced_peak(500) < 32_000
 
     def test_rate_within_cushion(self, fp_config_small):
         report = run_fp_experiment(fp_config_small)
@@ -469,6 +497,9 @@ class TestCli:
                              "eps_plus": "1/6", "noise_m": "x"}]},
                 ["verify"],
             ),
+            ({"seed": float("inf")}, ["fp-rate"]),
+            ({"bounds_checks": [{"check": "counting", "u": 8, "n": 2,
+                                 "fspace_bits": 10**20}]}, ["bounds"]),
             (None, ["encode", "--elements", "7,8"]),
             (None, ["encode", "--elements", "1"]),
             (None, ["decode", "--state", "garbage", "--index", "0"]),
@@ -486,6 +517,19 @@ class TestCli:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("u", [10**20, 10**25])
+    def test_huge_fingerprint_universe_exits_two_at_once(self, u, tmp_path, capsys):
+        # the model's modulus must be found at once even at u = 10**20
+        path = tmp_path / "config.json"
+        model = {"kind": "fingerprint_multiset", "u": u, "n": 16, "eps_plus": "1/8"}
+        path.write_text(json.dumps({"models": [model]}))
+        start = time.perf_counter()
+        assert main(["fp-rate", "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_verify_certifies_sixteen_seed_bits(self, capsys):
         # one pass per seed class makes the widest admitted seed space cheap
         assert main(["verify", "--seed-bits", "16"]) == 0
@@ -499,3 +543,94 @@ class TestCli:
             runpy.run_module("filterbounds", run_name="__main__")
         assert stop.value.code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+# -- exit-code fuzz: argv and config JSON of the wrong type or range
+
+# valid starting points; each fuzz case overwrites one or two of their fields
+FUZZ_MODELS = (
+    {"kind": "exact_set", "u": 6, "n": 2},
+    {"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6", "noise_m": 1},
+    {"kind": "fingerprint_multiset", "u": 8, "n": 2, "eps_plus": "1/2",
+     "fingerprint_bits": 2, "collision_table": [[1, 0], [2, 0]]},
+)
+FUZZ_CHECKS = (
+    {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5,
+     "eps_minus": "0", "p_fail": "0", "alpha": "2"},
+    {"check": "binom_scaling", "u": 16, "n": 4, "beta": "1/2"},
+    {"check": "space", "kind": "dynamic", "u": 16, "n": 4, "eps": "0"},
+)
+CONFIG_KEYS = ("seed", "seed_bits", "trials", "alphas", "best_seed_alpha",
+               "models", "negative_probe", "grid")
+MODEL_KEYS = ("kind", "u", "n", "eps_plus", "noise_m", "fingerprint_bits",
+              "collision_table")
+CHECK_KEYS = ("check", "kind", "u", "n", "fspace_bits", "eps_minus", "p_fail",
+              "alpha", "beta", "eps")
+WRONG_SMALL = st.one_of(
+    st.integers(-2, 9),
+    st.sampled_from(
+        [None, True, "x", "7", "1/2", "1/0", "-1", "3/2", 2.5, -1.5, [], [1], {},
+         {"u": 1}, float("inf"), float("nan"), [[1, 0]], [[1, 9]], [[9, 0]],
+         [[-1, 0], [2, 0]], [[1, 2, 3]], ["a"], "exact_set", "dynamic"]
+    ),
+)
+# one field per case may be huge; two huge sizes at once (u = n = 10**20)
+# would ask for an enumeration no cost limit refuses yet
+WRONG = WRONG_SMALL | st.sampled_from([10**20, -(10**20)])
+
+
+@st.composite
+def fuzzed_config(draw, command):
+    """A valid config with one or two fields overwritten."""
+    if command == "bounds":
+        entries = [dict(e) for e in draw(st.lists(st.sampled_from(FUZZ_CHECKS),
+                                                  min_size=1, max_size=2))]
+        config = {"bounds_checks": entries}
+        targets = [(config, ("bounds_checks",))] + [(e, CHECK_KEYS) for e in entries]
+    else:
+        model = dict(draw(st.sampled_from(FUZZ_MODELS)))
+        config = {"seed_bits": 2, "models": [model]}
+        targets = [(config, CONFIG_KEYS), (model, MODEL_KEYS)]
+    for values in [WRONG] + [WRONG_SMALL] * draw(st.integers(0, 1)):
+        target, keys = draw(st.sampled_from(targets))
+        target[draw(st.sampled_from(keys))] = draw(values)
+    return config
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["fp-rate", "bounds", "encode", "decode"]))
+    argv = [command]
+    config = draw(st.none() | fuzzed_config(command))
+    if command == "fp-rate":
+        argv += ["--trials", str(draw(st.integers(-1, 100)))]
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    elif command != "bounds":
+        argv += ["--seed-bits", str(draw(st.sampled_from([-1, 0, 2, 4, 17])))]
+    if command == "encode":
+        elements = st.sampled_from(["0,1", "1,3", "2", "7,8", "1,x", ""])
+        argv += ["--elements", draw(elements)]
+    elif command == "decode":
+        # the first state is what encode prints for 1,3 at two seed bits
+        states = st.sampled_from(["5:01011/5:00000", "garbage", "FAIL/FAIL", "1:2"])
+        argv += ["--state", draw(states), "--index", str(draw(st.integers(-1, 20)))]
+    return argv, config
+
+
+@settings(deadline=None, max_examples=300)
+@given(cli_calls())
+def test_cli_exit_code_contract_under_fuzzed_input(call):
+    argv, config = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = [*argv, "--config", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1
