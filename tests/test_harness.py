@@ -497,12 +497,12 @@ class TestCli:
                              "eps_plus": "1/6", "noise_m": "x"}]},
                 ["verify"],
             ),
-            ({"seed": float("inf")}, ["fp-rate"]),
-            ({"bounds_checks": [{"check": "counting", "u": 8, "n": 2,
-                                 "fspace_bits": 10**20}]}, ["bounds"]),
             (None, ["encode", "--elements", "7,8"]),
             (None, ["encode", "--elements", "1"]),
             (None, ["decode", "--state", "garbage", "--index", "0"]),
+            ({"seed": float("inf")}, ["fp-rate"]),
+            ({"bounds_checks": [{"check": "counting", "u": 8, "n": 2,
+                                 "fspace_bits": 10**20}]}, ["bounds"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
