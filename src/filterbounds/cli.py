@@ -133,28 +133,26 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                     p_fail=parse_fraction(entry.get("p_fail", "0")),
                     alpha=parse_fraction(entry.get("alpha", "2")),
                 )
-                results.append(
-                    check_counting_bound(int(entry["fspace_bits"]), params)
-                )
+                result = check_counting_bound(int(entry["fspace_bits"]), params)
             elif kind == "binom_scaling":
-                results.append(
-                    check_binom_scaling(
-                        int(entry["u"]),
-                        int(entry["n"]),
-                        parse_fraction(entry["beta"]),
-                    )
+                result = check_binom_scaling(
+                    int(entry["u"]),
+                    int(entry["n"]),
+                    parse_fraction(entry["beta"]),
                 )
             elif kind == "space":
-                results.append(
-                    space_lower_bound(
-                        entry.get("kind", "nstatic"),
-                        int(entry["u"]),
-                        int(entry["n"]),
-                        parse_fraction(entry.get("eps", "0")),
-                    )
+                result = space_lower_bound(
+                    entry.get("kind", "nstatic"),
+                    int(entry["u"]),
+                    int(entry["n"]),
+                    parse_fraction(entry.get("eps", "0")),
                 )
             else:
                 raise ConfigError(f"unknown bounds check {kind!r}")
+            # an integer past Python's int-to-str digit limit raises
+            # ValueError here, before any entry is printed
+            result.to_json_dict()
+            results.append(result)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise

@@ -28,22 +28,24 @@ Three models ship here:
   a deletion of a nonelement can knock out someone else's fingerprint.
   Those are exactly the behaviours the rest of the package studies.
 
-The fingerprint hot path derives the hash pair once per call.
-fingerprints hashes a whole batch under one (a, c), and a bulk insert
-tallies that batch instead of stepping the inserts.  A query scans the
-state instead of decoding the multiset.  The scan relies on the layout
-encode_multiset writes, the only layout a live fingerprint state has:
-slots in ascending fingerprint order, each a fingerprint field of fp_bits
-followed by a count field of count_bits.  So the fingerprint fields sit
-count_bits above the low end of the state value and every fp_bits +
-count_bits bits above that.
+The fingerprint hot path does each piece of work once per seed.  A model
+keeps a one-entry memo of the last seed object it hashed under and that
+seed's (a, c); the memo is keyed by identity, so the calls of one trial
+derive the pair once and any other seed object derives it afresh.  A bulk
+insert sorts the batch's fingerprints and writes the slot fields in one
+run-length pass, and a query binary-searches the slot fields instead of
+decoding the multiset.  Both rely on the layout encode_multiset writes, the
+only layout a live fingerprint state has: slots in ascending fingerprint
+order, each a fingerprint field of fp_bits followed by a count field of
+count_bits.  So the fingerprint fields sit count_bits above the low end of
+the state value and every fp_bits + count_bits bits above that, largest
+fingerprint lowest.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -204,6 +206,12 @@ def run_sequence(
     return states, answers
 
 
+# sizing an exact-set state sums one binomial C(u, k) per size k up to
+# min(u, n); at u = 10**20 that takes about 1 s for 1,024 sizes and 30 s for
+# 4,096, and u = n = 10**20 would never finish, so larger models are refused
+MAX_RANK_TERMS = 1024
+
+
 class ExactSetModel(FilterModel):
     """Stores the dataset exactly; the state is a rank over small subsets.
 
@@ -217,6 +225,12 @@ class ExactSetModel(FilterModel):
     def __init__(self, params: UniverseParams, eps_plus: Fraction = Fraction(0)):
         if not 0 <= eps_plus <= 1:
             raise InvalidParams(f"false-positive budget {eps_plus} outside [0, 1]")
+        terms = min(params.u, params.n) + 1
+        if terms > MAX_RANK_TERMS:
+            raise InvalidParams(
+                f"sizing the state of u={params.u}, n={params.n} sums {terms} "
+                f"binomials, above the limit of {MAX_RANK_TERMS}"
+            )
         self.params = params
         self.eps_plus = Fraction(eps_plus)
         self._width = width_for_count(bounded_subset_count(params.u, params.n))
@@ -318,19 +332,31 @@ def fingerprints(
     forced value must fit nbits, else ValueError.
     """
     p = next_prime(u)
-    a, c = hash_params(seed, p)
-    width = 1 << nbits
-    out = []
-    for x in xs:
-        if not 0 <= x < u:
-            raise ValueError(f"element {x} outside universe [0, {u})")
-        if collision_table is not None and x in collision_table:
-            forced = collision_table[x]
-            if not 0 <= forced < width:
-                raise ValueError(f"forced fingerprint {forced} wider than {nbits} bits")
-            out.append(forced)
-        else:
-            out.append(((a * x + c) % p) % width)
+    return _hash_batch(list(xs), hash_params(seed, p), p, nbits, u, collision_table)
+
+
+def _hash_batch(
+    xs: Sequence[int],
+    pair: tuple[int, int],
+    p: int,
+    nbits: int,
+    u: int,
+    collision_table: Mapping[int, int] | None,
+) -> list[int]:
+    """fingerprints under an already derived hash pair."""
+    if xs and (min(xs) < 0 or max(xs) >= u):
+        bad = next(x for x in xs if not 0 <= x < u)
+        raise ValueError(f"element {bad} outside universe [0, {u})")
+    a, c = pair
+    mask = (1 << nbits) - 1
+    out = [(a * x + c) % p & mask for x in xs]
+    if collision_table:
+        for i, x in enumerate(xs):
+            if x in collision_table:
+                forced = collision_table[x]
+                if not 0 <= forced <= mask:
+                    raise ValueError(f"forced fingerprint {forced} wider than {nbits} bits")
+                out[i] = forced
     return out
 
 
@@ -348,6 +374,10 @@ def fingerprint(
 # the widest fingerprint a model accepts; a false-positive rate of 2**-1024
 # is far below what any command can resolve, and a state holds n such fields
 MAX_FINGERPRINT_BITS = 1024
+
+# hash_params reduces 64-bit seed words mod p; above 2**64 they miss most
+# residues and the hash family is no longer pairwise independent
+MAX_HASH_PRIME = 1 << 64
 
 
 class FingerprintMultisetModel(FilterModel):
@@ -389,16 +419,47 @@ class FingerprintMultisetModel(FilterModel):
                     f"collision table entry {x}: {forced} needs an element of "
                     f"[0, {params.u}) and a {fingerprint_bits}-bit fingerprint"
                 )
+        # a u of 2**64 or more needs a larger prime; testing u first spares
+        # next_prime a huge search
+        if params.u >= MAX_HASH_PRIME or next_prime(params.u) > MAX_HASH_PRIME:
+            raise InvalidParams(
+                f"universe {params.u} needs a hash prime above 2**64, "
+                "more than 64-bit seed words cover"
+            )
         self.fp_bits = fingerprint_bits
         self.count_bits = width_for_count(params.n)
         self.collision_table = dict(collision_table) if collision_table else None
         self._prime = next_prime(params.u)
+        self._slot_bits = fingerprint_bits + self.count_bits
+        self._fp_mask = (1 << fingerprint_bits) - 1
+        # (last seed object hashed under, its (a, c)); see _hash_pair
+        self._last_pair: tuple[Seed | None, tuple[int, int] | None] = (None, None)
+
+    def _hash_pair(self, seed: Seed) -> tuple[int, int]:
+        """The seed's (a, c), derived again only for a new seed object.
+
+        Keyed by identity: the memo holds the seed, so its id cannot be
+        reused, and a frozen Seed cannot change value under it.
+        """
+        last, pair = self._last_pair
+        if last is not seed:
+            pair = hash_params(seed, self._prime)
+            self._last_pair = (seed, pair)
+        return pair
 
     def seed_class(self, seed: Seed) -> Hashable:
-        return hash_params(seed, self._prime)
+        return self._hash_pair(seed)
 
     def fingerprint_of(self, seed: Seed, x: int) -> int:
-        return fingerprint(x, seed, self.fp_bits, self.params.u, self.collision_table)
+        """fingerprint(x, seed, ...) under this model's parameters."""
+        u = self.params.u
+        if not 0 <= x < u:
+            raise ValueError(f"element {x} outside universe [0, {u})")
+        table = self.collision_table
+        if table is not None and x in table:
+            return table[x]  # checked to fit fp_bits at construction
+        a, c = self._hash_pair(seed)
+        return (a * x + c) % self._prime & self._fp_mask
 
     def encode_multiset(self, counts: Mapping[int, int]) -> FilterState:
         slot_bits = self.fp_bits + self.count_bits
@@ -427,12 +488,29 @@ class FingerprintMultisetModel(FilterModel):
 
         Inserts only add slots, so the run fails iff more than n distinct
         fingerprints occur, and a slot's count is its tally capped at n.
+        The sorted fingerprints are written in one run-length pass: a new
+        fingerprint appends a slot with count 1 at the low end, a repeat
+        adds 1 to that slot's count field until the count reaches n.
         """
-        u, n = self.params.u, self.params.n
-        tally = Counter(fingerprints(elems, seed, self.fp_bits, u, self.collision_table))
-        if len(tally) > n:
-            return FAIL_STATE
-        return self.encode_multiset({fp: min(k, n) for fp, k in tally.items()})
+        n, count_bits, slot_bits = self.params.n, self.count_bits, self._slot_bits
+        fps = _hash_batch(
+            elems, self._hash_pair(seed), self._prime, self.fp_bits,
+            self.params.u, self.collision_table,
+        )
+        fps.sort()
+        value = slots = count = 0
+        last = -1
+        for fp in fps:
+            if fp != last:
+                slots += 1
+                if slots > n:
+                    return FAIL_STATE
+                value = (value << slot_bits) | (fp << count_bits)
+                last, count = fp, 1
+            elif count < n:
+                value += 1
+                count += 1
+        return FilterState(value, slot_bits * slots)
 
     def fresh_state(self, seed: Seed) -> FilterState:
         return FilterState(0, 0)
@@ -458,14 +536,20 @@ class FingerprintMultisetModel(FilterModel):
         if state.fail:
             raise FailStateError("cannot query the fail state")
         fp = self.fingerprint_of(seed, x)
-        # scan the fingerprint fields of the slots, last (largest) slot first
-        slot_bits = self.fp_bits + self.count_bits
-        fp_mask = (1 << self.fp_bits) - 1
+        # binary search over the slot fields; counted from the low end, slot
+        # 0 holds the largest fingerprint and they fall as the index rises
+        slot_bits, fp_mask = self._slot_bits, self._fp_mask
         value = state.value >> self.count_bits
-        for _ in range(state.nbits // slot_bits):
-            if value & fp_mask == fp:
+        lo, hi = 0, state.nbits // slot_bits
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            field = (value >> (mid * slot_bits)) & fp_mask
+            if field == fp:
                 return 1
-            value >>= slot_bits
+            if field > fp:
+                lo = mid + 1
+            else:
+                hi = mid
         return 0
 
     def describe(self) -> str:

@@ -24,6 +24,7 @@ from filterbounds.filters import (
     ExactSetModel,
     FailStateError,
     FilterState,
+    MAX_RANK_TERMS,
     FingerprintMultisetModel,
     InvalidParams,
     ModelKind,
@@ -424,8 +425,15 @@ def element_lists(model, draw):
     return draw(st.lists(st.integers(0, u - 1), max_size=3 * n + 2))
 
 
+def reference_query(model, seed, state, y):
+    """Membership of y's fingerprint in the decoded multiset, memo-free."""
+    fp = fingerprint(y, seed, model.fp_bits, model.params.u, model.collision_table)
+    return 1 if fp in model.decode_multiset(state) else 0
+
+
 class TestFingerprintProperties:
-    """The batch hash, the tally bulk insert and the slot scan against the steps."""
+    """The batch hash, the run-length bulk insert and the slot search against
+    the steps."""
 
     @settings(deadline=None)
     @given(fingerprint_models(), st.data())
@@ -453,6 +461,21 @@ class TestFingerprintProperties:
             for y in range(model.params.u):
                 want = 1 if model.fingerprint_of(seed, y) in slots else 0
                 assert model.query_bit(seed, state, y) == want
+        # the edges of the binary search: no slot, one slot and n slots, with
+        # fingerprints anywhere in range, the extremes included
+        width = 1 << model.fp_bits
+        for size in {0, 1, min(model.params.n, width)}:
+            fps = data.draw(
+                st.sets(st.integers(0, width - 1), min_size=size, max_size=size)
+            )
+            counts = {
+                fp: data.draw(st.integers(1, model.params.n)) for fp in sorted(fps)
+            }
+            state = model.encode_multiset(counts)
+            for y in range(model.params.u):
+                assert model.query_bit(seed, state, y) == reference_query(
+                    model, seed, state, y
+                )
 
     @settings(deadline=None)
     @given(fingerprint_models(), st.data())
@@ -485,6 +508,80 @@ class TestFingerprintProperties:
             fingerprints(elems + [x], seed, bits, u, wide)
         with pytest.raises(InvalidParams):
             FingerprintMultisetModel(model.params, model.eps_plus, bits, wide)
+
+
+class TestHashPairMemo:
+    """The one-entry (a, c) memo never serves one seed's pair for another."""
+
+    MODELS = (
+        FingerprintMultisetModel(UniverseParams(12, 3), Fraction(1, 2), 3),
+        FingerprintMultisetModel(UniverseParams(40, 3), Fraction(1, 2), 3),
+        FingerprintMultisetModel(
+            UniverseParams(12, 3), Fraction(1, 2), 3, {1: 0, 2: 0, 5: 7}
+        ),
+    )
+    ELEMENT_LISTS = ([], [4], [1, 2, 4, 4], [0, 5, 5, 5, 5, 9], [3, 6, 7, 8, 10])
+
+    def reference_state(self, model, seed, elems):
+        u, n = model.params.u, model.params.n
+        fps = [fingerprint(x, seed, model.fp_bits, u, model.collision_table)
+               for x in elems]
+        if len(set(fps)) > n:
+            return FAIL_STATE
+        return model.encode_multiset({fp: min(fps.count(fp), n) for fp in fps})
+
+    def test_interleaved_seeds_and_models_match_the_reference(self):
+        twin_a, twin_b = Seed(77, 8), Seed(77, 8)
+        assert twin_a == twin_b and twin_a is not twin_b
+        seeds = (twin_a, Seed(200, 8), twin_b, Seed(3, 8), twin_a)
+        built = {}
+        # every call sees another seed or another model than the call before
+        for _ in range(2):
+            for elems in self.ELEMENT_LISTS:
+                for seed in seeds:
+                    for model in self.MODELS:
+                        state = model.state_for_elements(seed, elems)
+                        assert state == self.reference_state(model, seed, elems)
+                        built[(id(model), id(seed), tuple(elems))] = (
+                            model, seed, state
+                        )
+        # query in the reverse order, so each state meets a stale memo
+        for model, seed, state in reversed(list(built.values())):
+            if state.fail:
+                continue
+            for y in range(model.params.u):
+                assert model.query_bit(seed, state, y) == reference_query(
+                    model, seed, state, y
+                )
+                other = seeds[(seeds.index(seed) + 1) % len(seeds)]
+                want = reference_query(model, other, state, y)
+                assert model.query_bit(other, state, y) == want
+
+
+class TestCostAndHashLimits:
+    def test_exact_models_over_the_term_limit_are_refused_at_once(self):
+        huge = UniverseParams(10**20, 10**20)
+        for build in (
+            lambda p: ExactSetModel(p),
+            lambda p: NoisyExactModel(p, Fraction(1, 2), 1),
+        ):
+            with pytest.raises(InvalidParams):
+                build(huge)
+            with pytest.raises(InvalidParams):
+                build(UniverseParams(MAX_RANK_TERMS, MAX_RANK_TERMS))
+        # the limit counts sizes up to min(u, n), one binomial each
+        edge = MAX_RANK_TERMS - 1
+        assert ExactSetModel(UniverseParams(edge, edge))._width == edge
+        ExactSetModel(UniverseParams(10**20, 2))
+        ExactSetModel(UniverseParams(3, 10**20))
+
+    def test_fingerprint_prime_stays_within_sixty_four_bits(self):
+        # 2**64 - 59 is the largest prime below 2**64
+        widest = FingerprintMultisetModel(UniverseParams((1 << 64) - 60, 16), Fraction(1, 8))
+        assert widest._prime == (1 << 64) - 59
+        for u in ((1 << 64) - 59, 1 << 64, 10**20):
+            with pytest.raises(InvalidParams):
+                FingerprintMultisetModel(UniverseParams(u, 16), Fraction(1, 8))
 
 
 class TestMakeModel:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filterbounds import filters
 from filterbounds.bounds import BoundsParams, find_best_seed
 from filterbounds.cli import main
 from filterbounds.combinat import iter_subsets_of_size
@@ -200,6 +201,21 @@ class TestFpExperiment:
 
         # a list of every nonmember would add about 36 bytes per trial
         assert traced_peak(3000) - traced_peak(500) < 32_000
+
+    def test_two_seed_words_per_trial(self, fp_config_small, monkeypatch):
+        # one hash pair per trial: the bulk insert derives it, both queries
+        # reuse it; a path that derives it again shows up as a count
+        calls = []
+        real = filters.seed_word
+
+        def counted(seed, stream):
+            calls.append(stream)
+            return real(seed, stream)
+
+        monkeypatch.setattr(filters, "seed_word", counted)
+        report = run_fp_experiment(fp_config_small)
+        assert report["fp_hits"] == 56
+        assert len(calls) == 2 * fp_config_small.trials
 
     def test_rate_within_cushion(self, fp_config_small):
         report = run_fp_experiment(fp_config_small)
@@ -503,6 +519,8 @@ class TestCli:
             ({"seed": float("inf")}, ["fp-rate"]),
             ({"bounds_checks": [{"check": "counting", "u": 8, "n": 2,
                                  "fspace_bits": 10**20}]}, ["bounds"]),
+            ({"bounds_checks": [{"check": "counting", "u": 8, "n": 2,
+                                 "fspace_bits": 20000}]}, ["bounds"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -515,6 +533,36 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_unprintable_bounds_entry_refused_before_any_output(
+        self, tmp_path, capsys
+    ):
+        # 2**20000 has 6,021 digits, past Python's int-to-str limit
+        fine = {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5}
+        huge = dict(fine, fspace_bits=20000)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bounds_checks": [fine, huge]}))
+        assert main(["bounds", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "20000" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["exact_set", "noisy_exact"])
+    def test_exact_model_over_the_cost_limit_exits_two_at_once(
+        self, kind, tmp_path, capsys
+    ):
+        # sizing the state would sum 10**20 binomials
+        model = {"kind": kind, "u": 10**20, "n": 10**20, "eps_plus": "1/2",
+                 "noise_m": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"models": [model]}))
+        start = time.perf_counter()
+        assert main(["verify", "--seed-bits", "2", "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("u", [10**20, 10**25])
