@@ -18,13 +18,16 @@ check_binom_scaling verifies the binomial estimate used to turn the
 counting form into bits, and space_lower_bound assembles the headline
 space bounds with the leading term and the linear-in-n constant reported
 separately.
+
+All three evaluate exact binomials, whose cost grows faster than their bit
+length.  Each first estimates the bits of every exact integer it would
+build and raises ParamsOutOfRange when the total passes MAX_EXACT_BITS.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Protocol, Sequence
@@ -38,7 +41,7 @@ from .combinat import (
     frac_str,
     iter_subsets_of_size,
 )
-from .core import UniverseParams
+from .core import UniverseParams, _Record, _set
 from .filters import FailStateError, Seed
 from .witness import check_enumeration_budget
 
@@ -78,6 +81,25 @@ class InvalidCode(ValueError):
     """A dataset code that no dataset produces."""
 
 
+# math.comb(2 * 10**5, 10**5), about 200,000 bits, takes 0.6 s on a 2-vCPU
+# host and C(10**6, 5 * 10**5) takes 10 s; an entry under this budget
+# finishes in well under a second
+MAX_EXACT_BITS = 1 << 17
+
+
+def _binom_bits(u: int, k: int) -> int:
+    """An upper bound on the bit length of C(u, k), found without computing it."""
+    k = min(k, u - k)
+    return min(u, k * u.bit_length()) if k > 0 else 1
+
+
+def _check_exact_cost(check: str, bits: int) -> None:
+    if bits > MAX_EXACT_BITS:
+        raise ParamsOutOfRange(
+            f"{check} needs exact integers past the budget of {MAX_EXACT_BITS} bits"
+        )
+
+
 class StaticFilter(Protocol):
     """What the encoding machinery needs from a static filter."""
 
@@ -89,8 +111,7 @@ class StaticFilter(Protocol):
     def query(self, seed: Seed, state: Any, x: int) -> int: ...
 
 
-@dataclass(frozen=True)
-class BoundsParams:
+class BoundsParams(_Record):
     """Parameter bundle shared by the bound evaluators.
 
     eps_plus / eps_minus are false-positive / false-negative probability
@@ -98,15 +119,25 @@ class BoundsParams:
     (> 1), beta the binomial scaling fraction (in [0, 1]).
     """
 
-    u: int
-    n: int
-    eps_plus: Fraction = Fraction(0)
-    eps_minus: Fraction = Fraction(0)
-    p_fail: Fraction = Fraction(0)
-    alpha: Fraction = Fraction(2)
-    beta: Fraction = Fraction(1)
+    __slots__ = ("u", "n", "eps_plus", "eps_minus", "p_fail", "alpha", "beta")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        u: int,
+        n: int,
+        eps_plus: Fraction = Fraction(0),
+        eps_minus: Fraction = Fraction(0),
+        p_fail: Fraction = Fraction(0),
+        alpha: Fraction = Fraction(2),
+        beta: Fraction = Fraction(1),
+    ) -> None:
+        _set(self, "u", u)
+        _set(self, "n", n)
+        _set(self, "eps_plus", eps_plus)
+        _set(self, "eps_minus", eps_minus)
+        _set(self, "p_fail", p_fail)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
         if self.u < 1 or self.n < 1:
             raise ParamsOutOfRange("u and n must be positive")
         for name in ("eps_plus", "eps_minus", "p_fail"):
@@ -124,13 +155,17 @@ class BoundsParams:
         return floor_frac(self.alpha * self.n * self.eps_minus)
 
 
-@dataclass(frozen=True)
-class CountingBoundResult:
-    holds: bool
-    lhs: int
-    rhs: Fraction
-    fspace_bits: int
-    params: BoundsParams
+class CountingBoundResult(_Record):
+    __slots__ = ("holds", "lhs", "rhs", "fspace_bits", "params")
+
+    def __init__(
+        self, holds: bool, lhs: int, rhs: Fraction, fspace_bits: int, params: BoundsParams
+    ) -> None:
+        _set(self, "holds", holds)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "fspace_bits", fspace_bits)
+        _set(self, "params", params)
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,6 +194,11 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoun
     """
     if fspace_bits < 0:
         raise ParamsOutOfRange("fspace_bits must be nonnegative")
+    u, top = params.u, min(params.fn_limit, params.u)
+    _check_exact_cost(
+        "counting",
+        fspace_bits + (top + 1) * _binom_bits(u, min(top, u // 2)) + _binom_bits(u, params.n),
+    )
     lhs = (1 << fspace_bits) * bounded_subset_count(params.u, params.fn_limit)
     share = 1 - 1 / params.alpha - params.p_fail
     rhs = share * binom_exact(params.u, params.n)
@@ -166,14 +206,18 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoun
     return CountingBoundResult(holds, lhs, rhs, fspace_bits, params)
 
 
-@dataclass(frozen=True)
-class BinomScalingResult:
-    holds: bool
-    lhs_bits: float
-    rhs_bits: float
-    u: int
-    n: int
-    beta: Fraction
+class BinomScalingResult(_Record):
+    __slots__ = ("holds", "lhs_bits", "rhs_bits", "u", "n", "beta")
+
+    def __init__(
+        self, holds: bool, lhs_bits: float, rhs_bits: float, u: int, n: int, beta: Fraction
+    ) -> None:
+        _set(self, "holds", holds)
+        _set(self, "lhs_bits", lhs_bits)
+        _set(self, "rhs_bits", rhs_bits)
+        _set(self, "u", u)
+        _set(self, "n", n)
+        _set(self, "beta", beta)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,6 +246,7 @@ def check_binom_scaling(
     if not 0 <= beta <= 1:
         raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
     k = floor_frac(beta * n)
+    _check_exact_cost("binom_scaling", _binom_bits(u, k) + _binom_bits(u, n))
     lhs = math.log2(binom_exact(u, k))
     slack = math.log2(math.e) - (float(beta) * math.log2(beta) if beta > 0 else 0.0)
     rhs = float(beta) * math.log2(binom_exact(u, n)) + n * slack
@@ -213,8 +258,7 @@ class BoundKind(Enum):
     DYNAMIC = "dynamic"
 
 
-@dataclass(frozen=True)
-class SpaceBound:
+class SpaceBound(_Record):
     """A space lower bound split into leading term and additive constant.
 
     The bound reads: leading_bits - constant_bits.  The constant collects
@@ -222,12 +266,23 @@ class SpaceBound:
     because only the leading term is tight.
     """
 
-    kind: BoundKind
-    u: int
-    n: int
-    eps: Fraction
-    leading_bits: float
-    constant_bits: float
+    __slots__ = ("kind", "u", "n", "eps", "leading_bits", "constant_bits")
+
+    def __init__(
+        self,
+        kind: BoundKind,
+        u: int,
+        n: int,
+        eps: Fraction,
+        leading_bits: float,
+        constant_bits: float,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "u", u)
+        _set(self, "n", n)
+        _set(self, "eps", eps)
+        _set(self, "leading_bits", leading_bits)
+        _set(self, "constant_bits", constant_bits)
 
     @property
     def bits(self) -> float:
@@ -270,6 +325,7 @@ def space_lower_bound(
         raise ParamsOutOfRange(f"eps={eps} outside [0, 1 - 1/n]")
     if u < 2 * n:
         raise ParamsOutOfRange(f"u={u} below 2n={2 * n}")
+    _check_exact_cost("space", _binom_bits(u, n))
     leading = float(1 - eps - Fraction(1, n)) * math.log2(binom_exact(u, n))
     beta = eps + Fraction(1, n)
     slack = math.log2(math.e) - float(beta) * math.log2(beta)
@@ -308,12 +364,16 @@ def is_good_pair(
     return misses <= params.fn_limit
 
 
-@dataclass(frozen=True)
-class BestSeed:
-    seed: Seed
-    good_count: int
-    required: Fraction
-    meets_bound: bool
+class BestSeed(_Record):
+    __slots__ = ("seed", "good_count", "required", "meets_bound")
+
+    def __init__(
+        self, seed: Seed, good_count: int, required: Fraction, meets_bound: bool
+    ) -> None:
+        _set(self, "seed", seed)
+        _set(self, "good_count", good_count)
+        _set(self, "required", required)
+        _set(self, "meets_bound", meets_bound)
 
 
 def pick_best_seed(
@@ -355,12 +415,14 @@ def find_best_seed(
     return pick_best_seed(seeds, good_counts, params, dataset_count)
 
 
-@dataclass(frozen=True)
-class DatasetCode:
+class DatasetCode(_Record):
     """The injective code: a filter state plus a false-negative-set rank."""
 
-    state: Any
-    index: int
+    __slots__ = ("state", "index")
+
+    def __init__(self, state: Any, index: int) -> None:
+        _set(self, "state", state)
+        _set(self, "index", index)
 
 
 def encode_dataset(

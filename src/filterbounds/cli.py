@@ -48,12 +48,23 @@ def _reject_constant(name: str) -> NoReturn:
     raise ConfigError(f"config holds {name}, which is not a JSON number")
 
 
+def _parse_int(text: str) -> int:
+    # int() refuses a literal past Python's int-to-str digit limit with a
+    # bare ValueError, which json.load would let through
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"config holds an integer of {len(text)} digits, past Python's limit"
+        ) from None
+
+
 def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_constant=_reject_constant)
+                data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -111,7 +122,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_constant=_reject_constant)
+                data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read bounds config: {exc}") from exc
         if not isinstance(data, dict):

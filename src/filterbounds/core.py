@@ -13,14 +13,69 @@ traced set unchanged.  The rewriters at the bottom of this module convert
 between the two kinds while preserving the trace at every surviving index.
 
 All functions are pure; everything is safe to call concurrently.
+
+The package's value types are plain records built on _Record: each lists
+its fields once, in __slots__, and has an explicit __init__ that validates
+its arguments.  The base derives ==, hash and repr from __slots__ in the
+dataclass manner: equality holds only between records of one class with
+equal fields, the hash is that of the tuple of fields, and repr reads
+Name(field=value, ...); copy and pickle rebuild a record through its
+__init__.  A record is frozen unless its class says
+frozen=False, in which case its fields are assignable and it is unhashable;
+hidden= names fields that repr leaves out.  Records are built this way
+rather than with dataclasses because every command is one short process,
+and importing dataclasses and generating its methods would cost each
+command more start-up than most of them spend on work.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Sequence
+
+
+class _Record:
+    """Base of the package's records; see the module docstring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = ()) -> None:
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)
+        cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, which a frozen record's
+        # fields can only be written from
+        return (self.__class__, self._values(self))
+
+
+# what a frozen record's __init__ writes its fields with
+_set = object.__setattr__
 
 
 class OpKind(Enum):
@@ -30,19 +85,19 @@ class OpKind(Enum):
     QUERY = "query"
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(_Record):
     """One step of a sequence.  arg is present exactly when kind is not INIT."""
 
-    kind: OpKind
-    arg: int | None = None
+    __slots__ = ("kind", "arg")
 
-    def __post_init__(self) -> None:
-        if self.kind is OpKind.INIT:
-            if self.arg is not None:
+    def __init__(self, kind: OpKind, arg: int | None = None) -> None:
+        if kind is OpKind.INIT:
+            if arg is not None:
                 raise ValueError("init carries no argument")
-        elif self.arg is None:
-            raise ValueError(f"{self.kind.value} requires an argument")
+        elif arg is None:
+            raise ValueError(f"{kind.value} requires an argument")
+        _set(self, "kind", kind)
+        _set(self, "arg", arg)
 
 
 def op_init() -> Operation:
@@ -61,24 +116,26 @@ def op_query(x: int) -> Operation:
     return Operation(OpKind.QUERY, x)
 
 
-@dataclass(frozen=True)
-class UniverseParams:
+class UniverseParams(_Record):
     """Universe size u and dataset cardinality bound n."""
 
-    u: int
-    n: int
+    __slots__ = ("u", "n")
 
-    def __post_init__(self) -> None:
-        if self.u < 1:
-            raise ValueError(f"universe size must be >= 1, got {self.u}")
-        if self.n < 1:
-            raise ValueError(f"cardinality bound must be >= 1, got {self.n}")
+    def __init__(self, u: int, n: int) -> None:
+        if u < 1:
+            raise ValueError(f"universe size must be >= 1, got {u}")
+        if n < 1:
+            raise ValueError(f"cardinality bound must be >= 1, got {n}")
+        _set(self, "u", u)
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class OpSequence:
-    params: UniverseParams
-    ops: tuple[Operation, ...]
+class OpSequence(_Record):
+    __slots__ = ("params", "ops")
+
+    def __init__(self, params: UniverseParams, ops: tuple[Operation, ...]) -> None:
+        _set(self, "params", params)
+        _set(self, "ops", ops)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -146,12 +203,14 @@ def _step_mask(mask: int, op: Operation) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class DatasetTrace:
+class DatasetTrace(_Record):
     """Per-index dataset contents, stored as bitmasks over [u]."""
 
-    u: int
-    masks: tuple[int, ...]
+    __slots__ = ("u", "masks")
+
+    def __init__(self, u: int, masks: tuple[int, ...]) -> None:
+        _set(self, "u", u)
+        _set(self, "masks", masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -211,12 +270,14 @@ def classify_ops(seq: OpSequence) -> tuple[OpClass, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RewriteResult:
+class RewriteResult(_Record):
     """A rewritten sequence plus the map from original to new indices."""
 
-    seq: OpSequence
-    index_map: tuple[int, ...]
+    __slots__ = ("seq", "index_map")
+
+    def __init__(self, seq: OpSequence, index_map: tuple[int, ...]) -> None:
+        _set(self, "seq", seq)
+        _set(self, "index_map", index_map)
 
 
 def _check_flags(

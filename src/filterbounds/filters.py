@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -59,7 +58,7 @@ from .combinat import (
     next_prime,
     width_for_count,
 )
-from .core import OpKind, Operation, OpSequence, UniverseParams
+from .core import OpKind, Operation, OpSequence, UniverseParams, _Record, _set
 
 
 class InvalidParams(ValueError):
@@ -70,18 +69,18 @@ class FailStateError(ValueError):
     """An operation that requires a live state met the fail state."""
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(_Record):
     """A seed drawn from an enumerable space of 2**bits values."""
 
-    value: int
-    bits: int
+    __slots__ = ("value", "bits")
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
+    def __init__(self, value: int, bits: int) -> None:
+        if bits < 0:
             raise ValueError("seed width must be nonnegative")
-        if not 0 <= self.value < (1 << self.bits):
-            raise ValueError(f"seed value {self.value} outside {self.bits}-bit space")
+        if not 0 <= value < (1 << bits):
+            raise ValueError(f"seed value {value} outside {bits}-bit space")
+        _set(self, "value", value)
+        _set(self, "bits", bits)
 
 
 def seed_space(bits: int) -> Iterator[Seed]:
@@ -108,19 +107,19 @@ def seed_word(seed: Seed, stream: int) -> int:
     return _mix64((seed.value + (stream + 1) * 0x9E3779B97F4A7C15) & _MASK64)
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(_Record):
     """A canonical encoding: integer value of the bit string plus its length."""
 
-    value: int
-    nbits: int
-    fail: bool = False
+    __slots__ = ("value", "nbits", "fail")
 
-    def __post_init__(self) -> None:
-        if self.nbits < 0:
+    def __init__(self, value: int, nbits: int, fail: bool = False) -> None:
+        if nbits < 0:
             raise ValueError("state width must be nonnegative")
-        if not 0 <= self.value < (1 << self.nbits):
+        if not 0 <= value < (1 << nbits):
             raise ValueError("state value wider than declared width")
+        _set(self, "value", value)
+        _set(self, "nbits", nbits)
+        _set(self, "fail", fail)
 
     def as_bitstring(self) -> str:
         if self.fail:

@@ -19,7 +19,6 @@ import math
 import random
 import sys
 import warnings as _warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -33,7 +32,14 @@ from .bounds import (
     find_best_seed,  # unused here; perfbench's tracer test looks it up on this module
 )
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
-from .core import OpSequence, UniverseParams, format_sequence, parse_sequence
+from .core import (
+    OpSequence,
+    UniverseParams,
+    _Record,
+    _set,
+    format_sequence,
+    parse_sequence,
+)
 from .filters import (
     FilterModel,
     FingerprintMultisetModel,
@@ -69,15 +75,28 @@ def parse_fraction(text: Any) -> Fraction:
         raise ConfigError(f"bad rational literal {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    u: int
-    n: int
-    eps_plus: Fraction
-    noise_m: int = 0
-    fingerprint_bits: int | None = None
-    collision_table: tuple[tuple[int, int], ...] | None = None
+class ModelSpec(_Record):
+    __slots__ = (
+        "kind", "u", "n", "eps_plus", "noise_m", "fingerprint_bits", "collision_table",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        u: int,
+        n: int,
+        eps_plus: Fraction,
+        noise_m: int = 0,
+        fingerprint_bits: int | None = None,
+        collision_table: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "u", u)
+        _set(self, "n", n)
+        _set(self, "eps_plus", eps_plus)
+        _set(self, "noise_m", noise_m)
+        _set(self, "fingerprint_bits", fingerprint_bits)
+        _set(self, "collision_table", collision_table)
 
     def build(self) -> FilterModel:
         try:
@@ -145,11 +164,18 @@ def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    u_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    beta_values: tuple[Fraction, ...]
+class GridSpec(_Record):
+    __slots__ = ("u_values", "n_values", "beta_values")
+
+    def __init__(
+        self,
+        u_values: tuple[int, ...],
+        n_values: tuple[int, ...],
+        beta_values: tuple[Fraction, ...],
+    ) -> None:
+        _set(self, "u_values", u_values)
+        _set(self, "n_values", n_values)
+        _set(self, "beta_values", beta_values)
 
     def to_dict(self) -> dict:
         return {
@@ -169,16 +195,31 @@ DEFAULT_GRID = GridSpec(
 DEFAULT_NEGATIVE_PROBE = {"fspace_bits": 3, "u": 8, "n": 2, "alpha": "2"}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int = 20260823
-    seed_bits: int = 8
-    trials: int = 100_000
-    alphas: tuple[Fraction, ...] = (Fraction(3, 2), Fraction(2), Fraction(4))
-    best_seed_alpha: Fraction = Fraction(2)
-    models: tuple[ModelSpec, ...] = ()
-    grid: GridSpec = DEFAULT_GRID
-    negative_probe: Mapping[str, Any] | None = None
+class ExperimentConfig(_Record):
+    __slots__ = (
+        "seed", "seed_bits", "trials", "alphas", "best_seed_alpha", "models",
+        "grid", "negative_probe",
+    )
+
+    def __init__(
+        self,
+        seed: int = 20260823,
+        seed_bits: int = 8,
+        trials: int = 100_000,
+        alphas: tuple[Fraction, ...] = (Fraction(3, 2), Fraction(2), Fraction(4)),
+        best_seed_alpha: Fraction = Fraction(2),
+        models: tuple[ModelSpec, ...] = (),
+        grid: GridSpec = DEFAULT_GRID,
+        negative_probe: Mapping[str, Any] | None = None,
+    ) -> None:
+        _set(self, "seed", seed)
+        _set(self, "seed_bits", seed_bits)
+        _set(self, "trials", trials)
+        _set(self, "alphas", alphas)
+        _set(self, "best_seed_alpha", best_seed_alpha)
+        _set(self, "models", models)
+        _set(self, "grid", grid)
+        _set(self, "negative_probe", negative_probe)
 
     def resolved_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -477,23 +518,34 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
     }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+class CheckResult(_Record, frozen=False):
+    __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool, details: dict | None = None) -> None:
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    checks: list[CheckResult]
-    warnings: list[str]
-    seed_bits: int
-    config_hash: str
+class VerificationReport(_Record, frozen=False):
+    __slots__ = ("suite", "checks", "warnings", "seed_bits", "config_hash")
+
+    def __init__(
+        self,
+        suite: str,
+        checks: list[CheckResult],
+        warnings: list[str],
+        seed_bits: int,
+        config_hash: str,
+    ) -> None:
+        self.suite = suite
+        self.checks = checks
+        self.warnings = warnings
+        self.seed_bits = seed_bits
+        self.config_hash = config_hash
 
     @property
     def passed(self) -> bool:

@@ -18,23 +18,24 @@ exact rational arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
-from .core import UniverseParams
+from .core import UniverseParams, _Record, _set
 from .filters import FilterModel, FilterState, Seed
 from .witness import DATASET_BUDGET, check_enumeration_budget, state_after, yes_set
 
 
-@dataclass(frozen=True)
-class PairedState:
+class PairedState(_Record):
     """The two snapshots; fail in either component fails the pair."""
 
-    after_insert: FilterState
-    after_delete: FilterState
+    __slots__ = ("after_insert", "after_delete")
+
+    def __init__(self, after_insert: FilterState, after_delete: FilterState) -> None:
+        _set(self, "after_insert", after_insert)
+        _set(self, "after_delete", after_delete)
 
     @property
     def is_fail(self) -> bool:
@@ -120,8 +121,9 @@ class PairedStaticFilter:
         return f"paired({self.model.describe()})"
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(
+    _Record, frozen=False, hidden=("fn_rate_by_cell", "misses_by_seed")
+):
     """Exact certification results for one model over a seed space.
 
     The last three fields are not reported; the sticky and best-seed checks
@@ -130,23 +132,51 @@ class ReductionReport:
     Seeds of one seed class share one miss row.
     """
 
-    u: int
-    n: int
-    model: str
-    seed_bits: int
-    seed_count: int
-    dataset_count: int
-    false_positive_count: int
-    completeness_violations: int
-    max_false_negative_rate: Fraction
-    fn_rate_by_cell: dict[tuple[tuple[int, ...], int], Fraction] = field(repr=False)
-    fn_matches_delete_fp: bool = True
-    space_pair_bits: int = 0
-    space_budget_bits: int = 0
-    fail_fraction: Fraction = Fraction(0)
-    failed_pairs: int = 0
-    first_false_positive: tuple[Seed, tuple[int, ...], list[int]] | None = None
-    misses_by_seed: list[list[int]] = field(default_factory=list, repr=False)
+    __slots__ = (
+        "u", "n", "model", "seed_bits", "seed_count", "dataset_count",
+        "false_positive_count", "completeness_violations",
+        "max_false_negative_rate", "fn_rate_by_cell", "fn_matches_delete_fp",
+        "space_pair_bits", "space_budget_bits", "fail_fraction",
+        "failed_pairs", "first_false_positive", "misses_by_seed",
+    )
+
+    def __init__(
+        self,
+        u: int,
+        n: int,
+        model: str,
+        seed_bits: int,
+        seed_count: int,
+        dataset_count: int,
+        false_positive_count: int,
+        completeness_violations: int,
+        max_false_negative_rate: Fraction,
+        fn_rate_by_cell: dict[tuple[tuple[int, ...], int], Fraction],
+        fn_matches_delete_fp: bool = True,
+        space_pair_bits: int = 0,
+        space_budget_bits: int = 0,
+        fail_fraction: Fraction = Fraction(0),
+        failed_pairs: int = 0,
+        first_false_positive: tuple[Seed, tuple[int, ...], list[int]] | None = None,
+        misses_by_seed: list[list[int]] | None = None,
+    ) -> None:
+        self.u = u
+        self.n = n
+        self.model = model
+        self.seed_bits = seed_bits
+        self.seed_count = seed_count
+        self.dataset_count = dataset_count
+        self.false_positive_count = false_positive_count
+        self.completeness_violations = completeness_violations
+        self.max_false_negative_rate = max_false_negative_rate
+        self.fn_rate_by_cell = fn_rate_by_cell
+        self.fn_matches_delete_fp = fn_matches_delete_fp
+        self.space_pair_bits = space_pair_bits
+        self.space_budget_bits = space_budget_bits
+        self.fail_fraction = fail_fraction
+        self.failed_pairs = failed_pairs
+        self.first_false_positive = first_false_positive
+        self.misses_by_seed = [] if misses_by_seed is None else misses_by_seed
 
     def best_seed(self, seeds: Sequence[Seed], params: BoundsParams) -> BestSeed:
         """pick_best_seed on this sweep's good-pair counts.

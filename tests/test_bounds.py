@@ -2,11 +2,13 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from filterbounds.bounds import (
+    MAX_EXACT_BITS,
     BestSeed,
     BoundKind,
     BoundsParams,
@@ -14,6 +16,7 @@ from filterbounds.bounds import (
     InvalidCode,
     NotGoodPair,
     ParamsOutOfRange,
+    _binom_bits,
     bounds_report,
     check_binom_scaling,
     check_counting_bound,
@@ -211,6 +214,36 @@ def paired_noisy(noisy62):
 def fn_oracle(noisy, seed, dataset):
     """The pair misses exactly the members that sit in the noise set."""
     return frozenset(dataset) & noisy.noise_set(seed)
+
+
+class TestExactCostLimit:
+    def test_bit_estimate_never_undercounts(self):
+        for u in range(1, 41):
+            for k in range(u + 2):
+                assert _binom_bits(u, k) >= binom_exact(u, k).bit_length()
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: check_binom_scaling(10**6, 10**6, Fraction(1, 2)),
+            lambda: check_binom_scaling(10**20, 10**20, Fraction(1, 2)),
+            lambda: space_lower_bound("nstatic", 2 * 10**6, 10**6, Fraction(0)),
+            lambda: check_counting_bound(3, BoundsParams(u=2 * 10**6, n=10**6)),
+            # 10**4 + 1 binomials of up to 47,000 bits each in the lhs sum
+            lambda: check_counting_bound(
+                3, BoundsParams(u=10**5, n=10**4, eps_minus=Fraction(1, 2))
+            ),
+            # the lhs alone: 2**fspace_bits
+            lambda: check_counting_bound(MAX_EXACT_BITS + 1, BoundsParams(u=8, n=2)),
+        ],
+        ids=["scaling", "scaling_huge", "space", "counting_rhs", "counting_sum",
+             "counting_shift"],
+    )
+    def test_over_budget_refused_before_any_binomial(self, check):
+        start = time.perf_counter()
+        with pytest.raises(ParamsOutOfRange, match="budget"):
+            check()
+        assert time.perf_counter() - start < 1
 
 
 class TestGoodPairs:
