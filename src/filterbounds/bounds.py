@@ -41,7 +41,7 @@ from .combinat import (
     frac_str,
     iter_subsets_of_size,
 )
-from .core import UniverseParams, _Record, _set
+from .core import UniverseParams, _mask_elems, _Record, _set
 from .filters import FailStateError, Seed
 from .witness import check_enumeration_budget
 
@@ -109,6 +109,9 @@ class StaticFilter(Protocol):
     def init_state(self, seed: Seed, dataset: Sequence[int]) -> Any: ...
 
     def query(self, seed: Seed, state: Any, x: int) -> int: ...
+
+    def yes_mask(self, seed: Seed, state: Any) -> int:
+        """Bitmask of the universe elements query answers 1 on."""
 
 
 class BoundsParams(_Record):
@@ -444,9 +447,7 @@ def encode_dataset(
     if getattr(state, "is_fail", False):
         raise NotGoodPair("filter failed on this pair")
     u = static_filter.params.u
-    yes = frozenset(
-        x for x in range(u) if static_filter.query(seed, state, x) == 1
-    )
+    yes = frozenset(_mask_elems(static_filter.yes_mask(seed, state)))
     if not yes <= members:
         raise NotGoodPair(f"false positives {sorted(yes - members)} spoil the code")
     misses = members - yes
@@ -477,9 +478,7 @@ def decode_dataset(
     if getattr(code.state, "is_fail", False):
         raise InvalidCode("cannot decode from a failed state")
     u = static_filter.params.u
-    yes = frozenset(
-        x for x in range(u) if static_filter.query(seed, code.state, x) == 1
-    )
+    yes = frozenset(_mask_elems(static_filter.yes_mask(seed, code.state)))
     ambient = sorted(set(range(u)) - yes)
     if not 0 <= code.index < bounded_subset_count(len(ambient), params.fn_limit):
         raise InvalidCode(f"index {code.index} out of range")

@@ -33,17 +33,25 @@ keeps a one-entry memo of the last seed object it hashed under and that
 seed's (a, c); the memo is keyed by identity, so the calls of one trial
 derive the pair once and any other seed object derives it afresh.  A bulk
 insert sorts the batch's fingerprints and writes the slot fields in one
-run-length pass, and a query binary-searches the slot fields instead of
-decoding the multiset.  Both rely on the layout encode_multiset writes, the
-only layout a live fingerprint state has: slots in ascending fingerprint
-order, each a fingerprint field of fp_bits followed by a count field of
-count_bits.  So the fingerprint fields sit count_bits above the low end of
-the state value and every fp_bits + count_bits bits above that, largest
-fingerprint lowest.
+run-length pass; a query, insert or delete binary-searches the slot fields
+and splices the one slot it changes instead of decoding the multiset.  All
+rely on the layout encode_multiset writes, the only layout a live
+fingerprint state has: slots in ascending fingerprint order, each a
+fingerprint field of fp_bits followed by a count field of count_bits.  So
+the fingerprint fields sit count_bits above the low end of the state value
+and every fp_bits + count_bits bits above that, largest fingerprint lowest.
+
+The exact models step through two tables built on their first step: rank
+to set bitmask, and bitmask to state.  A model with more than
+RANK_TABLE_CAP subsets of size <= n ranks arithmetically instead, as
+encode_set and decode_set do.  yes_mask gives a state's yes-set as one int;
+its default asks query_bit for every element, so a subclass that overrides
+query_bit is still honoured.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
@@ -157,6 +165,13 @@ class FilterModel(ABC):
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
         """0/1 answer at a non-fail state; must not depend on op history."""
 
+    def yes_mask(self, seed: Seed, state: FilterState) -> int:
+        """Bitmask of the universe elements answered 1 at a non-fail state."""
+        if state.fail:
+            raise FailStateError("yes-set of the fail state is undefined")
+        u = self.params.u
+        return sum(1 << x for x in range(u) if self.query_bit(seed, state, x))
+
     def seed_class(self, seed: Seed) -> Hashable:
         """Key shared only by seeds that give identical states and answers.
 
@@ -210,6 +225,10 @@ def run_sequence(
 # 4,096, and u = n = 10**20 would never finish, so larger models are refused
 MAX_RANK_TERMS = 1024
 
+# the most subsets an exact model steps through lookup tables; above it
+# every step ranks arithmetically
+RANK_TABLE_CAP = 1 << 16
+
 
 class ExactSetModel(FilterModel):
     """Stores the dataset exactly; the state is a rank over small subsets.
@@ -232,7 +251,11 @@ class ExactSetModel(FilterModel):
             )
         self.params = params
         self.eps_plus = Fraction(eps_plus)
-        self._width = width_for_count(bounded_subset_count(params.u, params.n))
+        self._count = bounded_subset_count(params.u, params.n)
+        self._width = width_for_count(self._count)
+        # rank -> set mask and set mask -> state, built by the first step
+        self._masks: list[int] | None = None
+        self._states: dict[int, FilterState] = {}
 
     def encode_set(self, elems: Iterable[int]) -> FilterState:
         elems = tuple(sorted(elems))
@@ -246,6 +269,26 @@ class ExactSetModel(FilterModel):
             bounded_subset_unindex(state.value, self.params.u, self.params.n)
         )
 
+    def _mask(self, state: FilterState, x: int) -> int | None:
+        """The state's set as a bitmask from the rank table, or None to rank
+        arithmetically: above RANK_TABLE_CAP, and for the fail state, a rank
+        past the last subset or an x outside [0, u), which that path rejects."""
+        if self._masks is None:
+            if self._count > RANK_TABLE_CAP:
+                return None
+            u, width = self.params.u, self._width
+            # combinations of the descending universe, read backwards, come
+            # in colex order, the order of subset_rank
+            self._masks = [
+                sum(1 << y for y in c)
+                for k in range(min(u, self.params.n) + 1)
+                for c in reversed(list(itertools.combinations(range(u - 1, -1, -1), k)))
+            ]
+            self._states = {m: FilterState(r, width) for r, m in enumerate(self._masks)}
+        if state.fail or state.value >= len(self._masks) or not 0 <= x < self.params.u:
+            return None
+        return self._masks[state.value]
+
     def seed_class(self, seed: Seed) -> Hashable:
         return None  # the seed is never read
 
@@ -253,19 +296,28 @@ class ExactSetModel(FilterModel):
         return self.encode_set(())
 
     def insert_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        current = set(self.decode_set(state))
-        current.add(x)
-        if len(current) > self.params.n:
+        mask = self._mask(state, x)
+        if mask is None:
+            current = self.decode_set(state) | {x}
+            after = self.encode_set(current) if len(current) <= self.params.n else None
+        else:
+            # the only sets missing from the table are those above capacity
+            after = self._states.get(mask | 1 << x)
+        if after is None:
             raise ValueError("insert beyond capacity on an invalid sequence")
-        return self.encode_set(current)
+        return after
 
     def delete_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        current = set(self.decode_set(state))
-        current.discard(x)
-        return self.encode_set(current)
+        mask = self._mask(state, x)
+        if mask is None:
+            return self.encode_set(self.decode_set(state) - {x})
+        return self._states[mask & ~(1 << x)]
 
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
-        return 1 if x in self.decode_set(state) else 0
+        mask = self._mask(state, x)
+        if mask is None:
+            return 1 if x in self.decode_set(state) else 0
+        return mask >> x & 1
 
 
 class NoisyExactModel(ExactSetModel):
@@ -299,7 +351,7 @@ class NoisyExactModel(ExactSetModel):
         return frozenset((start + j) % self.params.u for j in range(self.noise_m))
 
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
-        if x in self.decode_set(state) or x in self.noise_set(seed):
+        if super().query_bit(seed, state, x) or x in self.noise_set(seed):
             return 1
         return 0
 
@@ -431,6 +483,7 @@ class FingerprintMultisetModel(FilterModel):
         self._prime = next_prime(params.u)
         self._slot_bits = fingerprint_bits + self.count_bits
         self._fp_mask = (1 << fingerprint_bits) - 1
+        self._count_mask = (1 << self.count_bits) - 1
         # (last seed object hashed under, its (a, c)); see _hash_pair
         self._last_pair: tuple[Seed | None, tuple[int, int] | None] = (None, None)
 
@@ -514,29 +567,14 @@ class FingerprintMultisetModel(FilterModel):
     def fresh_state(self, seed: Seed) -> FilterState:
         return FilterState(0, 0)
 
-    def insert_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        counts = self.decode_multiset(state)
-        fp = self.fingerprint_of(seed, x)
-        if fp not in counts and len(counts) == self.params.n:
-            return FAIL_STATE  # would exceed n distinct slots
-        counts[fp] = min(counts.get(fp, 0) + 1, self.params.n)
-        return self.encode_multiset(counts)
+    def _find_slot(self, state: FilterState, fp: int) -> int:
+        """Index of fp's slot from the low end, else ~(the index it would take).
 
-    def delete_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        counts = self.decode_multiset(state)
-        fp = self.fingerprint_of(seed, x)
-        if fp in counts:
-            counts[fp] -= 1
-            if counts[fp] == 0:
-                del counts[fp]
-        return self.encode_multiset(counts)
-
-    def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
+        A binary search over the slot fields: counted from the low end, slot
+        0 holds the largest fingerprint and they fall as the index rises.
+        """
         if state.fail:
-            raise FailStateError("cannot query the fail state")
-        fp = self.fingerprint_of(seed, x)
-        # binary search over the slot fields; counted from the low end, slot
-        # 0 holds the largest fingerprint and they fall as the index rises
+            raise FailStateError("cannot decode the fail state")
         slot_bits, fp_mask = self._slot_bits, self._fp_mask
         value = state.value >> self.count_bits
         lo, hi = 0, state.nbits // slot_bits
@@ -544,12 +582,45 @@ class FingerprintMultisetModel(FilterModel):
             mid = (lo + hi) >> 1
             field = (value >> (mid * slot_bits)) & fp_mask
             if field == fp:
-                return 1
+                return mid
             if field > fp:
                 lo = mid + 1
             else:
                 hi = mid
-        return 0
+        return ~lo
+
+    def insert_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
+        fp = self.fingerprint_of(seed, x)
+        slot = self._find_slot(state, fp)
+        if slot >= 0:  # add 1 to the count field unless it holds n already
+            shift = slot * self._slot_bits
+            if (state.value >> shift & self._count_mask) + 1 == self.params.n:
+                return state
+            return FilterState(state.value + (1 << shift), state.nbits)
+        if state.nbits == self._slot_bits * self.params.n:
+            return FAIL_STATE  # would exceed n distinct slots
+        shift = ~slot * self._slot_bits  # splice in a slot with count 1
+        high = (state.value >> shift << self._slot_bits | fp << self.count_bits) << shift
+        return FilterState(
+            high | state.value & ((1 << shift) - 1), state.nbits + self._slot_bits
+        )
+
+    def delete_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
+        slot = self._find_slot(state, self.fingerprint_of(seed, x))
+        if slot < 0:
+            return state
+        shift = slot * self._slot_bits
+        if state.value >> shift & self._count_mask:  # a count above 1
+            return FilterState(state.value - (1 << shift), state.nbits)
+        high = state.value >> (shift + self._slot_bits) << shift  # cut the slot out
+        return FilterState(
+            high | state.value & ((1 << shift) - 1), state.nbits - self._slot_bits
+        )
+
+    def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
+        if state.fail:
+            raise FailStateError("cannot query the fail state")
+        return 1 if self._find_slot(state, self.fingerprint_of(seed, x)) >= 0 else 0
 
     def describe(self) -> str:
         return (

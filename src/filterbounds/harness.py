@@ -25,6 +25,8 @@ from typing import Any, Mapping, Sequence
 from .bounds import (
     BoundsParams,
     DatasetCode,
+    InvalidCode,
+    NotGoodPair,
     check_binom_scaling,
     check_counting_bound,
     decode_dataset,
@@ -770,14 +772,24 @@ def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
     """Invert run_encode from its printed state and index."""
     static, params, best = _coding_context(cfg)
     code = DatasetCode(parse_paired_state(state_text), index)
-    dataset = decode_dataset(static, params, best.seed, code)
+    dataset = sorted(decode_dataset(static, params, best.seed, code))
+    # decoding reads any state, so a code counts only if encoding what it
+    # decodes to prints it back
+    try:
+        valid = len(dataset) == static.params.n and (
+            encode_dataset(static, params, best.seed, dataset) == code
+        )
+    except NotGoodPair:
+        valid = False
+    if not valid:
+        raise InvalidCode(f"state {state_text} with index {index} is no dataset's code")
     return {
         "command": "decode",
         "model": static.describe(),
         "seed": {"value": best.seed.value, "bits": best.seed.bits},
         "state": state_text,
         "index": str(index),
-        "dataset": sorted(dataset),
+        "dataset": dataset,
         "config_hash": cfg.config_hash(),
     }
 

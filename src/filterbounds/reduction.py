@@ -23,9 +23,16 @@ from typing import Hashable, Sequence
 
 from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
-from .core import UniverseParams, _Record, _set
+from .core import UniverseParams, _mask_elems, _Record, _set
 from .filters import FilterModel, FilterState, Seed
-from .witness import DATASET_BUDGET, check_enumeration_budget, state_after, yes_set
+from .witness import (
+    DATASET_BUDGET,
+    WitnessModel,
+    check_enumeration_budget,
+    insert_snapshots,
+    state_after,
+    yes_set,  # unused here; perfbench's tracer test looks it up on this module
+)
 
 
 class PairedState(_Record):
@@ -116,6 +123,13 @@ class PairedStaticFilter:
 
     def query(self, seed: Seed, state: PairedState, x: int) -> int:
         return pair_query(self.model, seed, state, x)
+
+    def yes_mask(self, seed: Seed, state: PairedState) -> int:
+        """Every x that query answers 1 on, as a bitmask; 0 for a failed pair."""
+        if state.is_fail:
+            return 0
+        yes = self.model.yes_mask
+        return yes(seed, state.after_insert) & ~yes(seed, state.after_delete)
 
     def describe(self) -> str:
         return f"paired({self.model.describe()})"
@@ -222,20 +236,17 @@ def check_reduction(
 
     Seeds are grouped by model.seed_class; each class is swept once, under
     its earliest seed, and every tally is weighted by the class size, so
-    the enumeration stays complete and the fractions exact.  Every tally
-    derives from the two snapshots' yes-sets, each read once per (class,
-    dataset).  Counts false positives (must be zero for a model with sticky
-    wrong yeses), per-(dataset, member) false-negative seed fractions, the
-    widest pair against twice the widest component state, and the
-    failed-pair fraction.  The false-negative events are cross-checked
-    against the base model's wrong yeses at the delete snapshot, which they
-    must equal cell by cell when the seed space is fully enumerated.
+    the enumeration stays complete and the fractions exact.  One subset
+    walk per class gives the insert snapshots and a witness model's table;
+    a delete snapshot adds n deletes; tallies are set algebra on yes-masks.
+    Counts false positives (must be zero for a model with sticky wrong
+    yeses), per-(dataset, member) false-negative seed fractions, the widest
+    pair against twice the widest component state, and the failed-pair
+    fraction.  The false-negative events are cross-checked against the
+    base model's wrong yeses at the delete snapshot, which they must equal
+    cell by cell when the seed space is fully enumerated.
     """
     u, n = model.params.u, model.params.n
-    dataset_count = check_enumeration_budget(
-        u, n, len(seeds), dataset_budget=dataset_budget
-    )
-    datasets = list(iter_subsets_of_size(u, n))
     # class key -> [earliest seed, multiplicity, miss row shared by its seeds]
     classes: dict[Hashable, list] = {}
     misses_by_seed: list[list[int]] = []
@@ -243,52 +254,69 @@ def check_reduction(
         entry = classes.setdefault(model.seed_class(seed), [seed, 0, []])
         entry[1] += 1
         misses_by_seed.append(entry[2])
+    dataset_count = check_enumeration_budget(
+        u, n, len(seeds), len(classes), dataset_budget=dataset_budget
+    )
+    datasets = list(iter_subsets_of_size(u, n))
+    member_masks = [sum(1 << x for x in ds) for ds in datasets]
     fp_count = 0
     first_fp = None
     completeness_violations = 0
     # misses without a yes at the delete snapshot; each breaks a cell's match
     unexplained_misses = 0
-    fn_counts: dict[tuple[tuple[int, ...], int], int] = {
-        (ds, x): 0 for ds in datasets for x in ds
-    }
-    live_counts: dict[tuple[int, ...], int] = {ds: 0 for ds in datasets}
+    fn_counts = [[0] * n for _ in datasets]
+    live_counts = [0] * len(datasets)
     fail_count = 0
     max_pair_bits = 0
     max_component_bits = 0
+    # a witness model steps through its base; step the base directly
+    stepper = model.base if isinstance(model, WitnessModel) else model
+    delete, yes_mask = stepper.delete_state, model.yes_mask
     # classes come in order of their earliest seed, so the first false
     # positive found is the one a seed-by-seed sweep would find
     for seed, weight, class_misses in classes.values():
-        for ds in datasets:
-            pair = pair_init(model, seed, ds)
-            if pair.is_fail:
+        snapshots = insert_snapshots(stepper, seed, datasets)
+        if stepper is not model:
+            model.fill_table(seed, member_masks, snapshots)
+        for i, after_insert in enumerate(snapshots):
+            if after_insert.fail:
                 fail_count += weight
                 continue
-            live_counts[ds] += weight
-            max_pair_bits = max(max_pair_bits, pair.space_bits)
-            max_component_bits = max(
-                max_component_bits,
-                pair.after_insert.nbits,
-                pair.after_delete.nbits,
-            )
-            members = frozenset(ds)
-            insert_yes = yes_set(model, seed, pair.after_insert)
-            delete_yes = yes_set(model, seed, pair.after_delete)
-            answered = insert_yes - delete_yes  # what pair_query answers 1 on
-            false_positives = answered - members
+            ds = datasets[i]
+            after_delete = after_insert
+            for x in ds:
+                after_delete = delete(seed, after_delete, x)
+                if after_delete.fail:
+                    break
+            if after_delete.fail:
+                fail_count += weight
+                continue
+            live_counts[i] += weight
+            bits = after_insert.nbits, after_delete.nbits
+            max_pair_bits = max(max_pair_bits, bits[0] + bits[1])
+            max_component_bits = max(max_component_bits, *bits)
+            members = member_masks[i]
+            insert_yes = yes_mask(seed, after_insert)
+            delete_yes = yes_mask(seed, after_delete)
+            answered = insert_yes & ~delete_yes  # what pair_query answers 1 on
+            false_positives = answered & ~members
             if false_positives:
-                fp_count += weight * len(false_positives)
+                fp_count += weight * false_positives.bit_count()
                 if first_fp is None:
-                    first_fp = (seed, ds, sorted(false_positives))
-            misses = members - answered
-            completeness_violations += weight * len(members - insert_yes)
-            unexplained_misses += weight * len(misses - delete_yes)
-            for x in misses:
-                fn_counts[(ds, x)] += weight
-            class_misses.append(len(misses))
+                    first_fp = (seed, ds, list(_mask_elems(false_positives)))
+            misses = members & ~answered
+            completeness_violations += weight * (members & ~insert_yes).bit_count()
+            unexplained_misses += weight * (misses & ~delete_yes).bit_count()
+            if misses:
+                for j, x in enumerate(ds):
+                    if misses >> x & 1:
+                        fn_counts[i][j] += weight
+            class_misses.append(misses.bit_count())
     total_cells = len(seeds) * dataset_count
     fn_rates = {
-        cell: Fraction(count, live_counts[cell[0]]) if live_counts[cell[0]] else Fraction(0)
-        for cell, count in fn_counts.items()
+        (ds, x): Fraction(count, live) if live else Fraction(0)
+        for ds, live, counts in zip(datasets, live_counts, fn_counts)
+        for x, count in zip(ds, counts)
     }
     return ReductionReport(
         u=u,

@@ -16,9 +16,10 @@ the sticky kind, which is what the fingerprint scheme exhibits.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .combinat import binom_exact, iter_subsets_of_size
+from .core import _mask_elems
 from .filters import FailStateError, FilterModel, FilterState, Seed
 
 
@@ -28,10 +29,18 @@ class EnumerationTooLarge(Exception):
 
 DATASET_BUDGET = 10**6
 SEED_BUDGET = 1 << 16
+# model steps a sweep may take, estimated as seed classes x C(u, n) x n; the
+# u=20, n=5 noisy_exact model at 16 seed bits takes 1.6 million in seconds
+STEP_BUDGET = 10**7
 
 
 def check_enumeration_budget(
-    u: int, n: int, seed_count: int = 0, *, dataset_budget: int = DATASET_BUDGET
+    u: int,
+    n: int,
+    seed_count: int = 0,
+    class_count: int = 0,
+    *,
+    dataset_budget: int = DATASET_BUDGET,
 ) -> int:
     """Refuse, before any model step, a sweep too large; return C(u, n)."""
     dataset_count = binom_exact(u, n)
@@ -41,16 +50,18 @@ def check_enumeration_budget(
         )
     if seed_count > SEED_BUDGET:
         raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
+    steps = class_count * dataset_count * n
+    if steps > STEP_BUDGET:
+        raise EnumerationTooLarge(
+            f"{class_count} seed classes x {dataset_count} datasets x {n} "
+            f"steps = {steps} model steps exceed budget {STEP_BUDGET}"
+        )
     return dataset_count
 
 
 def yes_set(model: FilterModel, seed: Seed, state: FilterState) -> frozenset[int]:
     """All elements of the universe answered 1 at a non-fail state."""
-    if state.fail:
-        raise FailStateError("yes-set of the fail state is undefined")
-    return frozenset(
-        x for x in range(model.params.u) if model.query_bit(seed, state, x)
-    )
+    return frozenset(_mask_elems(model.yes_mask(seed, state)))
 
 
 def state_after(
@@ -75,6 +86,34 @@ def state_after(
     return state
 
 
+def insert_snapshots(
+    model: FilterModel, seed: Seed, datasets: Sequence[tuple[int, ...]]
+) -> list[FilterState]:
+    """state_after(model, seed, ds) for each ascending tuple ds, in order.
+
+    A walk over ascending subsets: a dataset steps only past the prefix it
+    shares with the one before, so in combinations order each subset of
+    size <= n costs one insert_state.  A failed prefix fails its subtree.
+    """
+    insert = model.insert_state
+    prefix = [model.fresh_state(seed)]  # prefix[k]: state after k inserts
+    last: tuple[int, ...] = ()
+    out = []
+    for ds in datasets:
+        k = 0
+        while k < len(last) and k < len(ds) and last[k] == ds[k]:
+            k += 1
+        del prefix[k + 1:]
+        state = prefix[k]
+        for x in ds[k:]:
+            if not state.fail:
+                state = insert(seed, state, x)
+            prefix.append(state)
+        out.append(state)
+        last = ds
+    return out
+
+
 class WitnessModel(FilterModel):
     """A model whose query searches for a witnessing full-capacity dataset.
 
@@ -97,21 +136,23 @@ class WitnessModel(FilterModel):
         self._cached: tuple[tuple[int, int], dict[tuple[int, int], int]] | None = None
 
     def _table(self, seed: Seed) -> dict[tuple[int, int], int]:
-        key = (seed.value, seed.bits)
-        if self._cached is not None and self._cached[0] == key:
+        if self._cached is not None and self._cached[0] == (seed.value, seed.bits):
             return self._cached[1]
+        datasets = list(iter_subsets_of_size(self.params.u, self.params.n))
+        masks = [sum(1 << x for x in ds) for ds in datasets]
+        return self.fill_table(seed, masks, insert_snapshots(self.base, seed, datasets))
+
+    def fill_table(
+        self, seed: Seed, masks: Sequence[int], snapshots: Sequence[FilterState]
+    ) -> dict[tuple[int, int], int]:
+        """Cache seed's table from every size-n dataset (as a bitmask) and
+        its insert snapshot under the base model."""
         table: dict[tuple[int, int], int] = {}
-        u, n = self.params.u, self.params.n
-        for dataset in iter_subsets_of_size(u, n):
-            st = state_after(self.base, seed, dataset)
-            if st.fail:
-                continue
-            state_key = (st.value, st.nbits)
-            mask = table.get(state_key, 0)
-            for x in dataset:
-                mask |= 1 << x
-            table[state_key] = mask
-        self._cached = (key, table)
+        for mask, st in zip(masks, snapshots):
+            if not st.fail:
+                key = (st.value, st.nbits)
+                table[key] = table.get(key, 0) | mask
+        self._cached = ((seed.value, seed.bits), table)
         return table
 
     def seed_class(self, seed: Seed) -> Hashable:
@@ -128,10 +169,12 @@ class WitnessModel(FilterModel):
         return self.base.delete_state(seed, state, x)
 
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
+        return (self.yes_mask(seed, state) >> x) & 1
+
+    def yes_mask(self, seed: Seed, state: FilterState) -> int:
         if state.fail:
             raise FailStateError("witness query at the fail state")
-        mask = self._table(seed).get((state.value, state.nbits), 0)
-        return (mask >> x) & 1
+        return self._table(seed).get((state.value, state.nbits), 0)
 
     def describe(self) -> str:
         return f"witness({self.base.describe()})"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filterbounds import filters
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
 from filterbounds.core import (
     UniverseParams,
@@ -508,6 +509,135 @@ class TestFingerprintProperties:
             fingerprints(elems + [x], seed, bits, u, wide)
         with pytest.raises(InvalidParams):
             FingerprintMultisetModel(model.params, model.eps_plus, bits, wide)
+
+
+def reference_fingerprint_step(model, seed, state, x, insert):
+    """The step through decode_multiset and encode_multiset, as before the splice."""
+    counts = model.decode_multiset(state)
+    fp = model.fingerprint_of(seed, x)
+    if insert:
+        if fp not in counts and len(counts) == model.params.n:
+            return FAIL_STATE
+        counts[fp] = min(counts.get(fp, 0) + 1, model.params.n)
+    elif fp in counts:
+        counts[fp] -= 1
+        if counts[fp] == 0:
+            del counts[fp]
+    return model.encode_multiset(counts)
+
+
+class TestFingerprintSplice:
+    """Inserts and deletes splice one slot; the decoded multiset is the reference."""
+
+    @settings(deadline=None)
+    @given(fingerprint_models(), st.data())
+    def test_spliced_steps_equal_decode_encode(self, case, data):
+        model, seed = case
+        u, n = model.params.u, model.params.n
+        # long runs over few fingerprints reach the count cap and the fail state
+        ops = data.draw(
+            st.lists(st.tuples(st.booleans(), st.integers(0, u - 1)), max_size=6 * n)
+        )
+        state = model.fresh_state(seed)
+        for insert, x in ops:
+            step = model.insert_state if insert else model.delete_state
+            want = reference_fingerprint_step(model, seed, state, x, insert)
+            state = step(seed, state, x)
+            assert state == want
+            if state.fail:
+                with pytest.raises(FailStateError):
+                    model.insert_state(seed, state, x)
+                with pytest.raises(FailStateError):
+                    model.delete_state(seed, state, x)
+                break
+
+    def test_count_cap_and_fail_are_reached(self):
+        # two elements share fingerprint 0, so their count reaches n = 2 and
+        # stays there; a third distinct fingerprint with both slots taken fails
+        model = FingerprintMultisetModel(
+            P62, Fraction(1, 2), 2, {0: 0, 1: 0, 2: 1, 3: 2}
+        )
+        state = model.fresh_state(S0)
+        for x in (0, 1, 0):
+            state = model.insert_state(S0, state, x)
+        assert model.decode_multiset(state) == {0: 2}
+        state = model.insert_state(S0, state, 2)
+        assert model.decode_multiset(state) == {0: 2, 1: 1}
+        assert model.insert_state(S0, state, 3) is FAIL_STATE
+        state = model.delete_state(S0, state, 1)
+        assert model.decode_multiset(state) == {0: 1, 1: 1}
+        state = model.delete_state(S0, state, 0)
+        assert model.decode_multiset(state) == {1: 1}
+        assert model.delete_state(S0, state, 3) == state
+
+
+def reference_exact_step(model, seed, state, op, x):
+    """An exact step by arithmetic ranking: decode_set, set algebra, encode_set."""
+    current = model.decode_set(state)
+    if op == "query":
+        noise = model.noise_set(seed) if isinstance(model, NoisyExactModel) else ()
+        return 1 if x in current or x in noise else 0
+    current = current | {x} if op == "ins" else current - {x}
+    if len(current) > model.params.n:
+        raise ValueError("over capacity")
+    return model.encode_set(current)
+
+
+class TestExactRankTables:
+    """Table-backed exact steps equal arithmetic ranking, below and above the cap."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 255),
+        st.data(),
+    )
+    def test_steps_equal_arithmetic_ranking(self, u, n, noisy, tabled, seed, data):
+        params = UniverseParams(u, n)
+        count = bounded_subset_count(u, n)
+        # the cap at the model's subset count keeps the tables, one below it
+        # sends every step through arithmetic ranking
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(filters, "RANK_TABLE_CAP", count if tabled else count - 1)
+            if noisy:
+                noise_m = data.draw(st.integers(0, u))
+                model = NoisyExactModel(params, Fraction(1), noise_m)
+            else:
+                model = ExactSetModel(params)
+            seed = Seed(seed, 8)
+            state = model.fresh_state(seed)
+            ops = data.draw(st.lists(
+                st.tuples(st.sampled_from(["ins", "del", "query"]), st.integers(-1, u)),
+                max_size=12,
+            ))
+            for op, x in ops:
+                try:
+                    want = reference_exact_step(model, seed, state, op, x)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        model.insert_state(seed, state, x)
+                    continue
+                if op == "query":
+                    assert model.query_bit(seed, state, x) == want
+                    continue
+                step = model.insert_state if op == "ins" else model.delete_state
+                state = step(seed, state, x)
+                assert state == want
+            if any(0 <= x < u for _, x in ops):
+                assert (model._masks is not None) == tabled
+
+    def test_bad_states_still_raise(self):
+        # a rank past the last subset and the fail state leave the tables
+        model = ExactSetModel(P62)  # 22 subsets in 5 bits
+        past = FilterState(22, 5)
+        for step in (model.insert_state, model.delete_state, model.query_bit):
+            with pytest.raises(ValueError):
+                step(S0, past, 0)
+            with pytest.raises(FailStateError):
+                step(S0, FAIL_STATE, 0)
 
 
 class TestHashPairMemo:

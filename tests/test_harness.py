@@ -1,6 +1,7 @@
 """Config plumbing, experiment runners, verification suite, CLI."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -527,6 +528,17 @@ class TestCli:
                                  "n": 10**6}]}, ["bounds"]),
             ({"bounds_checks": [{"check": "counting", "u": 2 * 10**6,
                                  "n": 10**6, "fspace_bits": 3}]}, ["bounds"]),
+            # codes no dataset has: an empty pair, and a delete snapshot
+            # that encode never prints (encode --elements 1,3 prints
+            # 5:01011/5:00000)
+            (None, ["decode", "--seed-bits", "6", "--state", "0:/0:",
+                    "--index", "0"]),
+            (None, ["decode", "--seed-bits", "6", "--state", "5:01011/5:00001",
+                    "--index", "0"]),
+            # 506 hash classes x C(20, 5) datasets x 5 steps: over the
+            # step budget, refused before any model step
+            ({"models": [{"kind": "fingerprint_multiset", "u": 20, "n": 5,
+                          "eps_plus": "1/2"}]}, ["verify", "--seed-bits", "16"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -609,6 +621,44 @@ class TestCli:
         blob = json.loads(capsys.readouterr().out)
         assert blob["passed"] is True
         assert blob["seed_bits"] == 16
+
+    @pytest.mark.parametrize(
+        "config, argv, digest",
+        [
+            (None, ["verify", "--seed-bits", "7"],
+             "07fabf442235c6249b466fff5857a7e72a09edaac6842fea75443f23627472c1"),
+            (None, ["verify", "--seed-bits", "16"],
+             "a6ae459848cd23f2d19306172c91337e3f91e04ced342cbc6e9dd271d35acbe7"),
+            (negative_control_config().resolved_dict(),
+             ["verify", "--seed-bits", "7"],
+             "5e710199f137365203ca5d448648202dd33c47c4e59d76a8c54470f1f45b440f"),
+            ({"models": [
+                {"kind": "exact_set", "u": 10, "n": 3, "eps_plus": "0"},
+                {"kind": "noisy_exact", "u": 10, "n": 3, "eps_plus": "1/10",
+                 "noise_m": 1},
+            ]},
+             ["verify", "--seed-bits", "8"],
+             "e41a90847c8b5e654ade6b58913ac86b5b2e82e313cf973566891e79e4d60baf"),
+            (None, ["encode", "--seed-bits", "6", "--elements", "1,3"],
+             "120621fa05360df4f8c30a8901f3791dcc3cc886be2ffb826f65f897224a53c3"),
+            (None, ["decode", "--seed-bits", "6", "--state", "5:01011/5:00000",
+                    "--index", "0"],
+             "a9c9f78563dc9b7356a934060106a4b1de6e0e617f67842558c9085e40ccf022"),
+        ],
+        ids=["verify7", "verify16", "negative_control7", "zoo_u10_n3",
+             "encode", "decode"],
+    )
+    def test_report_bytes_are_pinned(self, config, argv, digest, tmp_path, capsys):
+        # the sha256 of each report's stdout, as the benchmark checks it;
+        # a faster sweep must not move a single byte
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        expected_exit = 1 if "fingerprint" in json.dumps(config) else 0
+        assert main(argv) == expected_exit
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_runs_as_a_module(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["filterbounds", "demo-violations"])

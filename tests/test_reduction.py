@@ -2,13 +2,18 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterbounds.bounds import BoundsParams
+from filterbounds.combinat import iter_subsets_of_size
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
+    FailStateError,
     FilterModel,
     FilterState,
     FingerprintMultisetModel,
@@ -27,7 +32,12 @@ from filterbounds.reduction import (
     pair_query,
     parse_paired_state,
 )
-from filterbounds.witness import EnumerationTooLarge, state_after, witness_transform
+from filterbounds.witness import (
+    EnumerationTooLarge,
+    WitnessModel,
+    state_after,
+    witness_transform,
+)
 
 S0 = Seed(0, 8)
 
@@ -37,6 +47,15 @@ class FailingInsert(FingerprintMultisetModel):
 
     def insert_state(self, seed, state, x):
         return FAIL_STATE
+
+
+class FailingDelete(FingerprintMultisetModel):
+    """Stub whose delete of element 0 fails; a failed step stops the run."""
+
+    def delete_state(self, seed, state, x):
+        if x == 0:
+            return FAIL_STATE
+        return super().delete_state(seed, state, x)
 
 
 class ForgetsNoiseStart(NoisyExactModel):
@@ -340,3 +359,157 @@ class TestSeedClasses:
                 alpha=alpha,
             )
             assert fast.best_seed(seeds, params) == slow.best_seed(seeds, params)
+
+
+def reference_yes(model, seed, state, tables):
+    """The yes-set by queries; a witness model's by the search over datasets."""
+    u, n = model.params.u, model.params.n
+    if not isinstance(model, WitnessModel):
+        return frozenset(x for x in range(u) if model.query_bit(seed, state, x))
+    key = (seed.value, seed.bits)
+    if key not in tables:
+        tables[key] = {}
+        for ds in iter_subsets_of_size(u, n):
+            reached = state_after(model.base, seed, ds)
+            tables[key].setdefault(reached, set()).update(ds)
+    return frozenset(tables[key].get(state, ()))
+
+
+def reference_sweep(model, seeds):
+    """The sweep before the subset walk: per class, pair_init and yes-sets."""
+    u, n = model.params.u, model.params.n
+    datasets = list(iter_subsets_of_size(u, n))
+    classes, rows, tables = {}, [], {}
+    for seed in seeds:
+        entry = classes.setdefault(model.seed_class(seed), [seed, 0, []])
+        entry[1] += 1
+        rows.append(entry[2])
+    fn = {(ds, x): 0 for ds in datasets for x in ds}
+    live = dict.fromkeys(datasets, 0)
+    fp = incomplete = unexplained = failed = pair_bits = part_bits = 0
+    first_fp = None
+    for seed, weight, row in classes.values():
+        for ds in datasets:
+            pair = pair_init(model, seed, ds)
+            if pair.is_fail:
+                failed += weight
+                continue
+            live[ds] += weight
+            pair_bits = max(pair_bits, pair.space_bits)
+            part_bits = max(part_bits, pair.after_insert.nbits, pair.after_delete.nbits)
+            ins = reference_yes(model, seed, pair.after_insert, tables)
+            dele = reference_yes(model, seed, pair.after_delete, tables)
+            wrong = (ins - dele) - set(ds)
+            if wrong:
+                fp += weight * len(wrong)
+                first_fp = first_fp or (seed, ds, sorted(wrong))
+            misses = set(ds) - (ins - dele)
+            incomplete += weight * len(set(ds) - ins)
+            unexplained += weight * len(misses - dele)
+            for x in misses:
+                fn[ds, x] += weight
+            row.append(len(misses))
+    rates = {
+        cell: Fraction(count, live[cell[0]]) if live[cell[0]] else Fraction(0)
+        for cell, count in fn.items()
+    }
+    cells = len(seeds) * len(datasets)
+    return ReductionReport(
+        u, n, model.describe(), seeds[0].bits if seeds else 0, len(seeds),
+        len(datasets), fp, incomplete, max(rates.values(), default=Fraction(0)),
+        rates, unexplained == 0, pair_bits, 2 * part_bits,
+        Fraction(failed, cells) if cells else Fraction(0), failed, first_fp, rows,
+    )
+
+
+P83 = UniverseParams(8, 3)
+WALK_CASES = [(name, 6) for name in SWEEP_MODELS] + [
+    ("noisy_exact", 8),
+    ("exact_u8_n3", 6),
+    ("noisy_u8_n3", 6),
+    ("failing_delete", 6),
+]
+WALK_MODELS = {
+    **SWEEP_MODELS,
+    "failing_delete": FailingDelete(P62, Fraction(1, 2)),
+    "exact_u8_n3": make_model(ModelKind.EXACT_SET, P83),
+    "noisy_u8_n3": make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 8), noise_m=1),
+}
+
+
+class TestSubsetWalk:
+    """check_reduction's walk against the per-dataset sweep it replaced."""
+
+    @pytest.mark.parametrize(
+        "wrap", [witness_transform, lambda base: base], ids=["witness", "bare"]
+    )
+    @pytest.mark.parametrize("name, bits", WALK_CASES)
+    def test_walk_matches_reference_sweep(self, name, bits, wrap):
+        base = WALK_MODELS[name]
+        seeds = list(seed_space(bits))
+        walked = check_reduction(wrap(base), seeds)
+        reference = reference_sweep(wrap(base), seeds)
+        for field in REDUCTION_REPORT_FIELDS:
+            assert getattr(walked, field) == getattr(reference, field), field
+        for alpha in (Fraction(2), Fraction(4)):
+            params = BoundsParams(
+                u=base.params.u,
+                n=base.params.n,
+                eps_minus=walked.max_false_negative_rate,
+                p_fail=walked.fail_fraction,
+                alpha=alpha,
+            )
+            assert walked.best_seed(seeds, params) == reference.best_seed(seeds, params)
+
+    @pytest.mark.parametrize(
+        "wrap", [witness_transform, lambda base: base], ids=["witness", "bare"]
+    )
+    def test_one_insert_per_subset_prefix(self, wrap, monkeypatch):
+        # the walk steps each prefix of a size-n dataset once per class, and
+        # a witness model's table comes from that walk, not a second one
+        base = WALK_MODELS["noisy_u8_n3"]
+        inserts = []
+        real = NoisyExactModel.insert_state
+
+        def counted(self, seed, state, x):
+            inserts.append(x)
+            return real(self, seed, state, x)
+
+        monkeypatch.setattr(NoisyExactModel, "insert_state", counted)
+        check_reduction(wrap(base), list(seed_space(6)))
+        u, n, classes = 8, 3, 8
+        prefixes = sum(comb(u - n + k, k) for k in range(1, n + 1))
+        assert len(inserts) == classes * prefixes
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from(sorted(SWEEP_MODELS)),
+        st.booleans(),
+        st.integers(0, 255),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 5)), max_size=8),
+    )
+    def test_yes_mask_is_the_or_of_query_bits(self, name, wrapped, value, ops):
+        model = witness_transform(SWEEP_MODELS[name]) if wrapped else SWEEP_MODELS[name]
+        seed, tables = Seed(value, 8), {}
+        state = model.fresh_state(seed)
+        states = [state]
+        for insert, x in ops:
+            try:
+                state = (model.insert_state if insert else model.delete_state)(
+                    seed, state, x
+                )
+            except ValueError:  # an exact store refuses an insert over capacity
+                continue
+            states.append(state)
+            if state.fail:
+                break
+        for state in states:
+            if state.fail:
+                with pytest.raises(FailStateError):
+                    model.yes_mask(seed, state)
+                continue
+            mask = model.yes_mask(seed, state)
+            assert mask == sum(
+                1 << y for y in range(6) if model.query_bit(seed, state, y)
+            )
+            assert mask == sum(1 << y for y in reference_yes(model, seed, state, tables))
