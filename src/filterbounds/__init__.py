@@ -72,7 +72,6 @@ from .filters import (
     measure_space,
     run_sequence,
     seed_space,
-    step,
 )
 from .harness import (
     ConfigError,

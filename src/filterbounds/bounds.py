@@ -45,28 +45,6 @@ from .core import UniverseParams, _mask_elems, _Record, _set
 from .filters import FailStateError, Seed
 from .witness import check_enumeration_budget
 
-__all__ = [
-    "BoundsParams",
-    "ParamsOutOfRange",
-    "NotGoodPair",
-    "InvalidCode",
-    "binom_exact",
-    "CountingBoundResult",
-    "check_counting_bound",
-    "BinomScalingResult",
-    "check_binom_scaling",
-    "BoundKind",
-    "SpaceBound",
-    "space_lower_bound",
-    "false_negative_set",
-    "is_good_pair",
-    "BestSeed",
-    "pick_best_seed",
-    "find_best_seed",
-    "DatasetCode",
-    "encode_dataset",
-    "decode_dataset",
-]
 
 class ParamsOutOfRange(ValueError):
     """Parameters outside the regime the bounds are stated for."""
@@ -161,15 +139,6 @@ class BoundsParams(_Record):
 class CountingBoundResult(_Record):
     __slots__ = ("holds", "lhs", "rhs", "fspace_bits", "params")
 
-    def __init__(
-        self, holds: bool, lhs: int, rhs: Fraction, fspace_bits: int, params: BoundsParams
-    ) -> None:
-        _set(self, "holds", holds)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "fspace_bits", fspace_bits)
-        _set(self, "params", params)
-
     def to_json_dict(self) -> dict:
         return {
             "name": "counting_bound",
@@ -211,16 +180,6 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoun
 
 class BinomScalingResult(_Record):
     __slots__ = ("holds", "lhs_bits", "rhs_bits", "u", "n", "beta")
-
-    def __init__(
-        self, holds: bool, lhs_bits: float, rhs_bits: float, u: int, n: int, beta: Fraction
-    ) -> None:
-        _set(self, "holds", holds)
-        _set(self, "lhs_bits", lhs_bits)
-        _set(self, "rhs_bits", rhs_bits)
-        _set(self, "u", u)
-        _set(self, "n", n)
-        _set(self, "beta", beta)
 
     def to_json_dict(self) -> dict:
         return {
@@ -270,22 +229,6 @@ class SpaceBound(_Record):
     """
 
     __slots__ = ("kind", "u", "n", "eps", "leading_bits", "constant_bits")
-
-    def __init__(
-        self,
-        kind: BoundKind,
-        u: int,
-        n: int,
-        eps: Fraction,
-        leading_bits: float,
-        constant_bits: float,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "u", u)
-        _set(self, "n", n)
-        _set(self, "eps", eps)
-        _set(self, "leading_bits", leading_bits)
-        _set(self, "constant_bits", constant_bits)
 
     @property
     def bits(self) -> float:
@@ -370,14 +313,6 @@ def is_good_pair(
 class BestSeed(_Record):
     __slots__ = ("seed", "good_count", "required", "meets_bound")
 
-    def __init__(
-        self, seed: Seed, good_count: int, required: Fraction, meets_bound: bool
-    ) -> None:
-        _set(self, "seed", seed)
-        _set(self, "good_count", good_count)
-        _set(self, "required", required)
-        _set(self, "meets_bound", meets_bound)
-
 
 def pick_best_seed(
     seeds: Sequence[Seed],
@@ -422,10 +357,6 @@ class DatasetCode(_Record):
     """The injective code: a filter state plus a false-negative-set rank."""
 
     __slots__ = ("state", "index")
-
-    def __init__(self, state: Any, index: int) -> None:
-        _set(self, "state", state)
-        _set(self, "index", index)
 
 
 def encode_dataset(

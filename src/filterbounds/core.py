@@ -14,18 +14,24 @@ between the two kinds while preserving the trace at every surviving index.
 
 All functions are pure; everything is safe to call concurrently.
 
-The package's value types are plain records built on _Record: each lists
-its fields once, in __slots__, and has an explicit __init__ that validates
-its arguments.  The base derives ==, hash and repr from __slots__ in the
-dataclass manner: equality holds only between records of one class with
-equal fields, the hash is that of the tuple of fields, and repr reads
-Name(field=value, ...); copy and pickle rebuild a record through its
-__init__.  A record is frozen unless its class says
-frozen=False, in which case its fields are assignable and it is unhashable;
-hidden= names fields that repr leaves out.  Records are built this way
-rather than with dataclasses because every command is one short process,
-and importing dataclasses and generating its methods would cost each
-command more start-up than most of them spend on work.
+The package's value types are plain records built on _Record.  A record
+lists its fields once, in __slots__, and the defaults of its trailing
+fields once, in the class keyword defaults={name: value}; a default that
+is a class, such as dict or list, is called for each record, so no two
+records share one.  The base's __init__ binds positional and then keyword
+arguments to the fields in order and raises TypeError for a missing,
+unknown, repeated or surplus argument; records that validate their
+arguments keep an explicit __init__ of their own.  The base derives ==,
+hash and repr from __slots__ in the dataclass manner: equality holds only
+between records of one class with equal fields, the hash is that of the
+tuple of fields, and repr reads Name(field=value, ...); copy and pickle
+rebuild a record through its __init__.  A record is frozen unless its
+class says frozen=False, in which case its fields are assignable and it
+is unhashable; hidden= names fields that repr leaves out.  Records are
+built this way rather than with dataclasses, and the binder is a plain
+loop with no exec, code generation or inspect, because every command is
+one short process, and importing dataclasses and generating its methods
+would cost each command more start-up than most of them spend on work.
 """
 
 from __future__ import annotations
@@ -41,14 +47,40 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = ()) -> None:
+    def __init_subclass__(
+        cls, frozen: bool = True, hidden: tuple[str, ...] = (), defaults: dict | None = None
+    ) -> None:
         super().__init_subclass__()
         cls._values = attrgetter(*cls.__slots__)
         cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
+        cls._defaults = defaults or {}
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
             cls.__hash__ = None
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, defaults = self.__slots__, self._defaults
+        title = self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{title}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{title}() got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{title}() got multiple values for argument {name!r}")
+        for i, name in enumerate(names):
+            if i < len(args):
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs[name]
+            elif name in defaults:
+                value = defaults[name]
+                if isinstance(value, type):
+                    value = value()
+            else:
+                raise TypeError(f"{title}() missing required argument {name!r}")
+            _set(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -133,10 +165,6 @@ class UniverseParams(_Record):
 class OpSequence(_Record):
     __slots__ = ("params", "ops")
 
-    def __init__(self, params: UniverseParams, ops: tuple[Operation, ...]) -> None:
-        _set(self, "params", params)
-        _set(self, "ops", ops)
-
     def __len__(self) -> int:
         return len(self.ops)
 
@@ -208,10 +236,6 @@ class DatasetTrace(_Record):
 
     __slots__ = ("u", "masks")
 
-    def __init__(self, u: int, masks: tuple[int, ...]) -> None:
-        _set(self, "u", u)
-        _set(self, "masks", masks)
-
     def __len__(self) -> int:
         return len(self.masks)
 
@@ -274,10 +298,6 @@ class RewriteResult(_Record):
     """A rewritten sequence plus the map from original to new indices."""
 
     __slots__ = ("seq", "index_map")
-
-    def __init__(self, seq: OpSequence, index_map: tuple[int, ...]) -> None:
-        _set(self, "seq", seq)
-        _set(self, "index_map", index_map)
 
 
 def _check_flags(

@@ -200,12 +200,6 @@ class FilterModel(ABC):
         return f"{self.kind.value}(u={self.params.u}, n={self.params.n})"
 
 
-def step(
-    model: FilterModel, seed: Seed, state: FilterState, op: Operation
-) -> tuple[FilterState, int | None]:
-    return model.step(seed, state, op)
-
-
 def run_sequence(
     model: FilterModel, seed: Seed, seq: OpSequence
 ) -> tuple[list[FilterState], list[int | None]]:

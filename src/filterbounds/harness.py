@@ -38,7 +38,6 @@ from .core import (
     OpSequence,
     UniverseParams,
     _Record,
-    _set,
     format_sequence,
     parse_sequence,
 )
@@ -77,28 +76,12 @@ def parse_fraction(text: Any) -> Fraction:
         raise ConfigError(f"bad rational literal {text!r}") from exc
 
 
-class ModelSpec(_Record):
+class ModelSpec(
+    _Record, defaults={"noise_m": 0, "fingerprint_bits": None, "collision_table": None}
+):
     __slots__ = (
         "kind", "u", "n", "eps_plus", "noise_m", "fingerprint_bits", "collision_table",
     )
-
-    def __init__(
-        self,
-        kind: str,
-        u: int,
-        n: int,
-        eps_plus: Fraction,
-        noise_m: int = 0,
-        fingerprint_bits: int | None = None,
-        collision_table: tuple[tuple[int, int], ...] | None = None,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "u", u)
-        _set(self, "n", n)
-        _set(self, "eps_plus", eps_plus)
-        _set(self, "noise_m", noise_m)
-        _set(self, "fingerprint_bits", fingerprint_bits)
-        _set(self, "collision_table", collision_table)
 
     def build(self) -> FilterModel:
         try:
@@ -169,16 +152,6 @@ def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
 class GridSpec(_Record):
     __slots__ = ("u_values", "n_values", "beta_values")
 
-    def __init__(
-        self,
-        u_values: tuple[int, ...],
-        n_values: tuple[int, ...],
-        beta_values: tuple[Fraction, ...],
-    ) -> None:
-        _set(self, "u_values", u_values)
-        _set(self, "n_values", n_values)
-        _set(self, "beta_values", beta_values)
-
     def to_dict(self) -> dict:
         return {
             "u": list(self.u_values),
@@ -197,31 +170,23 @@ DEFAULT_GRID = GridSpec(
 DEFAULT_NEGATIVE_PROBE = {"fspace_bits": 3, "u": 8, "n": 2, "alpha": "2"}
 
 
-class ExperimentConfig(_Record):
+class ExperimentConfig(
+    _Record,
+    defaults={
+        "seed": 20260823,
+        "seed_bits": 8,
+        "trials": 100_000,
+        "alphas": (Fraction(3, 2), Fraction(2), Fraction(4)),
+        "best_seed_alpha": Fraction(2),
+        "models": (),
+        "grid": DEFAULT_GRID,
+        "negative_probe": None,
+    },
+):
     __slots__ = (
         "seed", "seed_bits", "trials", "alphas", "best_seed_alpha", "models",
         "grid", "negative_probe",
     )
-
-    def __init__(
-        self,
-        seed: int = 20260823,
-        seed_bits: int = 8,
-        trials: int = 100_000,
-        alphas: tuple[Fraction, ...] = (Fraction(3, 2), Fraction(2), Fraction(4)),
-        best_seed_alpha: Fraction = Fraction(2),
-        models: tuple[ModelSpec, ...] = (),
-        grid: GridSpec = DEFAULT_GRID,
-        negative_probe: Mapping[str, Any] | None = None,
-    ) -> None:
-        _set(self, "seed", seed)
-        _set(self, "seed_bits", seed_bits)
-        _set(self, "trials", trials)
-        _set(self, "alphas", alphas)
-        _set(self, "best_seed_alpha", best_seed_alpha)
-        _set(self, "models", models)
-        _set(self, "grid", grid)
-        _set(self, "negative_probe", negative_probe)
 
     def resolved_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -520,13 +485,8 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
     }
 
 
-class CheckResult(_Record, frozen=False):
+class CheckResult(_Record, frozen=False, defaults={"details": dict}):
     __slots__ = ("name", "passed", "details")
-
-    def __init__(self, name: str, passed: bool, details: dict | None = None) -> None:
-        self.name = name
-        self.passed = passed
-        self.details = {} if details is None else details
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -534,20 +494,6 @@ class CheckResult(_Record, frozen=False):
 
 class VerificationReport(_Record, frozen=False):
     __slots__ = ("suite", "checks", "warnings", "seed_bits", "config_hash")
-
-    def __init__(
-        self,
-        suite: str,
-        checks: list[CheckResult],
-        warnings: list[str],
-        seed_bits: int,
-        config_hash: str,
-    ) -> None:
-        self.suite = suite
-        self.checks = checks
-        self.warnings = warnings
-        self.seed_bits = seed_bits
-        self.config_hash = config_hash
 
     @property
     def passed(self) -> bool:

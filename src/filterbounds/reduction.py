@@ -23,7 +23,7 @@ from typing import Hashable, Sequence
 
 from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
-from .core import UniverseParams, _mask_elems, _Record, _set
+from .core import UniverseParams, _mask_elems, _Record
 from .filters import FilterModel, FilterState, Seed
 from .witness import (
     DATASET_BUDGET,
@@ -39,10 +39,6 @@ class PairedState(_Record):
     """The two snapshots; fail in either component fails the pair."""
 
     __slots__ = ("after_insert", "after_delete")
-
-    def __init__(self, after_insert: FilterState, after_delete: FilterState) -> None:
-        _set(self, "after_insert", after_insert)
-        _set(self, "after_delete", after_delete)
 
     @property
     def is_fail(self) -> bool:
@@ -83,14 +79,20 @@ def parse_paired_state(text: str) -> PairedState:
 
 
 def pair_init(model: FilterModel, seed: Seed, dataset: Sequence[int]) -> PairedState:
-    """Build the snapshot pair for a full-capacity dataset."""
+    """Build the snapshot pair for a full-capacity dataset.
+
+    The delete snapshot deletes the members ascending from the insert
+    snapshot, stopping at the fail state, as state_after(model, seed,
+    dataset, dataset) would after replaying the inserts.
+    """
     elems = sorted(dataset)
     if len(elems) != model.params.n:
         raise ValueError(f"dataset size {len(elems)} != capacity {model.params.n}")
-    after_insert = state_after(model, seed, elems)
-    if after_insert.fail:
-        return PairedState(after_insert, after_insert)
-    after_delete = state_after(model, seed, elems, elems)
+    after_insert = after_delete = state_after(model, seed, elems)
+    for x in elems:
+        if after_delete.fail:
+            break
+        after_delete = model.delete_state(seed, after_delete, x)
     return PairedState(after_insert, after_delete)
 
 
@@ -136,7 +138,18 @@ class PairedStaticFilter:
 
 
 class ReductionReport(
-    _Record, frozen=False, hidden=("fn_rate_by_cell", "misses_by_seed")
+    _Record,
+    frozen=False,
+    hidden=("fn_rate_by_cell", "misses_by_seed"),
+    defaults={
+        "fn_matches_delete_fp": True,
+        "space_pair_bits": 0,
+        "space_budget_bits": 0,
+        "fail_fraction": Fraction(0),
+        "failed_pairs": 0,
+        "first_false_positive": None,
+        "misses_by_seed": list,
+    },
 ):
     """Exact certification results for one model over a seed space.
 
@@ -153,44 +166,6 @@ class ReductionReport(
         "space_pair_bits", "space_budget_bits", "fail_fraction",
         "failed_pairs", "first_false_positive", "misses_by_seed",
     )
-
-    def __init__(
-        self,
-        u: int,
-        n: int,
-        model: str,
-        seed_bits: int,
-        seed_count: int,
-        dataset_count: int,
-        false_positive_count: int,
-        completeness_violations: int,
-        max_false_negative_rate: Fraction,
-        fn_rate_by_cell: dict[tuple[tuple[int, ...], int], Fraction],
-        fn_matches_delete_fp: bool = True,
-        space_pair_bits: int = 0,
-        space_budget_bits: int = 0,
-        fail_fraction: Fraction = Fraction(0),
-        failed_pairs: int = 0,
-        first_false_positive: tuple[Seed, tuple[int, ...], list[int]] | None = None,
-        misses_by_seed: list[list[int]] | None = None,
-    ) -> None:
-        self.u = u
-        self.n = n
-        self.model = model
-        self.seed_bits = seed_bits
-        self.seed_count = seed_count
-        self.dataset_count = dataset_count
-        self.false_positive_count = false_positive_count
-        self.completeness_violations = completeness_violations
-        self.max_false_negative_rate = max_false_negative_rate
-        self.fn_rate_by_cell = fn_rate_by_cell
-        self.fn_matches_delete_fp = fn_matches_delete_fp
-        self.space_pair_bits = space_pair_bits
-        self.space_budget_bits = space_budget_bits
-        self.fail_fraction = fail_fraction
-        self.failed_pairs = failed_pairs
-        self.first_false_positive = first_false_positive
-        self.misses_by_seed = [] if misses_by_seed is None else misses_by_seed
 
     def best_seed(self, seeds: Sequence[Seed], params: BoundsParams) -> BestSeed:
         """pick_best_seed on this sweep's good-pair counts.
@@ -313,11 +288,18 @@ def check_reduction(
                         fn_counts[i][j] += weight
             class_misses.append(misses.bit_count())
     total_cells = len(seeds) * dataset_count
+    zero = Fraction(0)
     fn_rates = {
-        (ds, x): Fraction(count, live) if live else Fraction(0)
+        (ds, x): Fraction(count, live) if count else zero
         for ds, live, counts in zip(datasets, live_counts, fn_counts)
         for x, count in zip(ds, counts)
     }
+    # the largest count/live over live datasets, compared by cross-multiplying
+    max_fn, max_live = 0, 1
+    for live, counts in zip(live_counts, fn_counts):
+        worst = max(counts)
+        if worst * max_live > max_fn * live:
+            max_fn, max_live = worst, live
     return ReductionReport(
         u=u,
         n=n,
@@ -327,7 +309,7 @@ def check_reduction(
         dataset_count=dataset_count,
         false_positive_count=fp_count,
         completeness_violations=completeness_violations,
-        max_false_negative_rate=max(fn_rates.values(), default=Fraction(0)),
+        max_false_negative_rate=Fraction(max_fn, max_live),
         fn_rate_by_cell=fn_rates,
         fn_matches_delete_fp=unexplained_misses == 0,
         space_pair_bits=max_pair_bits,

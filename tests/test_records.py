@@ -27,6 +27,7 @@ from filterbounds.bounds import (
 )
 from filterbounds.core import (
     DatasetTrace,
+    _Record,
     Operation,
     OpKind,
     OpSequence,
@@ -258,6 +259,38 @@ def test_record_keeps_its_dataclass_behaviour(cls, values, defaults, text):
     assert stranger != record and record != stranger
 
     assert repr(record) == text
+
+
+VALIDATING = {Operation, UniverseParams, Seed, FilterState, BoundsParams}
+
+
+def test_only_validating_records_write_their_own_init():
+    own = {case[0] for case in RECORDS if "__init__" in vars(case[0])}
+    assert own == VALIDATING
+    assert all(case[0].__init__ is _Record.__init__ for case in RECORDS if case[0] not in own)
+
+
+@pytest.mark.parametrize(
+    "cls, values, defaults, text",
+    [case for case in RECORDS if case[0] not in VALIDATING],
+    ids=[case[0].__name__ for case in RECORDS if case[0] not in VALIDATING],
+)
+def test_binding_init_rejects_bad_arguments(cls, values, defaults, text):
+    names = cls.__slots__
+    required = len(values) - len(defaults)
+    if required:
+        with pytest.raises(TypeError, match="missing"):
+            cls(*values[: required - 1])
+        with pytest.raises(TypeError, match="missing"):
+            cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(*values, no_such_field=1)
+    with pytest.raises(TypeError, match="multiple"):
+        cls(*values[:1], **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="multiple"):
+        cls(*values, **{names[-1]: values[-1]})
+    with pytest.raises(TypeError, match="arguments"):
+        cls(*values, values[0])
 
 
 @pytest.mark.parametrize(

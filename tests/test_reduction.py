@@ -58,6 +58,23 @@ class FailingDelete(FingerprintMultisetModel):
         return super().delete_state(seed, state, x)
 
 
+class FailsOnOddSeeds(NoisyExactModel):
+    """Stub whose insert of the last element fails under odd seeds.
+
+    Datasets holding that element are live under half the seeds and the
+    rest under all of them, so their false-negative rates have different
+    denominators.
+    """
+
+    def seed_class(self, seed):
+        return seed
+
+    def insert_state(self, seed, state, x):
+        if x == self.params.u - 1 and seed.value & 1:
+            return FAIL_STATE
+        return super().insert_state(seed, state, x)
+
+
 class ForgetsNoiseStart(NoisyExactModel):
     """Stub that answers no on its first noise element: incomplete per seed."""
 
@@ -428,13 +445,32 @@ WALK_CASES = [(name, 6) for name in SWEEP_MODELS] + [
     ("exact_u8_n3", 6),
     ("noisy_u8_n3", 6),
     ("failing_delete", 6),
+    ("fails_on_odd_seeds", 6),
 ]
 WALK_MODELS = {
     **SWEEP_MODELS,
     "failing_delete": FailingDelete(P62, Fraction(1, 2)),
+    "fails_on_odd_seeds": FailsOnOddSeeds(P62, Fraction(1, 6), noise_m=1),
     "exact_u8_n3": make_model(ModelKind.EXACT_SET, P83),
     "noisy_u8_n3": make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 8), noise_m=1),
 }
+
+
+@pytest.mark.parametrize(
+    "wrap", [witness_transform, lambda base: base], ids=["witness", "bare"]
+)
+@pytest.mark.parametrize(
+    "name", ["exact_set", "noisy_exact", "fingerprint_multiset", "failing_insert", "failing_delete"]
+)
+def test_pair_init_deletes_from_its_insert_snapshot(name, wrap):
+    # the delete snapshot continues from the insert snapshot instead of
+    # replaying the inserts, and must land where the replay lands
+    model = wrap(WALK_MODELS[name])
+    for seed in seed_space(6):
+        for ds in iter_subsets_of_size(6, 2):
+            assert pair_init(model, seed, ds) == PairedState(
+                state_after(model, seed, ds), state_after(model, seed, ds, ds)
+            )
 
 
 class TestSubsetWalk:
