@@ -96,6 +96,18 @@ def seed_space(bits: int) -> Iterator[Seed]:
     return (Seed(v, bits) for v in range(1 << bits))
 
 
+def seed_classes(model: FilterModel, seeds: Iterable[Seed]) -> list[tuple[Seed, int]]:
+    """(earliest seed, class size) per model.seed_class key, earliest first.
+
+    The one place seeds are grouped; a sweep over these pairs that weights
+    each tally by the class size equals the sweep over every seed.
+    """
+    classes: dict[Hashable, list] = {}
+    for seed in seeds:
+        classes.setdefault(model.seed_class(seed), [seed, 0])[1] += 1
+    return [(seed, weight) for seed, weight in classes.values()]
+
+
 def draw_seed(rng: random.Random, bits: int = 64) -> Seed:
     return Seed(rng.getrandbits(bits), bits)
 

@@ -45,10 +45,10 @@ from .filters import (
     FilterModel,
     FingerprintMultisetModel,
     ModelKind,
-    Seed,
     draw_seed,
     make_model,
     run_sequence,
+    seed_classes,
     seed_space,
 )
 from .reduction import (
@@ -215,11 +215,7 @@ MAX_SEED_BITS = SEED_BUDGET.bit_length() - 1
 
 def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> ExperimentConfig:
     """Overlay a parsed config file onto a command's defaults."""
-    known = {
-        "seed", "seed_bits", "trials", "alphas", "best_seed_alpha",
-        "models", "grid", "negative_probe",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - set(ExperimentConfig.__slots__)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     for key in ("alphas", "models"):
@@ -265,16 +261,7 @@ def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> Experim
 
 
 def _config_kwargs(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "seed_bits": cfg.seed_bits,
-        "trials": cfg.trials,
-        "alphas": cfg.alphas,
-        "best_seed_alpha": cfg.best_seed_alpha,
-        "models": cfg.models,
-        "grid": cfg.grid,
-        "negative_probe": cfg.negative_probe,
-    }
+    return {name: getattr(cfg, name) for name in ExperimentConfig.__slots__}
 
 
 def default_verify_config() -> ExperimentConfig:
@@ -424,6 +411,7 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
     duplicate insert of x followed by one delete leaves x visible in the
     empty dataset (a false positive).  Both events must occur for every
     seed; the same sequences on an exact-set model must show nothing.
+    Each model runs the sequences once per seed class, weighted by its size.
     """
     if not cfg.models:
         raise ConfigError("violation demo needs a model spec")
@@ -441,22 +429,16 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
     control = make_model("exact_set", model.params)
     seeds = list(seed_space(cfg.seed_bits))
 
-    def final_answer(m: FilterModel, seed: Seed, seq: OpSequence) -> int:
-        _, answers = run_sequence(m, seed, seq)
-        return answers[-1]
+    def events(m: FilterModel) -> tuple[int, int]:
+        # seeds whose false-negative run ends in 0 and false-positive run in 1
+        fn = fp = 0
+        for seed, weight in seed_classes(m, seeds):
+            fn += weight * (run_sequence(m, seed, seqs["false_negative"])[1][-1] == 0)
+            fp += weight * (run_sequence(m, seed, seqs["false_positive"])[1][-1] == 1)
+        return fn, fp
 
-    fn_events = sum(
-        1 for s in seeds if final_answer(model, s, seqs["false_negative"]) == 0
-    )
-    fp_events = sum(
-        1 for s in seeds if final_answer(model, s, seqs["false_positive"]) == 1
-    )
-    control_fn = sum(
-        1 for s in seeds if final_answer(control, s, seqs["false_negative"]) == 0
-    )
-    control_fp = sum(
-        1 for s in seeds if final_answer(control, s, seqs["false_positive"]) == 1
-    )
+    fn_events, fp_events = events(model)
+    control_fn, control_fp = events(control)
     total = len(seeds)
     fn_freq = Fraction(fn_events, total)
     fp_freq = Fraction(fp_events, total)
@@ -547,13 +529,10 @@ def _measured_params(
 
 
 def _coding_check(
-    model: FilterModel,
-    seeds: Sequence[Seed],
-    params: BoundsParams,
-    report: ReductionReport,
+    model: FilterModel, params: BoundsParams, report: ReductionReport
 ) -> CheckResult:
     static = PairedStaticFilter(model)
-    best = report.best_seed(seeds, params)
+    best = report.best_seed(params)
     u, n = model.params.u, model.params.n
     codes: set[tuple[Any, int]] = set()
     roundtrip_failures = 0
@@ -635,7 +614,7 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
             )
         )
         measured = _measured_params(spec, report, cfg.best_seed_alpha)
-        checks.append(_coding_check(model, seeds, measured, report))
+        checks.append(_coding_check(model, measured, report))
         counting = [
             check_counting_bound(
                 report.space_pair_bits, _measured_params(spec, report, alpha)
@@ -748,7 +727,6 @@ def _coding_context(
     spec = cfg.models[0]
     model = witness_transform(spec.build())
     static = PairedStaticFilter(model)
-    seeds = list(seed_space(cfg.seed_bits))
-    report = check_reduction(model, seeds)
+    report = check_reduction(model, list(seed_space(cfg.seed_bits)))
     params = _measured_params(spec, report, cfg.best_seed_alpha)
-    return static, params, report.best_seed(seeds, params)
+    return static, params, report.best_seed(params)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
 from .core import UniverseParams, _mask_elems, _Record
-from .filters import FilterModel, FilterState, Seed
+from .filters import FilterModel, FilterState, Seed, seed_classes
 from .witness import (
     DATASET_BUDGET,
     WitnessModel,
@@ -140,7 +140,7 @@ class PairedStaticFilter:
 class ReductionReport(
     _Record,
     frozen=False,
-    hidden=("fn_rate_by_cell", "misses_by_seed"),
+    hidden=("misses_by_class",),
     defaults={
         "fn_matches_delete_fp": True,
         "space_pair_bits": 0,
@@ -148,36 +148,38 @@ class ReductionReport(
         "fail_fraction": Fraction(0),
         "failed_pairs": 0,
         "first_false_positive": None,
-        "misses_by_seed": list,
+        "misses_by_class": list,
     },
 ):
     """Exact certification results for one model over a seed space.
 
-    The last three fields are not reported; the sticky and best-seed checks
-    read them: the first false positive (seed, dataset, elements) in sweep
-    order, and per seed the false-negative count of each live dataset.
-    Seeds of one seed class share one miss row.
+    The false-negative rate is the largest, over live datasets and their
+    members, of the seed share that misses the member.  The last three
+    fields are not reported; the sticky and best-seed checks read them: the
+    first false positive (seed, dataset, elements) in sweep order, and per
+    seed class its earliest seed and the false-negative count of each live
+    dataset, classes in order of their earliest seed.
     """
 
     __slots__ = (
         "u", "n", "model", "seed_bits", "seed_count", "dataset_count",
         "false_positive_count", "completeness_violations",
-        "max_false_negative_rate", "fn_rate_by_cell", "fn_matches_delete_fp",
+        "max_false_negative_rate", "fn_matches_delete_fp",
         "space_pair_bits", "space_budget_bits", "fail_fraction",
-        "failed_pairs", "first_false_positive", "misses_by_seed",
+        "failed_pairs", "first_false_positive", "misses_by_class",
     )
 
-    def best_seed(self, seeds: Sequence[Seed], params: BoundsParams) -> BestSeed:
-        """pick_best_seed on this sweep's good-pair counts.
+    def best_seed(self, params: BoundsParams) -> BestSeed:
+        """pick_best_seed on this sweep's good-pair counts, one per class.
 
         A dataset is good under a seed when its pair is live and misses at
-        most fn_limit members, as is_good_pair decides.
+        most fn_limit members, as is_good_pair decides.  Classes come
+        earliest seed first and max keeps the first of equal counts, so the
+        pick is the earliest seed with the most good datasets.
         """
         limit = params.fn_limit
-        # seeds of one class share a row object; count each row once
-        rows = {id(row): row for row in self.misses_by_seed}
-        good = {key: sum(1 for m in row if m <= limit) for key, row in rows.items()}
-        good_counts = [good[id(row)] for row in self.misses_by_seed]
+        seeds = [seed for seed, _ in self.misses_by_class]
+        good_counts = [sum(1 for m in row if m <= limit) for _, row in self.misses_by_class]
         return pick_best_seed(seeds, good_counts, params, self.dataset_count)
 
     def to_json_dict(self) -> dict:
@@ -209,26 +211,20 @@ def check_reduction(
 ) -> ReductionReport:
     """Exhaustively certify the paired filter over datasets x seeds.
 
-    Seeds are grouped by model.seed_class; each class is swept once, under
-    its earliest seed, and every tally is weighted by the class size, so
-    the enumeration stays complete and the fractions exact.  One subset
-    walk per class gives the insert snapshots and a witness model's table;
-    a delete snapshot adds n deletes; tallies are set algebra on yes-masks.
+    Each seed class of filters.seed_classes is swept once, under its
+    earliest seed, and every tally is weighted by the class size, so the
+    enumeration stays complete and the fractions exact.  One subset walk
+    per class gives the insert snapshots and a witness model's table; a
+    delete snapshot adds n deletes; tallies are set algebra on yes-masks.
     Counts false positives (must be zero for a model with sticky wrong
-    yeses), per-(dataset, member) false-negative seed fractions, the widest
-    pair against twice the widest component state, and the failed-pair
-    fraction.  The false-negative events are cross-checked against the
-    base model's wrong yeses at the delete snapshot, which they must equal
-    cell by cell when the seed space is fully enumerated.
+    yeses), the largest false-negative seed fraction over (dataset, member)
+    cells, the widest pair against twice the widest component state, and
+    the failed-pair fraction.  The false-negative events are cross-checked
+    against the base model's wrong yeses at the delete snapshot, which they
+    must equal cell by cell when the seed space is fully enumerated.
     """
     u, n = model.params.u, model.params.n
-    # class key -> [earliest seed, multiplicity, miss row shared by its seeds]
-    classes: dict[Hashable, list] = {}
-    misses_by_seed: list[list[int]] = []
-    for seed in seeds:
-        entry = classes.setdefault(model.seed_class(seed), [seed, 0, []])
-        entry[1] += 1
-        misses_by_seed.append(entry[2])
+    classes = seed_classes(model, seeds)
     dataset_count = check_enumeration_budget(
         u, n, len(seeds), len(classes), dataset_budget=dataset_budget
     )
@@ -247,9 +243,13 @@ def check_reduction(
     # a witness model steps through its base; step the base directly
     stepper = model.base if isinstance(model, WitnessModel) else model
     delete, yes_mask = stepper.delete_state, model.yes_mask
+    # per class: its earliest seed and each live dataset's miss count
+    misses_by_class: list[tuple[Seed, list[int]]] = []
     # classes come in order of their earliest seed, so the first false
     # positive found is the one a seed-by-seed sweep would find
-    for seed, weight, class_misses in classes.values():
+    for seed, weight in classes:
+        class_misses: list[int] = []
+        misses_by_class.append((seed, class_misses))
         snapshots = insert_snapshots(stepper, seed, datasets)
         if stepper is not model:
             model.fill_table(seed, member_masks, snapshots)
@@ -288,12 +288,6 @@ def check_reduction(
                         fn_counts[i][j] += weight
             class_misses.append(misses.bit_count())
     total_cells = len(seeds) * dataset_count
-    zero = Fraction(0)
-    fn_rates = {
-        (ds, x): Fraction(count, live) if count else zero
-        for ds, live, counts in zip(datasets, live_counts, fn_counts)
-        for x, count in zip(ds, counts)
-    }
     # the largest count/live over live datasets, compared by cross-multiplying
     max_fn, max_live = 0, 1
     for live, counts in zip(live_counts, fn_counts):
@@ -310,12 +304,11 @@ def check_reduction(
         false_positive_count=fp_count,
         completeness_violations=completeness_violations,
         max_false_negative_rate=Fraction(max_fn, max_live),
-        fn_rate_by_cell=fn_rates,
         fn_matches_delete_fp=unexplained_misses == 0,
         space_pair_bits=max_pair_bits,
         space_budget_bits=2 * max_component_bits,
         fail_fraction=Fraction(fail_count, total_cells) if total_cells else Fraction(0),
         failed_pairs=fail_count,
         first_false_positive=first_fp,
-        misses_by_seed=misses_by_seed,
+        misses_by_class=misses_by_class,
     )

@@ -301,6 +301,20 @@ class TestViolationDemo:
         with pytest.raises(ConfigError):
             run_violation_demo(cfg)
 
+    def test_class_sweep_matches_brute_force(self, monkeypatch):
+        cfg = config_from_dict({"seed_bits": 6}, default_demo_config())
+        seeds = list(seed_space(6))
+        model = cfg.models[0].build()
+        control = ExactSetModel(model.params)
+        for m in (model, control):
+            assert len(filters.seed_classes(m, seeds)) < len(seeds)
+        fast = run_violation_demo(cfg)
+        # the default key makes every seed its own class: plain brute force
+        for m in (model, control):
+            monkeypatch.setattr(type(m), "seed_class", filters.FilterModel.seed_class)
+            assert len(filters.seed_classes(m, seeds)) == len(seeds)
+        assert run_violation_demo(cfg) == fast
+
 
 class TestVerificationSuite:
     def test_default_zoo_passes(self):
@@ -644,9 +658,26 @@ class TestCli:
             (None, ["decode", "--seed-bits", "6", "--state", "5:01011/5:00000",
                     "--index", "0"],
              "a9c9f78563dc9b7356a934060106a4b1de6e0e617f67842558c9085e40ccf022"),
+            (None, ["demo-violations", "--seed-bits", "8"],
+             "be229f9ad7caf1214d848fcc7370f17fbb7a76fbcce93d066f9a942019cfd2ea"),
+            (None, ["demo-violations", "--seed-bits", "16"],
+             "1a6600b49682ea22950cc17fe98d3e109693d8ffb43a857e6104fa7993be2067"),
+            (None, ["fp-rate", "--trials", "2000"],
+             "54e4ec10e33368c5b26afa8ad84b58caf9c1cdccfc933bc80a6c049f1f824926"),
+            (None, ["fp-rate", "--trials", "2000", "--format", "csv"],
+             "ec1c906235d02d8623a5db49abcb3c1635052590c28d7bc60b5e94717bc96be3"),
+            ({"bounds_checks": [
+                {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5,
+                 "eps_minus": "0", "p_fail": "0", "alpha": "2"},
+                {"check": "binom_scaling", "u": 16, "n": 4, "beta": "1/2"},
+                {"check": "space", "kind": "dynamic", "u": 16, "n": 4, "eps": "0"},
+            ]},
+             ["bounds"],
+             "06102c0129ca88cb9c5672e0a58bcd81d93997e5587773af788c735335e9af83"),
         ],
         ids=["verify7", "verify16", "negative_control7", "zoo_u10_n3",
-             "encode", "decode"],
+             "encode", "decode", "demo8", "demo16", "fp_rate_json",
+             "fp_rate_csv", "bounds"],
     )
     def test_report_bytes_are_pinned(self, config, argv, digest, tmp_path, capsys):
         # the sha256 of each report's stdout, as the benchmark checks it;

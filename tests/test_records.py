@@ -190,8 +190,8 @@ RECORDS = [
         ReductionReport,
         (
             6, 2, "witness(exact_set)", 2, 4, 15, 1, 0, Fraction(1, 2),
-            {((0, 1), 0): Fraction(1, 2)}, False, 8, 8, Fraction(1, 4), 3,
-            (Seed(1, 2), (0, 1), [2]), [[0, 1]],
+            False, 8, 8, Fraction(1, 4), 3,
+            (Seed(1, 2), (0, 1), [2]), [(Seed(0, 2), [0, 1])],
         ),
         {
             "fn_matches_delete_fp": True,
@@ -200,9 +200,9 @@ RECORDS = [
             "fail_fraction": Fraction(0),
             "failed_pairs": 0,
             "first_false_positive": None,
-            "misses_by_seed": [],
+            "misses_by_class": [],
         },
-        # fn_rate_by_cell and misses_by_seed are left out of the repr
+        # misses_by_class is left out of the repr
         "ReductionReport(u=6, n=2, model='witness(exact_set)', seed_bits=2, seed_count=4, "
         "dataset_count=15, false_positive_count=1, completeness_violations=0, "
         "max_false_negative_rate=Fraction(1, 2), fn_matches_delete_fp=False, "

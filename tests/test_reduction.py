@@ -21,6 +21,7 @@ from filterbounds.filters import (
     NoisyExactModel,
     Seed,
     make_model,
+    seed_classes,
     seed_space,
 )
 from filterbounds.reduction import (
@@ -185,8 +186,12 @@ class TestCheckReduction:
         assert noisy_report.completeness_violations == 0
 
     def test_fn_rates_match_noise_oracle(self, noisy_report, noisy62, seeds8):
-        for (ds, x), rate in noisy_report.fn_rate_by_cell.items():
-            assert rate == expected_noisy_fn_rate(noisy62, seeds8, ds, x)
+        expected = max(
+            expected_noisy_fn_rate(noisy62, seeds8, ds, x)
+            for ds in iter_subsets_of_size(6, 2)
+            for x in ds
+        )
+        assert noisy_report.max_false_negative_rate == expected
         assert noisy_report.max_false_negative_rate == Fraction(43, 256)
 
     def test_fn_equals_delete_snapshot_fp(self, noisy_report):
@@ -205,7 +210,6 @@ class TestCheckReduction:
         report = check_reduction(exact62, seeds8[:4])
         assert report.false_positive_count == 0
         assert report.max_false_negative_rate == 0
-        assert all(rate == 0 for rate in report.fn_rate_by_cell.values())
 
     def test_fingerprint_base_shows_false_positives(self, seeds8):
         # deleting the dataset drains the multiset, so nothing is left to
@@ -291,9 +295,9 @@ SWEEP_MODELS = {
 REDUCTION_REPORT_FIELDS = (
     "u", "n", "model", "seed_bits", "seed_count", "dataset_count",
     "false_positive_count", "completeness_violations",
-    "max_false_negative_rate", "fn_rate_by_cell", "fn_matches_delete_fp",
+    "max_false_negative_rate", "fn_matches_delete_fp",
     "space_pair_bits", "space_budget_bits", "fail_fraction", "failed_pairs",
-    "first_false_positive", "misses_by_seed",
+    "first_false_positive", "misses_by_class",
 )
 
 
@@ -329,6 +333,24 @@ def reachable_behaviour(model, seed):
 
 class TestSeedClasses:
     @pytest.mark.parametrize("name", SEED_CLASS_MODELS)
+    def test_seed_classes_partition_the_seeds(self, name, seeds8):
+        model = SEED_CLASS_MODELS[name]
+        classes = seed_classes(model, seeds8)
+        keys = [model.seed_class(seed) for seed in seeds8]
+        class_keys = [model.seed_class(seed) for seed, _ in classes]
+        assert sum(weight for _, weight in classes) == len(seeds8)
+        # seeds with equal keys share one entry, and every key has one
+        assert len(set(class_keys)) == len(classes)
+        assert set(class_keys) == set(keys)
+        for (seed, weight), key in zip(classes, class_keys):
+            assert seeds8.index(seed) == keys.index(key)  # its first occurrence
+            assert weight == keys.count(key)
+        assert [seed.value for seed, _ in classes] == sorted(
+            seed.value for seed, _ in classes
+        )
+        assert seed_classes(model, seed_space(8)) == classes
+
+    @pytest.mark.parametrize("name", SEED_CLASS_MODELS)
     def test_equal_keys_behave_identically(self, name, seeds8):
         model = SEED_CLASS_MODELS[name]
         by_class = {}
@@ -359,13 +381,16 @@ class TestSeedClasses:
         model = wrap(base)
         seeds = list(seed_space(bits))
         fast = check_reduction(model, seeds)
-        assert len({id(row) for row in fast.misses_by_seed}) < len(seeds)
+        assert len(fast.misses_by_class) < len(seeds)
+        row_of_class = {model.seed_class(s): row for s, row in fast.misses_by_class}
+        per_seed = [(s, row_of_class[model.seed_class(s)]) for s in seeds]
         # the default key makes every seed its own class: plain brute force
         monkeypatch.setattr(type(base), "seed_class", FilterModel.seed_class)
         slow = check_reduction(model, seeds)
-        assert len({id(row) for row in slow.misses_by_seed}) == len(seeds)
+        # each seed's brute-force row is its class's row
+        assert slow.misses_by_class == per_seed
         assert ReductionReport.__slots__ == REDUCTION_REPORT_FIELDS
-        for name in ReductionReport.__slots__:
+        for name in ReductionReport.__slots__[:-1]:
             assert getattr(fast, name) == getattr(slow, name), name
         for alpha in (Fraction(2), Fraction(4)):
             params = BoundsParams(
@@ -375,7 +400,7 @@ class TestSeedClasses:
                 p_fail=fast.fail_fraction,
                 alpha=alpha,
             )
-            assert fast.best_seed(seeds, params) == slow.best_seed(seeds, params)
+            assert fast.best_seed(params) == slow.best_seed(params)
 
 
 def reference_yes(model, seed, state, tables):
@@ -396,11 +421,9 @@ def reference_sweep(model, seeds):
     """The sweep before the subset walk: per class, pair_init and yes-sets."""
     u, n = model.params.u, model.params.n
     datasets = list(iter_subsets_of_size(u, n))
-    classes, rows, tables = {}, [], {}
+    classes, tables = {}, {}
     for seed in seeds:
-        entry = classes.setdefault(model.seed_class(seed), [seed, 0, []])
-        entry[1] += 1
-        rows.append(entry[2])
+        classes.setdefault(model.seed_class(seed), [seed, 0, []])[1] += 1
     fn = {(ds, x): 0 for ds in datasets for x in ds}
     live = dict.fromkeys(datasets, 0)
     fp = incomplete = unexplained = failed = pair_bits = part_bits = 0
@@ -426,15 +449,16 @@ def reference_sweep(model, seeds):
             for x in misses:
                 fn[ds, x] += weight
             row.append(len(misses))
-    rates = {
-        cell: Fraction(count, live[cell[0]]) if live[cell[0]] else Fraction(0)
+    rates = [
+        Fraction(count, live[cell[0]]) if live[cell[0]] else Fraction(0)
         for cell, count in fn.items()
-    }
+    ]
     cells = len(seeds) * len(datasets)
+    rows = [(seed, row) for seed, _, row in classes.values()]
     return ReductionReport(
         u, n, model.describe(), seeds[0].bits if seeds else 0, len(seeds),
-        len(datasets), fp, incomplete, max(rates.values(), default=Fraction(0)),
-        rates, unexplained == 0, pair_bits, 2 * part_bits,
+        len(datasets), fp, incomplete, max(rates, default=Fraction(0)),
+        unexplained == 0, pair_bits, 2 * part_bits,
         Fraction(failed, cells) if cells else Fraction(0), failed, first_fp, rows,
     )
 
@@ -495,7 +519,7 @@ class TestSubsetWalk:
                 p_fail=walked.fail_fraction,
                 alpha=alpha,
             )
-            assert walked.best_seed(seeds, params) == reference.best_seed(seeds, params)
+            assert walked.best_seed(params) == reference.best_seed(params)
 
     @pytest.mark.parametrize(
         "wrap", [witness_transform, lambda base: base], ids=["witness", "bare"]
