@@ -7,9 +7,11 @@ Exit codes: 0 when every requested check passed, 1 when a check failed,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .bounds import (
     BoundsParams,
@@ -84,29 +86,31 @@ def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> Experi
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _report_text(report: dict, fmt: str) -> str:
-    if fmt == "csv" and report.get("command") == "fp-rate":
-        return fp_report_csv(report)
+def _report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _cmd_fp_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args, default_fp_config())
     report = run_fp_experiment(cfg)
-    _emit(_report_text(report, args.format), args.out)
+    text = fp_report_csv(report) if args.format == "csv" else _report_json(report)
+    _emit(text, args.out)
     return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     cfg = _load_config(args, default_demo_config())
     report = run_violation_demo(cfg)
-    _emit(_report_text(report, args.format), args.out)
+    _emit(_report_json(report), args.out)
     return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -180,14 +184,14 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad element list {args.elements!r}") from exc
     report = run_encode(cfg, elements)
-    _emit(_report_text(report, args.format), args.out)
+    _emit(_report_json(report), args.out)
     return EXIT_PASS
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     cfg = _load_config(args, default_verify_config())
     report = run_decode(cfg, args.state, args.index)
-    _emit(_report_text(report, args.format), args.out)
+    _emit(_report_json(report), args.out)
     return EXIT_PASS
 
 
@@ -198,47 +202,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed-bits", type=int, default=None, dest="seed_bits")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    # each add_argument builds a help formatter, which asks for the terminal
+    # size; the subcommands copy these actions from one parent instead
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--seed-bits", type=int, default=None, dest="seed_bits")
+    common.add_argument("--trials", type=int, default=None)
+    common.add_argument("--out", default=None, help="write the report here")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("fp-rate", help="Monte-Carlo false-positive rate")
-    common(p)
-    p.set_defaults(func=_cmd_fp_rate)
+    def add(
+        name: str, summary: str, func: Callable[[argparse.Namespace], int]
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("demo-violations", help="deterministic failure demos")
-    common(p)
-    p.set_defaults(func=_cmd_demo)
+    add("fp-rate", "Monte-Carlo false-positive rate", _cmd_fp_rate)
+    add("demo-violations", "deterministic failure demos", _cmd_demo)
+    add("verify", "run the exhaustive verification suite", _cmd_verify)
+    add("bounds", "evaluate bound checks from a config", _cmd_bounds)
 
-    p = sub.add_parser("verify", help="run the exhaustive verification suite")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bounds", help="evaluate bound checks from a config")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("encode", help="code a dataset as (state, index)")
-    common(p)
+    p = add("encode", "code a dataset as (state, index)", _cmd_encode)
     p.add_argument("--elements", required=True, help="comma separated elements")
-    p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="recover a dataset from (state, index)")
-    common(p)
+    p = add("decode", "recover a dataset from (state, index)", _cmd_decode)
     p.add_argument("--state", required=True, help="serialized paired state")
     p.add_argument("--index", required=True, type=int)
-    p.set_defaults(func=_cmd_decode)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A one-shot command needs none of its objects freed at exit, so it skips
+    # the interpreter's final collections: gc.freeze, run from atexit, moves
+    # the whole heap out of their reach. Streams are still flushed and other
+    # atexit handlers still run; a caller that runs main in-process keeps its
+    # live heap unfrozen until it exits. Unregistering first keeps one entry.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    args = build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and args.command != "fp-rate":
+            raise ConfigError("--format csv is only for fp-rate")
         return args.func(args)
     except (
         ConfigError,

@@ -1,11 +1,13 @@
 """Config plumbing, experiment runners, verification suite, CLI."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import time
@@ -553,6 +555,10 @@ class TestCli:
             # step budget, refused before any model step
             ({"models": [{"kind": "fingerprint_multiset", "u": 20, "n": 5,
                           "eps_plus": "1/2"}]}, ["verify", "--seed-bits", "16"]),
+            # a report that cannot be written, and a format only fp-rate has
+            (None, ["verify", "--out", "/nonexistent/dir/x.json"]),
+            (None, ["encode", "--elements", "1,3", "--out", "/nonexistent/x"]),
+            (None, ["verify", "--format", "csv"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -691,12 +697,107 @@ class TestCli:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "930aec3dc30e4cd04faaf0fb36f8acf6f1e909cfdc322b27e54c2687199e2a28"),
+            (["fp-rate"],
+             "93da46c6b2ccc7992a7d02ce89998d0515ddc014003e101bfa9ec2d5a0886db8"),
+            (["demo-violations"],
+             "e097e55fac57e0877efe23bbb89857ec3dc1784930fea550c9931b5fc77ae49c"),
+            (["verify"],
+             "8348400d3ef25fb8c5235cad0169960c90b10ec53d79986851999b37e7532e0c"),
+            (["bounds"],
+             "0deb2315abb3059cd5d57c34846bc30b724aed585c9ff1baa5d92425615e7e66"),
+            (["encode"],
+             "b21bbb4ec6109bb88a9f77ca0a3f073dc6b8b6767b3753ae92d4f455a9be81f8"),
+            (["decode"],
+             "267e2500cfc793ef63172983b6044dc19516167c25601aad4a65fd02a14d8d4f"),
+        ],
+        ids=["top", "fp_rate", "demo", "verify", "bounds", "encode", "decode"],
+    )
+    def test_help_text_is_pinned(self, argv, digest, monkeypatch, capsys):
+        # recorded from the parser that added every option to each
+        # subcommand one by one; sharing them must not move a byte
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
     def test_runs_as_a_module(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["filterbounds", "demo-violations"])
         with pytest.raises(SystemExit) as stop:
             runpy.run_module("filterbounds", run_name="__main__")
         assert stop.value.code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv, to_file",
+        [
+            (["fp-rate", "--trials", "500", "--format", "csv"], False),
+            (["fp-rate", "--trials", "500", "--format", "csv"], True),
+            (["encode", "--seed-bits", "6", "--elements", "1,3"], False),
+            (["verify", "--seed-bits", "4"], False),
+        ],
+        ids=["fp_rate_csv", "fp_rate_csv_out", "encode", "verify"],
+    )
+    def test_child_process_matches_in_process_main(
+        self, argv, to_file, tmp_path, capsys
+    ):
+        # the child exits through the frozen-heap teardown; its streams,
+        # --out file and exit code must be those of main run in-process
+        def outcome(label, run):
+            out = tmp_path / label
+            code, streams = run([*argv, "--out", str(out)] if to_file else argv)
+            return code, streams, out.read_bytes() if to_file else None
+
+        def child(args):
+            done = subprocess.run([sys.executable, "-m", "filterbounds", *args],
+                                  env=child_env(), capture_output=True, timeout=60)
+            return done.returncode, (done.stdout, done.stderr)
+
+        def in_process(args):
+            code = main(args)
+            captured = capsys.readouterr()
+            return code, (captured.out.encode(), captured.err.encode())
+
+        assert outcome("child", child) == outcome("main", in_process)
+
+    def test_main_leaves_the_live_heap_unfrozen(self, capsys):
+        # the freeze is an atexit hook; an in-process caller keeps its heap
+        before = gc.get_freeze_count()
+        assert main(["encode", "--seed-bits", "6", "--elements", "1,3"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_exit_freezes_only_after_main(self, tmp_path):
+        # a hook registered before main runs after main's freeze, at exit
+        script = (
+            "import atexit, gc, sys\n"
+            "from filterbounds.cli import main\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            "if sys.argv[1:]:\n"
+            "    main(sys.argv[1:])\n"
+        )
+
+        def frozen_at_exit(*args):
+            done = subprocess.run([sys.executable, "-c", script, *args],
+                                  env=child_env(), capture_output=True, text=True,
+                                  timeout=60)
+            assert done.returncode == 0
+            return int(done.stdout)
+
+        assert frozen_at_exit() == 0
+        out = str(tmp_path / "report.json")
+        assert frozen_at_exit("demo-violations", "--out", out) > 0
+
+
+def child_env():
+    """The environment for a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(filters.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 # -- exit-code fuzz: argv and config JSON of the wrong type or range
@@ -751,12 +852,15 @@ def fuzzed_config(draw, command):
 
 @st.composite
 def cli_calls(draw):
+    """argv, config and whether --out points into a missing directory."""
     command = draw(st.sampled_from(["fp-rate", "bounds", "encode", "decode"]))
     argv = [command]
+    fmt = draw(st.sampled_from([None, "json", "csv"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
     config = draw(st.none() | fuzzed_config(command))
     if command == "fp-rate":
         argv += ["--trials", str(draw(st.integers(-1, 100)))]
-        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
     elif command != "bounds":
         argv += ["--seed-bits", str(draw(st.sampled_from([-1, 0, 2, 4, 17])))]
     if command == "encode":
@@ -766,23 +870,28 @@ def cli_calls(draw):
         # the first state is what encode prints for 1,3 at two seed bits
         states = st.sampled_from(["5:01011/5:00000", "garbage", "FAIL/FAIL", "1:2"])
         argv += ["--state", draw(states), "--index", str(draw(st.integers(-1, 20)))]
-    return argv, config
+    return argv, config, draw(st.booleans())
 
 
 @settings(deadline=None, max_examples=300)
 @given(cli_calls())
 def test_cli_exit_code_contract_under_fuzzed_input(call):
-    argv, config = call
+    argv, config, out_missing = call
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = os.path.join(tmp, "config.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
             argv = [*argv, "--config", path]
+        if out_missing:
+            argv = [*argv, "--out", os.path.join(tmp, "missing", "report")]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
+    # every command writes its report before it returns 0 or 1
+    if out_missing or (argv[0] != "fp-rate" and argv[1:3] == ["--format", "csv"]):
+        assert code == 2
     if code == 2:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
