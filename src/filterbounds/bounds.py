@@ -133,7 +133,8 @@ class BoundsParams(_Record):
     @property
     def fn_limit(self) -> int:
         """Largest tolerated false-negative set size, floor(alpha*n*eps_minus)."""
-        return floor_frac(self.alpha * self.n * self.eps_minus)
+        alpha, eps = self.alpha, self.eps_minus
+        return alpha.numerator * self.n * eps.numerator // (alpha.denominator * eps.denominator)
 
 
 class CountingBoundResult(_Record):
@@ -166,12 +167,13 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoun
     """
     if fspace_bits < 0:
         raise ParamsOutOfRange("fspace_bits must be nonnegative")
-    u, top = params.u, min(params.fn_limit, params.u)
+    u, limit = params.u, params.fn_limit
+    top = min(limit, u)
     _check_exact_cost(
         "counting",
         fspace_bits + (top + 1) * _binom_bits(u, min(top, u // 2)) + _binom_bits(u, params.n),
     )
-    lhs = (1 << fspace_bits) * bounded_subset_count(params.u, params.fn_limit)
+    lhs = (1 << fspace_bits) * bounded_subset_count(u, limit)
     share = 1 - 1 / params.alpha - params.p_fail
     rhs = share * binom_exact(params.u, params.n)
     holds = lhs * rhs.denominator >= rhs.numerator
@@ -382,14 +384,13 @@ def encode_dataset(
     if not yes <= members:
         raise NotGoodPair(f"false positives {sorted(yes - members)} spoil the code")
     misses = members - yes
-    if len(misses) > params.fn_limit:
-        raise NotGoodPair(
-            f"{len(misses)} false negatives exceed limit {params.fn_limit}"
-        )
+    limit = params.fn_limit
+    if len(misses) > limit:
+        raise NotGoodPair(f"{len(misses)} false negatives exceed limit {limit}")
     ambient = sorted(set(range(u)) - yes)
     position = {x: i for i, x in enumerate(ambient)}
     miss_positions = tuple(sorted(position[x] for x in misses))
-    index = bounded_subset_index(miss_positions, len(ambient), params.fn_limit)
+    index = bounded_subset_index(miss_positions, len(ambient), limit)
     return DatasetCode(state, index)
 
 
@@ -411,9 +412,10 @@ def decode_dataset(
     u = static_filter.params.u
     yes = frozenset(_mask_elems(static_filter.yes_mask(seed, code.state)))
     ambient = sorted(set(range(u)) - yes)
-    if not 0 <= code.index < bounded_subset_count(len(ambient), params.fn_limit):
+    limit = params.fn_limit
+    if not 0 <= code.index < bounded_subset_count(len(ambient), limit):
         raise InvalidCode(f"index {code.index} out of range")
-    positions = bounded_subset_unindex(code.index, len(ambient), params.fn_limit)
+    positions = bounded_subset_unindex(code.index, len(ambient), limit)
     return yes | frozenset(ambient[p] for p in positions)
 
 

@@ -14,7 +14,6 @@ import sys
 from typing import Callable, NoReturn, Sequence
 
 from .bounds import (
-    BoundsParams,
     InvalidCode,
     NotGoodPair,
     ParamsOutOfRange,
@@ -27,6 +26,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
+    counting_inputs,
     default_demo_config,
     default_fp_config,
     default_verify_config,
@@ -61,18 +61,22 @@ def _parse_int(text: str) -> int:
         ) from None
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in a config file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return data
+
+
 def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+    data = _read_config(args.config) if args.config else {}
     cfg = config_from_dict(data, defaults)
     overrides = {}
     if args.seed_bits is not None:
@@ -124,14 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     checks = []
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read bounds config: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("bounds config must hold a JSON object")
-        checks = data.get("bounds_checks", [])
+        checks = _read_config(args.config).get("bounds_checks", [])
         if not isinstance(checks, list):
             raise ConfigError("bounds_checks must be a list")
     if not checks:
@@ -141,14 +138,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         try:
             kind = entry["check"]
             if kind == "counting":
-                params = BoundsParams(
-                    u=int(entry["u"]),
-                    n=int(entry["n"]),
-                    eps_minus=parse_fraction(entry.get("eps_minus", "0")),
-                    p_fail=parse_fraction(entry.get("p_fail", "0")),
-                    alpha=parse_fraction(entry.get("alpha", "2")),
-                )
-                result = check_counting_bound(int(entry["fspace_bits"]), params)
+                result = check_counting_bound(*counting_inputs(entry))
             elif kind == "binom_scaling":
                 result = check_binom_scaling(
                     int(entry["u"]),

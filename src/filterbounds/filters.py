@@ -41,17 +41,19 @@ fingerprint field of fp_bits followed by a count field of count_bits.  So
 the fingerprint fields sit count_bits above the low end of the state value
 and every fp_bits + count_bits bits above that, largest fingerprint lowest.
 
-The exact models step through two tables built on their first step: rank
-to set bitmask, and bitmask to state.  A model with more than
-RANK_TABLE_CAP subsets of size <= n ranks arithmetically instead, as
-encode_set and decode_set do.  yes_mask gives a state's yes-set as one int;
-its default asks query_bit for every element, so a subclass that overrides
-query_bit is still honoured.
+The exact models step through two memos filled as states are met: rank to
+set bitmask, and bitmask to state.  encode_set ranks each set once, when a
+step first reaches it, and decode_set unranks a state the model never
+handed out, such as one built from its rank, once; every later step on a
+state is two dict lookups.  Each memo holds at most one entry per subset
+of size <= n.  A mask bit stands for an element in the order elements are
+first met, so masks stay as narrow as the elements in play at any u.
+yes_mask gives a state's yes-set as one int; its default asks query_bit for
+every element, so a subclass that overrides query_bit is still honoured.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
@@ -66,7 +68,7 @@ from .combinat import (
     next_prime,
     width_for_count,
 )
-from .core import OpKind, Operation, OpSequence, UniverseParams, _Record, _set
+from .core import OpKind, Operation, OpSequence, UniverseParams, _mask_elems, _Record, _set
 
 
 class InvalidParams(ValueError):
@@ -231,10 +233,6 @@ def run_sequence(
 # 4,096, and u = n = 10**20 would never finish, so larger models are refused
 MAX_RANK_TERMS = 1024
 
-# the most subsets an exact model steps through lookup tables; above it
-# every step ranks arithmetically
-RANK_TABLE_CAP = 1 << 16
-
 
 class ExactSetModel(FilterModel):
     """Stores the dataset exactly; the state is a rank over small subsets.
@@ -257,11 +255,14 @@ class ExactSetModel(FilterModel):
             )
         self.params = params
         self.eps_plus = Fraction(eps_plus)
-        self._count = bounded_subset_count(params.u, params.n)
-        self._width = width_for_count(self._count)
-        # rank -> set mask and set mask -> state, built by the first step
-        self._masks: list[int] | None = None
+        self._width = width_for_count(bounded_subset_count(params.u, params.n))
+        # rank -> set mask and set mask -> state, filled as states are met;
+        # bit i of a mask stands for _elements[i], the i-th element met, so
+        # an element near a huge u costs one bit, not a huge integer
+        self._masks: dict[int, int] = {}
         self._states: dict[int, FilterState] = {}
+        self._bits: dict[int, int] = {}
+        self._elements: list[int] = []
 
     def encode_set(self, elems: Iterable[int]) -> FilterState:
         elems = tuple(sorted(elems))
@@ -275,55 +276,50 @@ class ExactSetModel(FilterModel):
             bounded_subset_unindex(state.value, self.params.u, self.params.n)
         )
 
-    def _mask(self, state: FilterState, x: int) -> int | None:
-        """The state's set as a bitmask from the rank table, or None to rank
-        arithmetically: above RANK_TABLE_CAP, and for the fail state, a rank
-        past the last subset or an x outside [0, u), which that path rejects."""
-        if self._masks is None:
-            if self._count > RANK_TABLE_CAP:
-                return None
-            u, width = self.params.u, self._width
-            # combinations of the descending universe, read backwards, come
-            # in colex order, the order of subset_rank
-            self._masks = [
-                sum(1 << y for y in c)
-                for k in range(min(u, self.params.n) + 1)
-                for c in reversed(list(itertools.combinations(range(u - 1, -1, -1), k)))
-            ]
-            self._states = {m: FilterState(r, width) for r, m in enumerate(self._masks)}
-        if state.fail or state.value >= len(self._masks) or not 0 <= x < self.params.u:
-            return None
-        return self._masks[state.value]
+    def _bit(self, x: int) -> int:
+        """x's bit in a set mask, given out the first time x is met."""
+        bit = self._bits.get(x)
+        if bit is None:
+            bit = self._bits[x] = 1 << len(self._elements)
+            self._elements.append(x)
+        return bit
+
+    def _state(self, mask: int) -> FilterState:
+        """The state of a set mask, ranked by encode_set the first time; a
+        set above capacity or outside [0, u) raises ValueError."""
+        state = self._states.get(mask)
+        if state is None:
+            elems = [self._elements[i] for i in _mask_elems(mask)]
+            state = self._states[mask] = self.encode_set(elems)
+            self._masks[state.value] = mask
+        return state
+
+    def _mask(self, state: FilterState) -> int:
+        """The set mask of a live state, unranked by decode_set the first
+        time; the fail state and a rank past the last subset raise."""
+        if state.fail:
+            raise FailStateError("cannot decode the fail state")
+        mask = self._masks.get(state.value)
+        if mask is None:
+            mask = self._masks[state.value] = sum(map(self._bit, self.decode_set(state)))
+            self._states[mask] = FilterState(state.value, self._width)
+        return mask
 
     def seed_class(self, seed: Seed) -> Hashable:
         return None  # the seed is never read
 
     def fresh_state(self, seed: Seed) -> FilterState:
-        return self.encode_set(())
+        return self._state(0)
 
     def insert_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        mask = self._mask(state, x)
-        if mask is None:
-            current = self.decode_set(state) | {x}
-            after = self.encode_set(current) if len(current) <= self.params.n else None
-        else:
-            # the only sets missing from the table are those above capacity
-            after = self._states.get(mask | 1 << x)
-        if after is None:
-            raise ValueError("insert beyond capacity on an invalid sequence")
-        return after
+        # bits are nonzero, so the get spares the call for an element met before
+        return self._state(self._mask(state) | (self._bits.get(x) or self._bit(x)))
 
     def delete_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        mask = self._mask(state, x)
-        if mask is None:
-            return self.encode_set(self.decode_set(state) - {x})
-        return self._states[mask & ~(1 << x)]
+        return self._state(self._mask(state) & ~self._bits.get(x, 0))
 
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
-        mask = self._mask(state, x)
-        if mask is None:
-            return 1 if x in self.decode_set(state) else 0
-        return mask >> x & 1
+        return 1 if self._mask(state) & self._bits.get(x, 0) else 0
 
 
 class NoisyExactModel(ExactSetModel):

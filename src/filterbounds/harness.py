@@ -516,6 +516,22 @@ def _sticky_check(model: FilterModel, report: ReductionReport) -> CheckResult:
     )
 
 
+def counting_inputs(entry: Mapping[str, Any]) -> tuple[int, BoundsParams]:
+    """(fspace_bits, params) of a counting-bound entry: u, n and fspace_bits,
+    with alpha 2, eps_minus 0 and p_fail 0 unless given.
+
+    Raises KeyError, TypeError or ValueError on a missing or bad field.
+    """
+    params = BoundsParams(
+        u=int(entry["u"]),
+        n=int(entry["n"]),
+        alpha=parse_fraction(entry.get("alpha", "2")),
+        eps_minus=parse_fraction(entry.get("eps_minus", "0")),
+        p_fail=parse_fraction(entry.get("p_fail", "0")),
+    )
+    return int(entry["fspace_bits"]), params
+
+
 def _measured_params(
     spec: ModelSpec, report: ReductionReport, alpha: Fraction
 ) -> BoundsParams:
@@ -580,8 +596,9 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
     injectivity and round-trip, and the counting bound at each configured
     alpha using the measured space and error rates.
     Followed by the negative probe (a capacity the counting bound must
-    reject) and the binomial scaling grid.  An empty zoo yields zero
-    checks and a warning.
+    reject) and the binomial scaling grid, both evaluated before the first
+    sweep so that a bad one fails fast.  An empty zoo yields zero checks
+    and a warning.
     """
     checks: list[CheckResult] = []
     warn_messages: list[str] = []
@@ -592,6 +609,19 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
         return VerificationReport(
             "verification", checks, warn_messages, cfg.seed_bits, cfg.config_hash()
         )
+    probe_result = None
+    if cfg.negative_probe is not None:
+        try:
+            probe = counting_inputs(cfg.negative_probe)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad negative probe {cfg.negative_probe!r}") from exc
+        probe_result = check_counting_bound(*probe)
+    grid_results = [
+        check_binom_scaling(u, n, beta)
+        for u in cfg.grid.u_values
+        for n in cfg.grid.n_values
+        for beta in cfg.grid.beta_values
+    ]
     seeds = list(seed_space(cfg.seed_bits))
     for spec in cfg.models:
         base = spec.build()
@@ -628,33 +658,14 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
                 {"results": [r.to_json_dict() for r in counting]},
             )
         )
-    if cfg.negative_probe is not None:
-        probe = cfg.negative_probe
-        try:
-            probe_params = BoundsParams(
-                u=int(probe["u"]),
-                n=int(probe["n"]),
-                alpha=parse_fraction(probe.get("alpha", "2")),
-                eps_minus=parse_fraction(probe.get("eps_minus", "0")),
-                p_fail=parse_fraction(probe.get("p_fail", "0")),
-            )
-            probe_bits = int(probe["fspace_bits"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad negative probe {probe!r}") from exc
-        result = check_counting_bound(probe_bits, probe_params)
+    if probe_result is not None:
         checks.append(
             CheckResult(
                 "counting_bound_negative_probe",
-                not result.holds,
-                result.to_json_dict(),
+                not probe_result.holds,
+                probe_result.to_json_dict(),
             )
         )
-    grid_results = [
-        check_binom_scaling(u, n, beta)
-        for u in cfg.grid.u_values
-        for n in cfg.grid.n_values
-        for beta in cfg.grid.beta_values
-    ]
     checks.append(
         CheckResult(
             "binom_scaling_grid",

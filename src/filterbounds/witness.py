@@ -35,18 +35,13 @@ STEP_BUDGET = 10**7
 
 
 def check_enumeration_budget(
-    u: int,
-    n: int,
-    seed_count: int = 0,
-    class_count: int = 0,
-    *,
-    dataset_budget: int = DATASET_BUDGET,
+    u: int, n: int, seed_count: int = 0, class_count: int = 0
 ) -> int:
     """Refuse, before any model step, a sweep too large; return C(u, n)."""
     dataset_count = binom_exact(u, n)
-    if dataset_count > dataset_budget:
+    if dataset_count > DATASET_BUDGET:
         raise EnumerationTooLarge(
-            f"{dataset_count} datasets exceed budget {dataset_budget}"
+            f"{dataset_count} datasets exceed budget {DATASET_BUDGET}"
         )
     if seed_count > SEED_BUDGET:
         raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
@@ -79,10 +74,18 @@ def state_after(
         if state.fail:
             return state
         state = model.insert_state(seed, state, x)
-    for x in sorted(delete_elems):
+    return delete_run(model, seed, state, sorted(delete_elems))
+
+
+def delete_run(
+    model: FilterModel, seed: Seed, state: FilterState, elems: Iterable[int]
+) -> FilterState:
+    """State after deleting elems in the order given, stopping at the fail state."""
+    delete = model.delete_state
+    for x in elems:
         if state.fail:
-            return state
-        state = model.delete_state(seed, state, x)
+            break
+        state = delete(seed, state, x)
     return state
 
 
@@ -125,8 +128,8 @@ class WitnessModel(FilterModel):
     enumeration budget enforced at construction.
     """
 
-    def __init__(self, base: FilterModel, budget: int = DATASET_BUDGET):
-        check_enumeration_budget(base.params.u, base.params.n, dataset_budget=budget)
+    def __init__(self, base: FilterModel):
+        check_enumeration_budget(base.params.u, base.params.n)
         self.base = base
         self.kind = base.kind
         self.params = base.params
@@ -180,9 +183,9 @@ class WitnessModel(FilterModel):
         return f"witness({self.base.describe()})"
 
 
-def witness_transform(base: FilterModel, budget: int = DATASET_BUDGET) -> WitnessModel:
+def witness_transform(base: FilterModel) -> WitnessModel:
     """Wrap a model so its queries answer via witness search."""
-    return WitnessModel(base, budget)
+    return WitnessModel(base)
 
 
 def check_sticky(

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterbounds import filters
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
 from filterbounds.core import (
     UniverseParams,
@@ -584,53 +583,45 @@ def reference_exact_step(model, seed, state, op, x):
 
 
 class TestExactRankTables:
-    """Table-backed exact steps equal arithmetic ranking, below and above the cap."""
+    """Memoized exact steps equal arithmetic ranking."""
 
     @settings(deadline=None)
     @given(
         st.integers(1, 10),
         st.integers(1, 4),
         st.booleans(),
-        st.booleans(),
         st.integers(0, 255),
         st.data(),
     )
-    def test_steps_equal_arithmetic_ranking(self, u, n, noisy, tabled, seed, data):
+    def test_steps_equal_arithmetic_ranking(self, u, n, noisy, seed, data):
         params = UniverseParams(u, n)
-        count = bounded_subset_count(u, n)
-        # the cap at the model's subset count keeps the tables, one below it
-        # sends every step through arithmetic ranking
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(filters, "RANK_TABLE_CAP", count if tabled else count - 1)
-            if noisy:
-                noise_m = data.draw(st.integers(0, u))
-                model = NoisyExactModel(params, Fraction(1), noise_m)
-            else:
-                model = ExactSetModel(params)
-            seed = Seed(seed, 8)
-            state = model.fresh_state(seed)
-            ops = data.draw(st.lists(
-                st.tuples(st.sampled_from(["ins", "del", "query"]), st.integers(-1, u)),
-                max_size=12,
-            ))
-            for op, x in ops:
-                try:
-                    want = reference_exact_step(model, seed, state, op, x)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        model.insert_state(seed, state, x)
-                    continue
-                if op == "query":
-                    assert model.query_bit(seed, state, x) == want
-                    continue
-                step = model.insert_state if op == "ins" else model.delete_state
-                state = step(seed, state, x)
-                assert state == want
-            if any(0 <= x < u for _, x in ops):
-                assert (model._masks is not None) == tabled
+        if noisy:
+            noise_m = data.draw(st.integers(0, u))
+            model = NoisyExactModel(params, Fraction(1), noise_m)
+        else:
+            model = ExactSetModel(params)
+        seed = Seed(seed, 8)
+        state = model.fresh_state(seed)
+        ops = data.draw(st.lists(
+            st.tuples(st.sampled_from(["ins", "del", "query"]), st.integers(-1, u)),
+            max_size=12,
+        ))
+        for op, x in ops:
+            try:
+                want = reference_exact_step(model, seed, state, op, x)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    model.insert_state(seed, state, x)
+                continue
+            if op == "query":
+                assert model.query_bit(seed, state, x) == want
+                continue
+            step = model.insert_state if op == "ins" else model.delete_state
+            state = step(seed, state, x)
+            assert state == want
 
     def test_bad_states_still_raise(self):
-        # a rank past the last subset and the fail state leave the tables
+        # a rank past the last subset and the fail state are never memoized
         model = ExactSetModel(P62)  # 22 subsets in 5 bits
         past = FilterState(22, 5)
         for step in (model.insert_state, model.delete_state, model.query_bit):
@@ -638,6 +629,56 @@ class TestExactRankTables:
                 step(S0, past, 0)
             with pytest.raises(FailStateError):
                 step(S0, FAIL_STATE, 0)
+
+    def test_elements_near_a_huge_universe_step_exactly(self):
+        # demo-violations builds its exact control at the fingerprint
+        # model's u, which may be near 2**64; a step never unranks a state
+        # the model handed out, which at such a u scans up to the element
+        u = 2**64 - 59
+        model = ExactSetModel(UniverseParams(u, 2))
+        x, y = u - 2, u - 1
+        state = model.insert_state(S0, model.fresh_state(S0), y)
+        assert state == model.encode_set((y,))
+        assert model.query_bit(S0, state, y) == 1
+        assert model.query_bit(S0, state, x) == 0
+        assert model.delete_state(S0, state, x) == state
+        assert model.delete_state(S0, state, y) == model.encode_set(())
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_states_never_handed_out_step_like_own_states(self, noisy):
+        def build():
+            if noisy:
+                return NoisyExactModel(P62, Fraction(1, 6), 1)
+            return ExactSetModel(P62)
+
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except ValueError as exc:
+                return type(exc)
+
+        other = build()
+        seed = Seed(3, 8)
+        for k in range(3):
+            for ds in itertools.combinations(range(6), k):
+                foreign = other.encode_set(ds)
+                for state in (foreign, FilterState(foreign.value, foreign.nbits)):
+                    # a cold model meets the state before reaching its set
+                    model = build()
+                    got = [
+                        outcome(step, seed, state, x)
+                        for step in (model.query_bit, model.insert_state, model.delete_state)
+                        for x in range(-1, 7)
+                    ]
+                    own = model.fresh_state(seed)
+                    for x in ds:
+                        own = model.insert_state(seed, own, x)
+                    assert own == state
+                    assert got == [
+                        outcome(step, seed, own, x)
+                        for step in (model.query_bit, model.insert_state, model.delete_state)
+                        for x in range(-1, 7)
+                    ]
 
 
 class TestHashPairMemo:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterbounds.bounds import BoundsParams
-from filterbounds.combinat import iter_subsets_of_size
+from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
@@ -33,6 +33,7 @@ from filterbounds.reduction import (
     pair_query,
     parse_paired_state,
 )
+from filterbounds import witness
 from filterbounds.witness import (
     EnumerationTooLarge,
     WitnessModel,
@@ -239,9 +240,10 @@ class TestCheckReduction:
         assert report.fail_fraction == 0
         assert report.max_false_negative_rate == 0
 
-    def test_dataset_budget_guard(self, noisy62, seeds8):
+    def test_dataset_budget_guard(self, noisy62, seeds8, monkeypatch):
+        monkeypatch.setattr(witness, "DATASET_BUDGET", 10)
         with pytest.raises(EnumerationTooLarge):
-            check_reduction(noisy62, seeds8[:1], dataset_budget=10)
+            check_reduction(noisy62, seeds8[:1])
 
     def test_seed_budget_guard(self, noisy62):
         seeds = [Seed(0, 17)] * ((1 << 16) + 1)
@@ -540,6 +542,34 @@ class TestSubsetWalk:
         u, n, classes = 8, 3, 8
         prefixes = sum(comb(u - n + k, k) for k in range(1, n + 1))
         assert len(inserts) == classes * prefixes
+
+    @pytest.mark.parametrize(
+        "kind, noise_m, wrap",
+        [("exact_set", 0, lambda base: base), ("noisy_exact", 1, witness_transform)],
+        ids=["exact_set", "witness_noisy_exact"],
+    )
+    def test_each_set_is_ranked_once(self, kind, noise_m, wrap):
+        # the exact models' memos rank a set the first time a step meets it,
+        # and never unrank a state they handed out
+        base = make_model(kind, UniverseParams(8, 3), Fraction(1, 8), noise_m=noise_m)
+        ranked, unranked = [], []
+        encode, decode = base.encode_set, base.decode_set
+
+        def counted_encode(elems):
+            state = encode(elems)
+            ranked.append(state.value)
+            return state
+
+        def counted_decode(state):
+            unranked.append(state.value)
+            return decode(state)
+
+        base.encode_set, base.decode_set = counted_encode, counted_decode
+        check_reduction(wrap(base), list(seed_space(4)))
+        assert ranked and len(ranked) == len(set(ranked))
+        assert unranked == []
+        cap = bounded_subset_count(8, 3)
+        assert len(base._masks) <= cap and len(base._states) <= cap
 
     @settings(deadline=None, max_examples=60)
     @given(

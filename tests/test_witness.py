@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from filterbounds import witness
 from filterbounds.combinat import iter_subsets_of_size
 from filterbounds.core import UniverseParams, op_del, op_ins, op_init, validate_sequence
 from filterbounds.filters import (
@@ -78,9 +79,11 @@ class TestStateAfter:
 
 
 class TestWitnessModel:
-    def test_budget_guard(self, exact62):
-        with pytest.raises(EnumerationTooLarge):
-            WitnessModel(exact62, budget=10)
+    def test_budget_guard(self, exact62, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "DATASET_BUDGET", 10)
+            with pytest.raises(EnumerationTooLarge):
+                WitnessModel(exact62)
         big = FingerprintMultisetModel(UniverseParams(40, 10), Fraction(1, 2))
         with pytest.raises(EnumerationTooLarge):
             witness_transform(big)  # C(40, 10) > 10**6
