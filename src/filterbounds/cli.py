@@ -10,6 +10,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 from typing import Callable, NoReturn, Sequence
 
@@ -27,7 +28,6 @@ from .harness import (
     ExperimentConfig,
     config_from_dict,
     counting_inputs,
-    default_demo_config,
     default_fp_config,
     default_verify_config,
     fp_report_csv,
@@ -36,7 +36,6 @@ from .harness import (
     run_encode,
     run_fp_experiment,
     run_verification_suite,
-    run_violation_demo,
 )
 from .witness import EnumerationTooLarge
 
@@ -88,6 +87,16 @@ def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> Experi
     return cfg
 
 
+def _check_out(out: str) -> None:
+    # refuse what open() is sure to refuse before the command does its work;
+    # _emit still reports every other failure to write
+    if os.path.isdir(out):
+        raise ConfigError(f"cannot write report {out}: it is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write report {out}: {parent} is not a directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -112,6 +121,9 @@ def _cmd_fp_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    # only this command runs the demo and the sequence algebra under it
+    from .demo import default_demo_config, run_violation_demo
+
     cfg = _load_config(args, default_demo_config())
     report = run_violation_demo(cfg)
     _emit(_report_json(report), args.out)
@@ -235,6 +247,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command != "fp-rate":
             raise ConfigError("--format csv is only for fp-rate")
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (
         ConfigError,

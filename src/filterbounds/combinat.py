@@ -54,12 +54,17 @@ def subset_unrank(rank: int, size: int, ambient: int) -> tuple[int, ...]:
     r = rank
     upper = ambient
     for i in range(size, 0, -1):
-        # largest c < upper with C(c, i) <= r; upper keeps picks distinct
-        c = i - 1
-        while c + 1 < upper and math.comb(c + 1, i) <= r:
-            c += 1
-        if c >= upper or math.comb(c, i) > r:
+        # largest c < upper with C(c, i) <= r, by binary search over
+        # [i - 1, upper - 1], where C(i - 1, i) = 0; upper keeps picks distinct
+        c, hi = i - 1, upper - 1
+        if c > hi:
             raise ValueError(f"rank {rank} has no size-{size} subset in [{ambient}]")
+        while c < hi:
+            mid = (c + hi + 1) // 2
+            if math.comb(mid, i) <= r:
+                c = mid
+            else:
+                hi = mid - 1
         out.append(c)
         r -= math.comb(c, i)
         upper = c

@@ -9,11 +9,15 @@ Monte-Carlo runs draw 64-bit filter seeds; their workloads are generated
 from a separate stream seeded before and independently of the filter
 seeds, so the adversary stays oblivious.  Exhaustive runs enumerate a
 small seed space in full and use rational arithmetic throughout.
+
+Every command imports this module, so it holds only what they share and
+the runners of fp-rate, verify, encode and decode.  The demo-violations
+runner and its default config are in filterbounds.demo, which cli imports
+only for that command.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -34,21 +38,13 @@ from .bounds import (
     find_best_seed,  # unused here; perfbench's tracer test looks it up on this module
 )
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
-from .core import (
-    OpSequence,
-    UniverseParams,
-    _Record,
-    format_sequence,
-    parse_sequence,
-)
+from .core import UniverseParams, _Record
 from .filters import (
     FilterModel,
     FingerprintMultisetModel,
     ModelKind,
     draw_seed,
     make_model,
-    run_sequence,
-    seed_classes,
     seed_space,
 )
 from .reduction import (
@@ -58,6 +54,17 @@ from .reduction import (
     parse_paired_state,
 )
 from .witness import SEED_BUDGET, witness_transform
+
+# hashlib loads OpenSSL, which costs every command milliseconds and
+# megabytes for one short digest; the interpreter's own SHA-256 module
+# gives the same digest, as random.py does for its _sha512
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -206,7 +213,7 @@ class ExperimentConfig(
         canonical = json.dumps(
             self.resolved_dict(), sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return sha256(canonical.encode()).hexdigest()[:16]
 
 
 # the widest seed space check_enumeration_budget admits
@@ -294,20 +301,6 @@ def default_fp_config() -> ExperimentConfig:
     )
 
 
-def default_demo_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        models=(
-            ModelSpec(
-                "fingerprint_multiset",
-                8,
-                2,
-                Fraction(1, 2),
-                collision_table=((1, 0), (2, 0)),
-            ),
-        ),
-    )
-
-
 def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95 percent Wilson score interval for a binomial proportion."""
     if trials < 1:
@@ -392,79 +385,6 @@ def fp_report_csv(report: Mapping[str, Any]) -> str:
     header = ",".join(FP_CSV_COLUMNS)
     row = ",".join(str(report[c]) for c in FP_CSV_COLUMNS)
     return f"{header}\n{row}\n"
-
-
-def _demo_sequences(u: int, n: int, x: int, y: int) -> dict[str, OpSequence]:
-    fn_text = f"u={u} n={n}\ninit\nins {y}\ndel {x}\nquery {y}\n"
-    fp_text = f"u={u} n={n}\ninit\nins {x}\nins {x}\ndel {x}\nquery {x}\n"
-    return {
-        "false_negative": parse_sequence(fn_text),
-        "false_positive": parse_sequence(fp_text),
-    }
-
-
-def run_violation_demo(cfg: ExperimentConfig) -> dict:
-    """Deterministic failure demonstrations for the fingerprint scheme.
-
-    With a forced fingerprint collision between x and y, deleting absent x
-    right after inserting y erases y (a false negative on a member), and a
-    duplicate insert of x followed by one delete leaves x visible in the
-    empty dataset (a false positive).  Both events must occur for every
-    seed; the same sequences on an exact-set model must show nothing.
-    Each model runs the sequences once per seed class, weighted by its size.
-    """
-    if not cfg.models:
-        raise ConfigError("violation demo needs a model spec")
-    spec = cfg.models[0]
-    model = spec.build()
-    if not isinstance(model, FingerprintMultisetModel) or not model.collision_table:
-        raise ConfigError("violation demo needs a fingerprint model with a collision table")
-    colliders = sorted(model.collision_table)
-    if len(colliders) < 2:
-        raise ConfigError("collision table must force at least two elements together")
-    x, y = colliders[0], colliders[1]
-    if model.collision_table[x] != model.collision_table[y]:
-        raise ConfigError("the first two collision table entries must collide")
-    seqs = _demo_sequences(model.params.u, model.params.n, x, y)
-    control = make_model("exact_set", model.params)
-    seeds = list(seed_space(cfg.seed_bits))
-
-    def events(m: FilterModel) -> tuple[int, int]:
-        # seeds whose false-negative run ends in 0 and false-positive run in 1
-        fn = fp = 0
-        for seed, weight in seed_classes(m, seeds):
-            fn += weight * (run_sequence(m, seed, seqs["false_negative"])[1][-1] == 0)
-            fp += weight * (run_sequence(m, seed, seqs["false_positive"])[1][-1] == 1)
-        return fn, fp
-
-    fn_events, fp_events = events(model)
-    control_fn, control_fp = events(control)
-    total = len(seeds)
-    fn_freq = Fraction(fn_events, total)
-    fp_freq = Fraction(fp_events, total)
-    passed = (
-        fn_freq == 1
-        and fp_freq == 1
-        and control_fn == 0
-        and control_fp == 0
-    )
-    return {
-        "command": "demo-violations",
-        "model": model.describe(),
-        "collision_pair": [x, y],
-        "seed_bits": cfg.seed_bits,
-        "sequences": {
-            name: format_sequence(seq) for name, seq in seqs.items()
-        },
-        "false_negative_frequency": frac_str(fn_freq),
-        "false_positive_frequency": frac_str(fp_freq),
-        "control_model": control.describe(),
-        "control_false_negative_frequency": frac_str(Fraction(control_fn, total)),
-        "control_false_positive_frequency": frac_str(Fraction(control_fp, total)),
-        "passed": passed,
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash(),
-    }
 
 
 class CheckResult(_Record, frozen=False, defaults={"details": dict}):

@@ -23,26 +23,24 @@ from filterbounds.bounds import (
 )
 from filterbounds.cli import main as cli_main
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
-from filterbounds.core import (
-    OpClass,
-    OpKind,
-    UniverseParams,
-    classify_ops,
-    dataset_trace,
-    enumerate_sequences,
-    rewrite_del_to_dup,
-    rewrite_dup_to_del,
-)
+from filterbounds.core import OpKind, UniverseParams
+from filterbounds.demo import default_demo_config, run_violation_demo
 from filterbounds.filters import seed_space
 from filterbounds.harness import (
     default_fp_config,
     default_verify_config,
     negative_control_config,
     run_fp_experiment,
-    run_violation_demo,
-    default_demo_config,
 )
 from filterbounds.reduction import PairedStaticFilter, check_reduction
+from filterbounds.sequences import (
+    OpClass,
+    classify_ops,
+    dataset_trace,
+    enumerate_sequences,
+    rewrite_del_to_dup,
+    rewrite_dup_to_del,
+)
 from filterbounds.witness import check_sticky, witness_transform
 
 

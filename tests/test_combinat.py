@@ -1,12 +1,15 @@
 """Exact combinatorics: oracle cross-checks and frozen values."""
 
 import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from filterbounds import combinat
 from filterbounds.combinat import (
     PRIME_TEST_LIMIT,
     binom_exact,
@@ -20,6 +23,8 @@ from filterbounds.combinat import (
     subset_unrank,
     width_for_count,
 )
+from filterbounds.core import UniverseParams
+from filterbounds.filters import ExactSetModel
 
 
 def pascal_binom(n: int, k: int) -> int:
@@ -74,6 +79,70 @@ def test_subset_unrank_rejects_out_of_range():
         subset_unrank(binom_exact(5, 2), 2, 5)
     with pytest.raises(ValueError):
         subset_unrank(1, 0, 5)
+
+
+def linear_unrank(rank: int, size: int, ambient: int) -> tuple[int, ...]:
+    """Reference: subset_unrank by a linear scan for each element."""
+    if rank < 0:
+        raise ValueError(f"rank must be nonnegative, got {rank}")
+    if size == 0:
+        if rank != 0:
+            raise ValueError("rank of the empty subset must be 0")
+        return ()
+    out = []
+    r = rank
+    upper = ambient
+    for i in range(size, 0, -1):
+        c = i - 1
+        while c + 1 < upper and math.comb(c + 1, i) <= r:
+            c += 1
+        if c >= upper or math.comb(c, i) > r:
+            raise ValueError(f"rank {rank} has no size-{size} subset in [{ambient}]")
+        out.append(c)
+        r -= math.comb(c, i)
+        upper = c
+    if r != 0:
+        raise ValueError(f"rank {rank} out of range for size {size} in [{ambient}]")
+    out.reverse()
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_subset_unrank_matches_the_linear_scan():
+    # every rank, and the first ranks past the end, which both refuse alike
+    for ambient in range(11):
+        for size in range(5):
+            for rank in range(-1, binom_exact(ambient, size) + 2):
+                assert outcome(subset_unrank, rank, size, ambient) == outcome(
+                    linear_unrank, rank, size, ambient
+                ), (rank, size, ambient)
+
+
+def test_decode_near_the_top_of_a_huge_universe_is_logarithmic(monkeypatch):
+    # a linear scan would take about 2**64 math.comb calls for this set
+    u = 2**64 - 59
+    model = ExactSetModel(UniverseParams(u, 2))
+    elems = {5, 2**64 - 60}
+    state = model.encode_set(elems)
+    # per element, one probe per halving of its range and one to subtract;
+    # three block sizes find the subset size
+    budget = 2 * (u.bit_length() + 1) + 3
+    calls = 0
+
+    def comb(n, k):
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, "subset_unrank scans instead of bisecting"
+        return math.comb(n, k)
+
+    monkeypatch.setattr(combinat, "math", SimpleNamespace(comb=comb))
+    assert model.decode_set(state) == elems
 
 
 @pytest.mark.parametrize("ambient,max_size", [(0, 0), (4, 0), (5, 2), (6, 6)])

@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterbounds.core import (
+from filterbounds.core import Operation, OpKind, OpSequence, UniverseParams
+from filterbounds.sequences import (
     ArgOutOfUniverse,
     CardinalityExceeded,
     FirstOpNotInit,
-    Operation,
     OpClass,
-    OpKind,
-    OpSequence,
-    UniverseParams,
     classify_ops,
     dataset_trace,
     enumerate_sequences,

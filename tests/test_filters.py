@@ -9,16 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
-from filterbounds.core import (
-    UniverseParams,
-    dataset_trace,
-    enumerate_sequences,
-    op_del,
-    op_init,
-    op_ins,
-    op_query,
-    validate_sequence,
-)
+from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
     ExactSetModel,
@@ -38,6 +29,15 @@ from filterbounds.filters import (
     run_sequence,
     seed_space,
     seed_word,
+)
+from filterbounds.sequences import (
+    dataset_trace,
+    enumerate_sequences,
+    op_del,
+    op_init,
+    op_ins,
+    op_query,
+    validate_sequence,
 )
 
 P62 = UniverseParams(6, 2)

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterbounds import filters
+from filterbounds import cli, filters
 from filterbounds.bounds import BoundsParams, find_best_seed
 from filterbounds.cli import main
 from filterbounds.combinat import iter_subsets_of_size
+from filterbounds.demo import default_demo_config, run_violation_demo
 from filterbounds.filters import ExactSetModel, FailStateError, seed_space
 from filterbounds.harness import (
     ConfigError,
@@ -30,7 +31,6 @@ from filterbounds.harness import (
     GridSpec,
     ModelSpec,
     config_from_dict,
-    default_demo_config,
     default_fp_config,
     default_verify_config,
     fp_report_csv,
@@ -41,7 +41,6 @@ from filterbounds.harness import (
     run_encode,
     run_fp_experiment,
     run_verification_suite,
-    run_violation_demo,
     wilson_interval,
 )
 from filterbounds.reduction import PairedStaticFilter
@@ -454,6 +453,30 @@ class TestCli:
         assert main(["demo-violations", "--out", str(target)]) == 0
         assert json.loads(target.read_text())["passed"] is True
 
+    @pytest.mark.parametrize("where", ["missing/x", ""], ids=["no-parent", "directory"])
+    def test_unwritable_out_is_refused_before_any_work(
+        self, where, tmp_path, monkeypatch, capsys
+    ):
+        def never(cfg):
+            raise AssertionError("fp-rate ran although --out cannot be written")
+
+        monkeypatch.setattr(cli, "run_fp_experiment", never)
+        out = str(tmp_path / where)
+        assert main(["fp-rate", "--trials", "10000000", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report {out}:")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_fails_only_when_opened_exits_two(self, tmp_path, capsys):
+        # a dangling link passes the early check; the write reports it
+        link = tmp_path / "report.json"
+        link.symlink_to(tmp_path / "missing" / "report.json")
+        assert main(["fp-rate", "--trials", "100", "--out", str(link)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report {link}: [Errno")
+        assert len(err.splitlines()) == 1
+
     def test_bounds_mixed_entries(self, tmp_path, capsys):
         config = {
             "bounds_checks": [
@@ -791,6 +814,72 @@ class TestCli:
         assert frozen_at_exit() == 0
         out = str(tmp_path / "report.json")
         assert frozen_at_exit("demo-violations", "--out", out) > 0
+
+
+DEFAULT_CONFIGS = [
+    default_verify_config,
+    negative_control_config,
+    default_fp_config,
+    default_demo_config,
+]
+
+
+class TestStartup:
+    """What a command's process loads: never OpenSSL, and the sequence
+    algebra and the demo only for demo-violations."""
+
+    def test_no_command_loads_openssl(self, tmp_path):
+        checks = [{"check": "counting", "u": 8, "n": 2, "fspace_bits": 5}]
+        config = tmp_path / "bounds.json"
+        config.write_text(json.dumps({"bounds_checks": checks}))
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from filterbounds.cli import main\n"
+            "def run(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(list(argv)) == 0, argv\n"
+            "    return json.loads(out.getvalue())\n"
+            "code = run('encode', '--seed-bits', '3', '--elements', '1,3')\n"
+            "run('decode', '--seed-bits', '3', '--state', code['state'],"
+            " '--index', code['index'])\n"
+            "run('verify', '--seed-bits', '3')\n"
+            "run('fp-rate', '--trials', '100')\n"
+            "run('bounds', '--config', sys.argv[1])\n"
+            "before_demo = sorted(sys.modules)\n"
+            "run('demo-violations', '--seed-bits', '3')\n"
+            "print(json.dumps([before_demo, sorted(sys.modules)]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, str(config)],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=60, check=True)
+        before_demo, loaded = json.loads(done.stdout)
+        assert "_hashlib" not in loaded and "hashlib" not in loaded
+        assert "filterbounds.sequences" not in before_demo
+        assert "filterbounds.demo" not in before_demo
+        assert "filterbounds.demo" in loaded
+
+    @pytest.mark.parametrize("make", DEFAULT_CONFIGS)
+    def test_config_hash_is_the_sha256_prefix_of_the_canonical_config(self, make):
+        cfg = make()
+        canonical = json.dumps(cfg.resolved_dict(), sort_keys=True, separators=(",", ":"))
+        assert cfg.config_hash() == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+    def test_config_hash_falls_back_to_hashlib(self):
+        # without the interpreter's own SHA-256 module hashlib gives the digest
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from filterbounds import demo, harness\n"
+            "assert harness.sha256 is hashlib.sha256\n"
+            "for make in (harness.default_verify_config, harness.negative_control_config,\n"
+            "             harness.default_fp_config, demo.default_demo_config):\n"
+            "    print(make().config_hash())\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == [make().config_hash() for make in DEFAULT_CONFIGS]
 
 
 def child_env():

@@ -6,6 +6,7 @@ a hash for the frozen ones, and the dataclass repr text.
 """
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -26,12 +27,10 @@ from filterbounds.bounds import (
     SpaceBound,
 )
 from filterbounds.core import (
-    DatasetTrace,
     _Record,
     Operation,
     OpKind,
     OpSequence,
-    RewriteResult,
     UniverseParams,
 )
 from filterbounds.filters import FilterState, Seed
@@ -44,6 +43,7 @@ from filterbounds.harness import (
     VerificationReport,
 )
 from filterbounds.reduction import PairedState, ReductionReport
+from filterbounds.sequences import DatasetTrace, RewriteResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -321,7 +321,9 @@ def test_record_construction_checks_still_raise(build, error):
 
 def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     # every command is one short process, so the modules its import drags
-    # in are paid on every run; these two cost several milliseconds
+    # in are paid on every run; dataclasses and inspect cost several
+    # milliseconds, hashlib loads OpenSSL, and only demo-violations runs the
+    # sequence algebra and the demo
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -334,5 +336,37 @@ def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     )
     added = out.stdout.split()
     assert "filterbounds.cli" in added
-    assert "dataclasses" not in added
-    assert "inspect" not in added
+    for name in ("dataclasses", "inspect", "hashlib", "_hashlib",
+                 "filterbounds.sequences", "filterbounds.demo"):
+        assert name not in added
+
+
+def test_package_names_resolve_lazily():
+    # importing the package loads no module; each name loads its own
+    probe = (
+        "import sys\n"
+        "import filterbounds\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('filterbounds.')))\n"
+        "filterbounds.run_fp_experiment\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('filterbounds.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    first, second = out.stdout.split("\n")[:2]
+    assert first == ""
+    assert "filterbounds.harness" in second.split()
+    assert "filterbounds.sequences" not in second.split()
+
+
+def test_every_package_name_is_its_module_attribute():
+    import filterbounds
+
+    for module, names in filterbounds._EXPORTS.items():
+        home = importlib.import_module(f"filterbounds.{module}")
+        for name in names:
+            assert getattr(filterbounds, name) is getattr(home, name)
+            assert name in dir(filterbounds) and name in filterbounds.__all__
+    with pytest.raises(AttributeError):
+        filterbounds.no_such_name

@@ -6,7 +6,7 @@ import pytest
 
 from filterbounds import witness
 from filterbounds.combinat import iter_subsets_of_size
-from filterbounds.core import UniverseParams, op_del, op_ins, op_init, validate_sequence
+from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
     FailStateError,
@@ -14,6 +14,7 @@ from filterbounds.filters import (
     Seed,
     run_sequence,
 )
+from filterbounds.sequences import op_del, op_ins, op_init, validate_sequence
 from filterbounds.witness import (
     EnumerationTooLarge,
     WitnessModel,
