@@ -95,40 +95,33 @@ class StaticFilter(Protocol):
 class BoundsParams(_Record):
     """Parameter bundle shared by the bound evaluators.
 
-    eps_plus / eps_minus are false-positive / false-negative probability
-    bounds, p_fail the failure probability, alpha the Markov slack
-    (> 1), beta the binomial scaling fraction (in [0, 1]).
+    eps_minus is the false-negative probability bound, p_fail the failure
+    probability and alpha the Markov slack (> 1).
     """
 
-    __slots__ = ("u", "n", "eps_plus", "eps_minus", "p_fail", "alpha", "beta")
+    __slots__ = ("u", "n", "eps_minus", "p_fail", "alpha")
 
     def __init__(
         self,
         u: int,
         n: int,
-        eps_plus: Fraction = Fraction(0),
         eps_minus: Fraction = Fraction(0),
         p_fail: Fraction = Fraction(0),
         alpha: Fraction = Fraction(2),
-        beta: Fraction = Fraction(1),
     ) -> None:
         _set(self, "u", u)
         _set(self, "n", n)
-        _set(self, "eps_plus", eps_plus)
         _set(self, "eps_minus", eps_minus)
         _set(self, "p_fail", p_fail)
         _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
         if self.u < 1 or self.n < 1:
             raise ParamsOutOfRange("u and n must be positive")
-        for name in ("eps_plus", "eps_minus", "p_fail"):
+        for name in ("eps_minus", "p_fail"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ParamsOutOfRange(f"{name}={value} outside [0, 1]")
         if self.alpha <= 1:
             raise ParamsOutOfRange(f"alpha={self.alpha} must exceed 1")
-        if not 0 <= self.beta <= 1:
-            raise ParamsOutOfRange(f"beta={self.beta} outside [0, 1]")
 
     @property
     def fn_limit(self) -> int:
@@ -196,13 +189,11 @@ class BinomScalingResult(_Record):
 LOG_TOLERANCE = 1e-9
 
 
-def check_binom_scaling(
-    u: int, n: int, beta: Fraction, tolerance: float = LOG_TOLERANCE
-) -> BinomScalingResult:
+def check_binom_scaling(u: int, n: int, beta: Fraction) -> BinomScalingResult:
     """Check log2 C(u, floor(beta*n)) <= beta*log2 C(u, n) + n*log2(e/beta**beta).
 
     Binomials are exact integers; only the final log comparison is
-    floating point, guarded by the tolerance.  beta = 0 uses 0**0 = 1.
+    floating point, guarded by LOG_TOLERANCE.  beta = 0 uses 0**0 = 1.
     """
     if u < 1 or n < 1 or n > u:
         raise ParamsOutOfRange(f"need 1 <= n <= u, got u={u}, n={n}")
@@ -214,7 +205,7 @@ def check_binom_scaling(
     lhs = math.log2(binom_exact(u, k))
     slack = math.log2(math.e) - (float(beta) * math.log2(beta) if beta > 0 else 0.0)
     rhs = float(beta) * math.log2(binom_exact(u, n)) + n * slack
-    return BinomScalingResult(lhs <= rhs + tolerance, lhs, rhs, u, n, beta)
+    return BinomScalingResult(lhs <= rhs + LOG_TOLERANCE, lhs, rhs, u, n, beta)
 
 
 class BoundKind(Enum):

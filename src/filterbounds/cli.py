@@ -14,24 +14,15 @@ import os
 import sys
 from typing import Callable, NoReturn, Sequence
 
-from .bounds import (
-    InvalidCode,
-    NotGoodPair,
-    ParamsOutOfRange,
-    bounds_report,
-    check_binom_scaling,
-    check_counting_bound,
-    space_lower_bound,
-)
+from .bounds import InvalidCode, NotGoodPair, ParamsOutOfRange, bounds_report
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    bounds_checks_from_dict,
     config_from_dict,
-    counting_inputs,
     default_fp_config,
     default_verify_config,
     fp_report_csv,
-    parse_fraction,
     run_decode,
     run_encode,
     run_fp_experiment,
@@ -60,8 +51,8 @@ def _parse_int(text: str) -> int:
         ) from None
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in a config file."""
+def _read_config(path: str) -> object:
+    """The JSON value in a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
@@ -69,22 +60,13 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
     return data
 
 
 def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
-    data = _read_config(args.config) if args.config else {}
-    cfg = config_from_dict(data, defaults)
-    overrides = {}
-    if args.seed_bits is not None:
-        overrides["seed_bits"] = args.seed_bits
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if overrides:
-        cfg = config_from_dict(overrides, cfg)
-    return cfg
+    cfg = config_from_dict(_read_config(args.config) if args.config else {}, defaults)
+    flags = {"seed_bits": args.seed_bits, "trials": args.trials}
+    return config_from_dict({k: v for k, v in flags.items() if v is not None}, cfg)
 
 
 def _check_out(out: str) -> None:
@@ -138,42 +120,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    checks = []
-    if args.config:
-        checks = _read_config(args.config).get("bounds_checks", [])
-        if not isinstance(checks, list):
-            raise ConfigError("bounds_checks must be a list")
-    if not checks:
-        raise ConfigError("bounds needs a config with a bounds_checks list")
     results = []
-    for entry in checks:
+    for check, fields in bounds_checks_from_dict(_read_config(args.config) if args.config else {}):
         try:
-            kind = entry["check"]
-            if kind == "counting":
-                result = check_counting_bound(*counting_inputs(entry))
-            elif kind == "binom_scaling":
-                result = check_binom_scaling(
-                    int(entry["u"]),
-                    int(entry["n"]),
-                    parse_fraction(entry["beta"]),
-                )
-            elif kind == "space":
-                result = space_lower_bound(
-                    entry.get("kind", "nstatic"),
-                    int(entry["u"]),
-                    int(entry["n"]),
-                    parse_fraction(entry.get("eps", "0")),
-                )
-            else:
-                raise ConfigError(f"unknown bounds check {kind!r}")
+            result = check(**fields)
             # an integer past Python's int-to-str digit limit raises
             # ValueError here, before any entry is printed
             result.to_json_dict()
-            results.append(result)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad bounds check entry {entry!r}: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad bounds check entry {fields}: {exc}") from exc
+        results.append(result)
     _emit(bounds_report(results), args.out)
     failed = any(getattr(r, "holds", True) is False for r in results)
     return EXIT_CHECK_FAILED if failed else EXIT_PASS

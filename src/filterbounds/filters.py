@@ -456,15 +456,13 @@ class FingerprintMultisetModel(FilterModel):
         self.params = params
         self.eps_plus = Fraction(eps_plus)
         if fingerprint_bits is None:
-            # smallest width with 2**width >= n / eps_plus
-            fingerprint_bits = ceil_log2_frac(
+            # smallest width >= 1 with 2**width >= n / eps_plus; n = 1 at eps_plus = 1 gives 0
+            fingerprint_bits = max(1, ceil_log2_frac(
                 params.n * self.eps_plus.denominator, self.eps_plus.numerator
-            )
-        if fingerprint_bits < 1:
-            fingerprint_bits = 1
-        if fingerprint_bits > MAX_FINGERPRINT_BITS:
+            ))
+        if not 1 <= fingerprint_bits <= MAX_FINGERPRINT_BITS:
             raise InvalidParams(
-                f"fingerprint width {fingerprint_bits} above {MAX_FINGERPRINT_BITS} bits"
+                f"fingerprint width {fingerprint_bits} outside [1, {MAX_FINGERPRINT_BITS}] bits"
             )
         for x, forced in (collision_table or {}).items():
             if not (0 <= x < params.u and 0 <= forced < (1 << fingerprint_bits)):

@@ -24,25 +24,28 @@ import random
 import sys
 import warnings as _warnings
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .bounds import (
+    BoundKind,
     BoundsParams,
+    CountingBoundResult,
     DatasetCode,
     InvalidCode,
     NotGoodPair,
+    SpaceBound,
     check_binom_scaling,
     check_counting_bound,
     decode_dataset,
     encode_dataset,
     find_best_seed,  # unused here; perfbench's tracer test looks it up on this module
+    space_lower_bound,
 )
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
 from .core import UniverseParams, _Record
 from .filters import (
     FilterModel,
     FingerprintMultisetModel,
-    ModelKind,
     draw_seed,
     make_model,
     seed_space,
@@ -72,15 +75,66 @@ class ConfigError(ValueError):
 
 
 def parse_fraction(text: Any) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational literal {text!r}") from exc
+    """Parse 'p/q', 'p', an int or a float into an exact Fraction; a bool is no number."""
+    if not isinstance(text, bool):
+        try:
+            return Fraction(text if isinstance(text, (int, Fraction)) else str(text).strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"bad rational literal {text!r}")
+
+
+def _integer(value: Any) -> int:
+    # a bool is an int to Python, and int() would truncate a float or parse a string
+    if type(value) is not int:
+        raise ConfigError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _list_of(parse: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    def read(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"must be a list, got {value!r}")
+        return tuple(parse(item) for item in value)
+
+    return read
+
+
+def _optional(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else parse(value)
+
+
+def _read_fields(
+    obj: Any, what: str, parsers: Mapping[str, Callable], required: Sequence[str] = ()
+) -> dict[str, Any]:
+    """The fields of config object obj, each value run through its parser; a
+    non-object, an unknown or missing key or a refused value raises ConfigError."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
+    unknown = [key for key in obj if key not in parsers]
+    if unknown:
+        raise ConfigError(f"{what} takes no {unknown}; its keys are {sorted(parsers)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{what} needs {missing}")
+    fields = {}
+    for key, value in obj.items():
+        try:
+            fields[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{what} {key}: {exc}") from exc
+    return fields
+
+
+def _kind_fields(obj: Any, what: str, tag: str, tables: Mapping[str, tuple]) -> dict[str, Any]:
+    """_read_fields under tables[obj[tag]], a tuple that ends (parsers, required)."""
+    if not isinstance(obj, Mapping):
+        return _read_fields(obj, what, {})  # refuses the non-object
+    kind = obj.get(tag)
+    if kind not in list(tables):
+        raise ConfigError(f"{what} {tag}: must be one of {list(tables)}, got {kind!r}")
+    *_, parsers, required = tables[kind]
+    return _read_fields(obj, f"{kind} {what}", {tag: str, **parsers}, required)
 
 
 class ModelSpec(
@@ -91,6 +145,8 @@ class ModelSpec(
     )
 
     def build(self) -> FilterModel:
+        if self.n > self.u:
+            raise ConfigError(f"bad model spec: n={self.n} exceeds u={self.u}")
         try:
             return make_model(
                 self.kind,
@@ -119,41 +175,30 @@ class ModelSpec(
         return out
 
 
+def _collision_table(value: Any) -> tuple[tuple[int, int], ...]:
+    table = _list_of(_list_of(_integer))(value)
+    if any(len(pair) != 2 for pair in table):
+        raise ConfigError(f"must hold [element, fingerprint] pairs, got {value!r}")
+    if len({x for x, _ in table}) < len(table):
+        raise ConfigError(f"repeats an element: {value!r}")
+    return table
+
+
+_SHAPE = {"u": _integer, "n": _integer, "eps_plus": parse_fraction}
+_MODEL_FIELDS = {
+    "exact_set": (_SHAPE, ("u", "n")),
+    "noisy_exact": ({**_SHAPE, "noise_m": _integer}, ("u", "n")),
+    "fingerprint_multiset": ({
+        **_SHAPE,
+        "fingerprint_bits": _optional(_integer),
+        "collision_table": _optional(_collision_table),
+    }, ("u", "n")),
+}
+
+
 def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"model spec must be an object, got {data!r}")
-    try:
-        kind = ModelKind(data["kind"]).value
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad model kind in {data!r}") from exc
-    try:
-        u = int(data["u"])
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"model spec needs integer u and n: {data!r}") from exc
-    table = data.get("collision_table")
-    if table is not None:
-        try:
-            table = tuple((int(x), int(fp)) for x, fp in table)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad collision table {table!r}") from exc
-    fp_bits = data.get("fingerprint_bits")
-    try:
-        noise_m = int(data.get("noise_m", 0))
-        fp_bits = int(fp_bits) if fp_bits is not None else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"noise_m and fingerprint_bits must be integers: {data!r}"
-        ) from exc
-    return ModelSpec(
-        kind=kind,
-        u=u,
-        n=n,
-        eps_plus=parse_fraction(data.get("eps_plus", 0)),
-        noise_m=noise_m,
-        fingerprint_bits=fp_bits,
-        collision_table=table,
-    )
+    fields = _kind_fields(data, "model spec", "kind", _MODEL_FIELDS)
+    return ModelSpec(**{"eps_plus": Fraction(0), **fields})
 
 
 class GridSpec(_Record):
@@ -175,6 +220,58 @@ DEFAULT_GRID = GridSpec(
 
 # a capacity-3-bit toy instance that must violate the counting bound
 DEFAULT_NEGATIVE_PROBE = {"fspace_bits": 3, "u": 8, "n": 2, "alpha": "2"}
+
+# a counting-bound entry: alpha 2, eps_minus 0 and p_fail 0 unless given
+_COUNTING = (
+    {"u": _integer, "n": _integer, "fspace_bits": _integer,
+     "alpha": parse_fraction, "eps_minus": parse_fraction, "p_fail": parse_fraction},
+    ("u", "n", "fspace_bits"),
+)
+
+
+def _counting_bound(fspace_bits: int, **params: Any) -> CountingBoundResult:
+    return check_counting_bound(fspace_bits, BoundsParams(**params))
+
+
+def _space_bound(kind: Any = "nstatic", eps: Fraction = Fraction(0), **shape: int) -> SpaceBound:
+    return space_lower_bound(kind, eps=eps, **shape)
+
+
+# check name: (function, its parsers, required keys)
+_BOUNDS_CHECKS = {
+    "counting": (_counting_bound, *_COUNTING),
+    "binom_scaling": (
+        check_binom_scaling,
+        {"u": _integer, "n": _integer, "beta": parse_fraction},
+        ("u", "n", "beta"),
+    ),
+    "space": (
+        _space_bound,
+        {"kind": BoundKind, "u": _integer, "n": _integer, "eps": parse_fraction},
+        ("u", "n"),
+    ),
+}
+
+
+def bounds_checks_from_dict(data: Mapping[str, Any]) -> list:
+    """The (check, its keyword arguments) pairs of a bounds config's entries."""
+    entry = _list_of(lambda obj: _kind_fields(obj, "bounds check", "check", _BOUNDS_CHECKS))
+    entries = _read_fields(data, "bounds config", {"bounds_checks": entry}).get("bounds_checks")
+    if not entries:
+        raise ConfigError("bounds needs a config with a bounds_checks list")
+    return [(_BOUNDS_CHECKS[fields.pop("check")][0], fields) for fields in entries]
+
+
+def _grid(value: Any) -> GridSpec:
+    ints = _list_of(_integer)
+    fields = _read_fields(value, "grid", {"u": ints, "n": ints, "beta": _list_of(parse_fraction)},
+                          ("u", "n", "beta"))
+    return GridSpec(fields["u"], fields["n"], fields["beta"])
+
+
+def _probe(value: Any) -> Any:
+    _read_fields(value, "negative_probe", *_COUNTING)
+    return value  # stored and hashed as given
 
 
 class ExperimentConfig(
@@ -220,44 +317,17 @@ class ExperimentConfig(
 MAX_SEED_BITS = SEED_BUDGET.bit_length() - 1
 
 
+_CONFIG_FIELDS = {
+    "seed": _integer, "seed_bits": _integer, "trials": _integer,
+    "alphas": _list_of(parse_fraction), "best_seed_alpha": parse_fraction,
+    "models": _list_of(model_spec_from_dict), "grid": _grid, "negative_probe": _optional(_probe),
+}
+
+
 def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> ExperimentConfig:
     """Overlay a parsed config file onto a command's defaults."""
-    unknown = set(data) - set(ExperimentConfig.__slots__)
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    for key in ("alphas", "models"):
-        if key in data and not isinstance(data[key], (list, tuple)):
-            raise ConfigError(f"{key} must be a list")
-    probe = data.get("negative_probe")
-    if probe is not None and not isinstance(probe, Mapping):
-        raise ConfigError("negative_probe must be an object")
-    kwargs: dict[str, Any] = {}
-    for key in ("seed", "seed_bits", "trials"):
-        if key in data:
-            try:
-                kwargs[key] = int(data[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key} must be an integer") from exc
-    if "alphas" in data:
-        kwargs["alphas"] = tuple(parse_fraction(a) for a in data["alphas"])
-    if "best_seed_alpha" in data:
-        kwargs["best_seed_alpha"] = parse_fraction(data["best_seed_alpha"])
-    if "models" in data:
-        kwargs["models"] = tuple(model_spec_from_dict(m) for m in data["models"])
-    if "grid" in data:
-        g = data["grid"]
-        try:
-            kwargs["grid"] = GridSpec(
-                tuple(int(v) for v in g["u"]),
-                tuple(int(v) for v in g["n"]),
-                tuple(parse_fraction(v) for v in g["beta"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid {g!r}") from exc
-    if "negative_probe" in data:
-        kwargs["negative_probe"] = data["negative_probe"]
-    replacements = {**_config_kwargs(base), **kwargs}
-    cfg = ExperimentConfig(**replacements)
+    fields = _read_fields(data, "config", _CONFIG_FIELDS)
+    cfg = ExperimentConfig(**{**_config_kwargs(base), **fields})
     if not 0 <= cfg.seed_bits <= MAX_SEED_BITS:
         raise ConfigError(
             f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands"
@@ -301,8 +371,9 @@ def default_fp_config() -> ExperimentConfig:
     )
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95 percent Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # the two-sided 95 percent quantile of the standard normal
     if trials < 1:
         raise ValueError("trials must be positive")
     phat = hits / trials
@@ -436,22 +507,6 @@ def _sticky_check(model: FilterModel, report: ReductionReport) -> CheckResult:
     )
 
 
-def counting_inputs(entry: Mapping[str, Any]) -> tuple[int, BoundsParams]:
-    """(fspace_bits, params) of a counting-bound entry: u, n and fspace_bits,
-    with alpha 2, eps_minus 0 and p_fail 0 unless given.
-
-    Raises KeyError, TypeError or ValueError on a missing or bad field.
-    """
-    params = BoundsParams(
-        u=int(entry["u"]),
-        n=int(entry["n"]),
-        alpha=parse_fraction(entry.get("alpha", "2")),
-        eps_minus=parse_fraction(entry.get("eps_minus", "0")),
-        p_fail=parse_fraction(entry.get("p_fail", "0")),
-    )
-    return int(entry["fspace_bits"]), params
-
-
 def _measured_params(
     spec: ModelSpec, report: ReductionReport, alpha: Fraction
 ) -> BoundsParams:
@@ -516,9 +571,9 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
     injectivity and round-trip, and the counting bound at each configured
     alpha using the measured space and error rates.
     Followed by the negative probe (a capacity the counting bound must
-    reject) and the binomial scaling grid, both evaluated before the first
-    sweep so that a bad one fails fast.  An empty zoo yields zero checks
-    and a warning.
+    reject) and the binomial scaling grid.  Both are evaluated, every model
+    is built and every alpha is checked before the first sweep, so that bad
+    input fails fast.  An empty zoo yields zero checks and a warning.
     """
     checks: list[CheckResult] = []
     warn_messages: list[str] = []
@@ -531,20 +586,19 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
         )
     probe_result = None
     if cfg.negative_probe is not None:
-        try:
-            probe = counting_inputs(cfg.negative_probe)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad negative probe {cfg.negative_probe!r}") from exc
-        probe_result = check_counting_bound(*probe)
+        probe = _read_fields(cfg.negative_probe, "negative_probe", *_COUNTING)
+        probe_result = _counting_bound(**probe)
     grid_results = [
         check_binom_scaling(u, n, beta)
         for u in cfg.grid.u_values
         for n in cfg.grid.n_values
         for beta in cfg.grid.beta_values
     ]
+    bases = [spec.build() for spec in cfg.models]
+    for alpha in (cfg.best_seed_alpha, *cfg.alphas):
+        BoundsParams(1, 1, alpha=alpha)  # refuses an alpha <= 1 before any sweep
     seeds = list(seed_space(cfg.seed_bits))
-    for spec in cfg.models:
-        base = spec.build()
+    for spec, base in zip(cfg.models, bases):
         model = witness_transform(base)
         report = check_reduction(model, seeds)
         checks.append(_sticky_check(model, report))

@@ -50,7 +50,7 @@ class TestBoundsParams:
         with pytest.raises(ParamsOutOfRange):
             BoundsParams(u=4, n=2, alpha=Fraction(1))
         with pytest.raises(ParamsOutOfRange):
-            BoundsParams(u=4, n=2, beta=Fraction(2))
+            BoundsParams(u=4, n=2, p_fail=Fraction(-1))
 
     def test_fn_limit(self):
         params = BoundsParams(u=6, n=2, eps_minus=Fraction(43, 256))

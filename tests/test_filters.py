@@ -309,6 +309,12 @@ class TestFingerprintMultiset:
             model = FingerprintMultisetModel(UniverseParams(u, n), eps)
             assert model.fp_bits == want
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_explicit_width_below_one_bit_is_refused(self, width):
+        # only the width derived from eps_plus is raised to one bit
+        with pytest.raises(InvalidParams):
+            FingerprintMultisetModel(P82, Fraction(1, 2), width)
+
     def test_eps_plus_must_be_positive(self):
         with pytest.raises(InvalidParams):
             FingerprintMultisetModel(P82, Fraction(0))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterbounds import cli, filters
+from filterbounds import cli, filters, harness
 from filterbounds.bounds import BoundsParams, find_best_seed
 from filterbounds.cli import main
 from filterbounds.combinat import iter_subsets_of_size
@@ -128,6 +128,27 @@ class TestConfig:
         )
         assert cfg.alphas == (Fraction(3, 2), Fraction(2))
         assert cfg.grid == GridSpec((8,), (2,), (Fraction(1, 2),))
+
+    @pytest.mark.parametrize(
+        "make",
+        [default_verify_config, negative_control_config, default_fp_config,
+         default_demo_config],
+        ids=lambda make: make.__name__,
+    )
+    def test_resolved_dict_reads_back_to_the_same_config(self, make):
+        # perfbench hands the negative control to verify --config this way
+        cfg = make()
+        text = json.dumps(cfg.resolved_dict())
+        again = config_from_dict(json.loads(text), ExperimentConfig())
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
+    def test_errors_name_the_object_and_the_key(self):
+        model = {"kind": "exact_set", "u": 6.9, "n": 2}
+        with pytest.raises(ConfigError, match="exact_set model spec u: must be an integer"):
+            config_from_dict({"models": [model]}, default_verify_config())
+        with pytest.raises(ConfigError, match=r"model spec takes no \['noise_m'\]"):
+            model_spec_from_dict({"kind": "exact_set", "u": 6, "n": 2, "noise_m": 0})
 
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
@@ -420,6 +441,13 @@ class TestEncodeDecode:
             run_encode(cfg, [1, 3])
 
 
+# an exact_set + noisy_exact zoo that takes most of a second at 16 seed bits
+ZOO16 = [
+    {"kind": "exact_set", "u": 16, "n": 4},
+    {"kind": "noisy_exact", "u": 16, "n": 4, "eps_plus": "1/16", "noise_m": 1},
+]
+
+
 class TestCli:
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -582,6 +610,55 @@ class TestCli:
             (None, ["verify", "--out", "/nonexistent/dir/x.json"]),
             (None, ["encode", "--elements", "1,3", "--out", "/nonexistent/x"]),
             (None, ["verify", "--format", "csv"]),
+            # fields that were coerced or dropped: a float, bool or string
+            # for an integer, a bool for a rational, and misspelt keys
+            ({"models": [{"kind": "exact_set", "u": 6.9, "n": 2}]}, ["verify"]),
+            ({"seed_bits": True}, ["verify"]),
+            ({"trials": 10.7}, ["fp-rate"]),
+            ({"models": [{"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": True,
+                          "noise_m": 1}]}, ["verify"]),
+            ({"models": [{"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6",
+                          "noise_M": 1}]}, ["verify"]),
+            ({"grid": {"u": [16], "n": [4], "beta": ["1/2"], "Beta": ["1"]}}, ["verify"]),
+            ({"bounds_checks": [{"check": "counting", "u": 8, "n": 2,
+                                 "fspace_bits": 5, "alpah": "3"}]}, ["bounds"]),
+            ({"models": [{"kind": "exact_set", "u": "6", "n": 2}]}, ["verify"]),
+            # a field only another kind takes, and a repeated collision element
+            ({"models": [{"kind": "exact_set", "u": 6, "n": 2,
+                          "fingerprint_bits": 3}]}, ["verify"]),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 8, "n": 2, "eps_plus": "1/2",
+                          "collision_table": [[1, 0], [2, 0], [2, 0]]}]},
+             ["demo-violations"]),
+            # unknown keys in the grid, the probe, a bounds entry and a
+            # bounds config
+            ({"grid": {"u": [16], "n": [4], "beta": ["1/2"], "v": [1]}}, ["verify"]),
+            ({"negative_probe": {"fspace_bits": 3, "u": 8, "n": 2, "alhpa": "2"}},
+             ["verify"]),
+            ({"bounds_checks": [{"check": "space", "u": 16, "n": 4, "epsilon": "0"}]},
+             ["bounds"]),
+            ({"bounds_checks": [{"check": "space", "u": 16, "n": 4}], "seed": 1},
+             ["bounds"]),
+            # explicit fingerprint widths below one bit
+            ({"models": [{"kind": "fingerprint_multiset", "u": 6, "n": 2, "eps_plus": "1/2",
+                          "fingerprint_bits": 0}]}, ["verify", "--seed-bits", "2"]),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 6, "n": 2, "eps_plus": "1/2",
+                          "fingerprint_bits": -3}]}, ["verify", "--seed-bits", "2"]),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 1024, "n": 16,
+                          "eps_plus": "1/8", "fingerprint_bits": 0}]},
+             ["fp-rate", "--trials", "100"]),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 1024, "n": 16,
+                          "eps_plus": "1/8", "fingerprint_bits": -3}]},
+             ["fp-rate", "--trials", "100"]),
+            # n > u, for every command that builds a model
+            ({"models": [{"kind": "exact_set", "u": 3, "n": 5}]}, ["verify"]),
+            ({"models": [{"kind": "exact_set", "u": 3, "n": 5}]},
+             ["encode", "--elements", "0,1,2"]),
+            ({"models": [{"kind": "exact_set", "u": 3, "n": 5}]},
+             ["decode", "--state", "3:000/3:000", "--index", "0"]),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 4, "n": 6,
+                          "eps_plus": "1/2"}]}, ["fp-rate", "--trials", "100"]),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 2, "n": 3, "eps_plus": "1/2",
+                          "collision_table": [[0, 0], [1, 0]]}]}, ["demo-violations"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -634,8 +711,9 @@ class TestCli:
         self, kind, tmp_path, capsys
     ):
         # sizing the state would sum 10**20 binomials
-        model = {"kind": kind, "u": 10**20, "n": 10**20, "eps_plus": "1/2",
-                 "noise_m": 1}
+        model = {"kind": kind, "u": 10**20, "n": 10**20, "eps_plus": "1/2"}
+        if kind == "noisy_exact":
+            model["noise_m"] = 1
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"models": [model]}))
         start = time.perf_counter()
@@ -654,6 +732,29 @@ class TestCli:
         start = time.perf_counter()
         assert main(["fp-rate", "--config", str(path)]) == 2
         assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"models": ZOO16[:1] + [dict(ZOO16[1], noise_m=2)]},
+            {"alphas": ["1"]},
+            {"best_seed_alpha": "1/2"},
+        ],
+        ids=["second_model", "alphas", "best_seed_alpha"],
+    )
+    def test_bad_input_is_refused_before_the_first_sweep(
+        self, change, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a sweep ran before the input was checked")
+
+        monkeypatch.setattr(harness, "check_reduction", never)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"models": ZOO16, **change}))
+        assert main(["verify", "--seed-bits", "16", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1

@@ -88,24 +88,18 @@ RECORDS = [
     ),
     (
         BoundsParams,
-        (6, 2, Fraction(1, 6), Fraction(1, 3), Fraction(1, 8), Fraction(3, 2), Fraction(1, 2)),
-        {
-            "eps_plus": Fraction(0),
-            "eps_minus": Fraction(0),
-            "p_fail": Fraction(0),
-            "alpha": Fraction(2),
-            "beta": Fraction(1),
-        },
-        "BoundsParams(u=6, n=2, eps_plus=Fraction(1, 6), eps_minus=Fraction(1, 3), "
-        "p_fail=Fraction(1, 8), alpha=Fraction(3, 2), beta=Fraction(1, 2))",
+        (6, 2, Fraction(1, 3), Fraction(1, 8), Fraction(3, 2)),
+        {"eps_minus": Fraction(0), "p_fail": Fraction(0), "alpha": Fraction(2)},
+        "BoundsParams(u=6, n=2, eps_minus=Fraction(1, 3), p_fail=Fraction(1, 8), "
+        "alpha=Fraction(3, 2))",
     ),
     (
         CountingBoundResult,
         (False, 8, Fraction(15, 2), 3, BoundsParams(8, 2)),
         {},
         "CountingBoundResult(holds=False, lhs=8, rhs=Fraction(15, 2), fspace_bits=3, "
-        "params=BoundsParams(u=8, n=2, eps_plus=Fraction(0, 1), eps_minus=Fraction(0, 1), "
-        "p_fail=Fraction(0, 1), alpha=Fraction(2, 1), beta=Fraction(1, 1)))",
+        "params=BoundsParams(u=8, n=2, eps_minus=Fraction(0, 1), p_fail=Fraction(0, 1), "
+        "alpha=Fraction(2, 1)))",
     ),
     (
         BinomScalingResult,
@@ -307,11 +301,11 @@ def test_binding_init_rejects_bad_arguments(cls, values, defaults, text):
         (lambda: Operation(OpKind.INS), ValueError),
         (lambda: Operation(OpKind.INIT, 1), ValueError),
         (lambda: BoundsParams(0, 1), ParamsOutOfRange),
-        (lambda: BoundsParams(6, 2, eps_plus=Fraction(2)), ParamsOutOfRange),
+        (lambda: BoundsParams(6, 0), ParamsOutOfRange),
         (lambda: BoundsParams(6, 2, eps_minus=Fraction(-1)), ParamsOutOfRange),
         (lambda: BoundsParams(6, 2, p_fail=Fraction(3, 2)), ParamsOutOfRange),
         (lambda: BoundsParams(6, 2, alpha=Fraction(1)), ParamsOutOfRange),
-        (lambda: BoundsParams(6, 2, beta=Fraction(2)), ParamsOutOfRange),
+        (lambda: BoundsParams(6, 2, eps_minus=Fraction(2)), ParamsOutOfRange),
     ],
 )
 def test_record_construction_checks_still_raise(build, error):
