@@ -26,7 +26,6 @@ build and raises ParamsOutOfRange when the total passes MAX_EXACT_BITS.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from fractions import Fraction
@@ -203,8 +202,11 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> BinomScalingResult:
     k = floor_frac(beta * n)
     _check_exact_cost("binom_scaling", _binom_bits(u, k) + _binom_bits(u, n))
     lhs = math.log2(binom_exact(u, k))
-    slack = math.log2(math.e) - (float(beta) * math.log2(beta) if beta > 0 else 0.0)
-    rhs = float(beta) * math.log2(binom_exact(u, n)) + n * slack
+    try:
+        slack = math.log2(math.e) - (float(beta) * math.log2(beta) if beta > 0 else 0.0)
+        rhs = float(beta) * math.log2(binom_exact(u, n)) + n * slack
+    except (OverflowError, ValueError):  # n past float range, or beta below it
+        raise ParamsOutOfRange("binom_scaling needs floats past their range") from None
     return BinomScalingResult(lhs <= rhs + LOG_TOLERANCE, lhs, rhs, u, n, beta)
 
 
@@ -366,22 +368,23 @@ def encode_dataset(
     false-negative set is too large, or a false positive pollutes the
     yes-set (the code only exists for filters without false positives).
     """
-    members = frozenset(dataset)
     state = static_filter.init_state(seed, dataset)
     if getattr(state, "is_fail", False):
         raise NotGoodPair("filter failed on this pair")
-    u = static_filter.params.u
-    yes = frozenset(_mask_elems(static_filter.yes_mask(seed, state)))
-    if not yes <= members:
-        raise NotGoodPair(f"false positives {sorted(yes - members)} spoil the code")
-    misses = members - yes
+    members = 0
+    for x in dataset:
+        members |= 1 << x
+    yes = static_filter.yes_mask(seed, state)
+    if yes & ~members:
+        raise NotGoodPair(f"false positives {list(_mask_elems(yes & ~members))} spoil the code")
+    misses = members & ~yes
     limit = params.fn_limit
-    if len(misses) > limit:
-        raise NotGoodPair(f"{len(misses)} false negatives exceed limit {limit}")
-    ambient = sorted(set(range(u)) - yes)
-    position = {x: i for i, x in enumerate(ambient)}
-    miss_positions = tuple(sorted(position[x] for x in misses))
-    index = bounded_subset_index(miss_positions, len(ambient), limit)
+    if misses.bit_count() > limit:
+        raise NotGoodPair(f"{misses.bit_count()} false negatives exceed limit {limit}")
+    # a miss x sits at position x - |yes below x| of the complement of yes
+    miss_positions = tuple(x - (yes & ((1 << x) - 1)).bit_count() for x in _mask_elems(misses))
+    u = static_filter.params.u
+    index = bounded_subset_index(miss_positions, u - yes.bit_count(), limit)
     return DatasetCode(state, index)
 
 
@@ -401,19 +404,15 @@ def decode_dataset(
     if getattr(code.state, "is_fail", False):
         raise InvalidCode("cannot decode from a failed state")
     u = static_filter.params.u
-    yes = frozenset(_mask_elems(static_filter.yes_mask(seed, code.state)))
-    ambient = sorted(set(range(u)) - yes)
+    yes = static_filter.yes_mask(seed, code.state)
+    ambient = u - yes.bit_count()
     limit = params.fn_limit
-    if not 0 <= code.index < bounded_subset_count(len(ambient), limit):
+    if not 0 <= code.index < bounded_subset_count(ambient, limit):
         raise InvalidCode(f"index {code.index} out of range")
-    positions = bounded_subset_unindex(code.index, len(ambient), limit)
-    return yes | frozenset(ambient[p] for p in positions)
-
-
-def bounds_report(results: Sequence[Any]) -> str:
-    """JSON report for a list of bound-check results."""
-    return json.dumps(
-        {"checks": [r.to_json_dict() for r in results]},
-        sort_keys=True,
-        indent=2,
-    )
+    dataset = set(_mask_elems(yes))
+    positions = bounded_subset_unindex(code.index, ambient, limit)
+    if positions:
+        # position p of the complement is the p-th zero bit of yes below u
+        zeros = _mask_elems(((1 << u) - 1) & ~yes)
+        dataset.update(x for p, x in zip(range(positions[-1] + 1), zeros) if p in positions)
+    return frozenset(dataset)

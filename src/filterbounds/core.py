@@ -19,13 +19,13 @@ arguments keep an explicit __init__ of their own.  The base derives ==,
 hash and repr from __slots__ in the dataclass manner: equality holds only
 between records of one class with equal fields, the hash is that of the
 tuple of fields, and repr reads Name(field=value, ...); copy and pickle
-rebuild a record through its __init__.  A record is frozen unless its
-class says frozen=False, in which case its fields are assignable and it
-is unhashable; hidden= names fields that repr leaves out.  Records are
-built this way rather than with dataclasses, and the binder is a plain
-loop with no exec, code generation or inspect, because every command is
-one short process, and importing dataclasses and generating its methods
-would cost each command more start-up than most of them spend on work.
+rebuild a record through its __init__.  Every record is frozen, its
+fields written once by __init__; hidden= names fields that repr leaves
+out.  Records are built this way rather than with dataclasses, and the
+binder is a plain loop with no exec, code generation or inspect, because
+every command is one short process, and importing dataclasses and
+generating its methods would cost each command more start-up than most of
+them spend on work.
 """
 
 from __future__ import annotations
@@ -40,17 +40,11 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(
-        cls, frozen: bool = True, hidden: tuple[str, ...] = (), defaults: dict | None = None
-    ) -> None:
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), defaults: dict | None = None) -> None:
         super().__init_subclass__()
         cls._values = attrgetter(*cls.__slots__)
         cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
         cls._defaults = defaults or {}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names, defaults = self.__slots__, self._defaults
@@ -94,12 +88,12 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, which a frozen record's
-        # fields can only be written from
+        # copy and pickle rebuild through __init__, which a record's fields
+        # can only be written from
         return (self.__class__, self._values(self))
 
 
-# what a frozen record's __init__ writes its fields with
+# what a record's __init__ writes its fields with
 _set = object.__setattr__
 
 
@@ -150,9 +144,8 @@ class OpSequence(_Record):
 
 
 def _mask_elems(mask: int) -> Iterator[int]:
-    x = 0
+    """The set bits of a nonnegative mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield x
-        mask >>= 1
-        x += 1
+        low = mask & -mask  # peeling the lowest bit keeps a sparse mask cheap
+        yield low.bit_length() - 1
+        mask ^= low

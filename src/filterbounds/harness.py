@@ -91,11 +91,24 @@ def _integer(value: Any) -> int:
     return value
 
 
+def _under(path: str, exc: ValueError) -> ConfigError:
+    # a list entry's "[i]" or a nested object's " key" extends the path;
+    # any other error text is what is wrong with the value at the path
+    text = str(exc)
+    return ConfigError(f"{path}{text}" if text[:1] in "[ " else f"{path}: {text}")
+
+
 def _list_of(parse: Callable[[Any], Any]) -> Callable[[Any], tuple]:
     def read(value: Any) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"must be a list, got {value!r}")
-        return tuple(parse(item) for item in value)
+        items = []
+        for i, item in enumerate(value):
+            try:
+                items.append(parse(item))
+            except ValueError as exc:
+                raise _under(f"[{i}]", exc) from exc
+        return tuple(items)
 
     return read
 
@@ -108,7 +121,8 @@ def _read_fields(
     obj: Any, what: str, parsers: Mapping[str, Callable], required: Sequence[str] = ()
 ) -> dict[str, Any]:
     """The fields of config object obj, each value run through its parser; a
-    non-object, an unknown or missing key or a refused value raises ConfigError."""
+    non-object, an unknown or missing key or a refused value raises ConfigError.
+    A nested object is read with what="", so its errors continue its key's."""
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{what} must be an object, got {obj!r}")
     unknown = [key for key in obj if key not in parsers]
@@ -122,7 +136,7 @@ def _read_fields(
         try:
             fields[key] = parsers[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{what} {key}: {exc}") from exc
+            raise _under(f"{what} {key}", exc) from exc
     return fields
 
 
@@ -264,13 +278,13 @@ def bounds_checks_from_dict(data: Mapping[str, Any]) -> list:
 
 def _grid(value: Any) -> GridSpec:
     ints = _list_of(_integer)
-    fields = _read_fields(value, "grid", {"u": ints, "n": ints, "beta": _list_of(parse_fraction)},
+    fields = _read_fields(value, "", {"u": ints, "n": ints, "beta": _list_of(parse_fraction)},
                           ("u", "n", "beta"))
     return GridSpec(fields["u"], fields["n"], fields["beta"])
 
 
 def _probe(value: Any) -> Any:
-    _read_fields(value, "negative_probe", *_COUNTING)
+    _read_fields(value, "", *_COUNTING)
     return value  # stored and hashed as given
 
 
@@ -458,36 +472,7 @@ def fp_report_csv(report: Mapping[str, Any]) -> str:
     return f"{header}\n{row}\n"
 
 
-class CheckResult(_Record, frozen=False, defaults={"details": dict}):
-    __slots__ = ("name", "passed", "details")
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
-
-
-class VerificationReport(_Record, frozen=False):
-    __slots__ = ("suite", "checks", "warnings", "seed_bits", "config_hash")
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "check_count": len(self.checks),
-            "checks": [c.to_json_dict() for c in self.checks],
-            "warnings": self.warnings,
-            "seed_bits": self.seed_bits,
-            "config_hash": self.config_hash,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-
-def _sticky_check(model: FilterModel, report: ReductionReport) -> CheckResult:
+def _sticky_check(model: FilterModel, report: ReductionReport) -> dict:
     # a false positive of a live pair is exactly a wrong yes at the full
     # state that the emptied state drops, i.e. what check_sticky returns
     details = {
@@ -502,9 +487,11 @@ def _sticky_check(model: FilterModel, report: ReductionReport) -> CheckResult:
             "dataset": list(dataset),
             "elements": elements,
         }
-    return CheckResult(
-        f"sticky[{model.describe()}]", report.false_positive_count == 0, details
-    )
+    return {
+        "name": f"sticky[{model.describe()}]",
+        "passed": report.false_positive_count == 0,
+        "details": details,
+    }
 
 
 def _measured_params(
@@ -521,7 +508,7 @@ def _measured_params(
 
 def _coding_check(
     model: FilterModel, params: BoundsParams, report: ReductionReport
-) -> CheckResult:
+) -> dict:
     static = PairedStaticFilter(model)
     best = report.best_seed(params)
     u, n = model.params.u, model.params.n
@@ -549,21 +536,22 @@ def _coding_check(
         and good == best.good_count
         and index_ok
     )
-    return CheckResult(
-        f"dataset_coding[{model.describe()}]",
-        passed,
-        {
+    return {
+        "name": f"dataset_coding[{model.describe()}]",
+        "passed": passed,
+        "details": {
             "best_seed": best.seed.value,
             "good_count": best.good_count,
             "required": frac_str(best.required),
             "distinct_codes": len(codes),
             "roundtrip_failures": roundtrip_failures,
         },
-    )
+    }
 
 
-def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
-    """All exhaustive checks for the configured model zoo.
+def run_verification_suite(cfg: ExperimentConfig) -> dict:
+    """All exhaustive checks for the configured model zoo, as the report
+    verify prints: each check a {"name", "passed", "details"} dict.
 
     Per model (wrapped in the witness transform), one check_reduction
     sweep over every seed and dataset feeds the sticky check, the
@@ -575,15 +563,23 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
     is built and every alpha is checked before the first sweep, so that bad
     input fails fast.  An empty zoo yields zero checks and a warning.
     """
-    checks: list[CheckResult] = []
     warn_messages: list[str] = []
     if not cfg.models:
-        message = "no models configured; verification suite has nothing to check"
-        _warnings.warn(message, stacklevel=2)
-        warn_messages.append(message)
-        return VerificationReport(
-            "verification", checks, warn_messages, cfg.seed_bits, cfg.config_hash()
-        )
+        warn_messages.append("no models configured; verification suite has nothing to check")
+        _warnings.warn(warn_messages[0], stacklevel=2)
+    checks = _zoo_checks(cfg) if cfg.models else []
+    return {
+        "suite": "verification",
+        "passed": all(check["passed"] for check in checks),
+        "check_count": len(checks),
+        "checks": checks,
+        "warnings": warn_messages,
+        "seed_bits": cfg.seed_bits,
+        "config_hash": cfg.config_hash(),
+    }
+
+
+def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
     probe_result = None
     if cfg.negative_probe is not None:
         probe = _read_fields(cfg.negative_probe, "negative_probe", *_COUNTING)
@@ -598,6 +594,7 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
     for alpha in (cfg.best_seed_alpha, *cfg.alphas):
         BoundsParams(1, 1, alpha=alpha)  # refuses an alpha <= 1 before any sweep
     seeds = list(seed_space(cfg.seed_bits))
+    checks = []
     for spec, base in zip(cfg.models, bases):
         model = witness_transform(base)
         report = check_reduction(model, seeds)
@@ -610,13 +607,11 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
             and report.space_pair_bits <= report.space_budget_bits
             and report.fail_fraction == 0
         )
-        checks.append(
-            CheckResult(
-                f"reduction[{model.describe()}]",
-                reduction_ok,
-                report.to_json_dict(),
-            )
-        )
+        checks.append({
+            "name": f"reduction[{model.describe()}]",
+            "passed": reduction_ok,
+            "details": report.to_json_dict(),
+        })
         measured = _measured_params(spec, report, cfg.best_seed_alpha)
         checks.append(_coding_check(model, measured, report))
         counting = [
@@ -625,36 +620,26 @@ def run_verification_suite(cfg: ExperimentConfig) -> VerificationReport:
             )
             for alpha in cfg.alphas
         ]
-        checks.append(
-            CheckResult(
-                f"counting_bound[{model.describe()}]",
-                all(r.holds for r in counting),
-                {"results": [r.to_json_dict() for r in counting]},
-            )
-        )
+        checks.append({
+            "name": f"counting_bound[{model.describe()}]",
+            "passed": all(r.holds for r in counting),
+            "details": {"results": [r.to_json_dict() for r in counting]},
+        })
     if probe_result is not None:
-        checks.append(
-            CheckResult(
-                "counting_bound_negative_probe",
-                not probe_result.holds,
-                probe_result.to_json_dict(),
-            )
-        )
-    checks.append(
-        CheckResult(
-            "binom_scaling_grid",
-            all(r.holds for r in grid_results),
-            {
-                "cells": len(grid_results),
-                "failures": [
-                    r.to_json_dict() for r in grid_results if not r.holds
-                ],
-            },
-        )
-    )
-    return VerificationReport(
-        "verification", checks, warn_messages, cfg.seed_bits, cfg.config_hash()
-    )
+        checks.append({
+            "name": "counting_bound_negative_probe",
+            "passed": not probe_result.holds,
+            "details": probe_result.to_json_dict(),
+        })
+    checks.append({
+        "name": "binom_scaling_grid",
+        "passed": all(r.holds for r in grid_results),
+        "details": {
+            "cells": len(grid_results),
+            "failures": [r.to_json_dict() for r in grid_results if not r.holds],
+        },
+    })
+    return checks
 
 
 def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:

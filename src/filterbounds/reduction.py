@@ -17,7 +17,6 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Sequence
 
@@ -135,7 +134,6 @@ class PairedStaticFilter:
 
 class ReductionReport(
     _Record,
-    frozen=False,
     hidden=("misses_by_class",),
     defaults={
         "fn_matches_delete_fp": True,
@@ -194,9 +192,6 @@ class ReductionReport(
             "space_budget_bits": self.space_budget_bits,
             "fail_fraction": frac_str(self.fail_fraction),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def check_reduction(model: FilterModel, seeds: Sequence[Seed]) -> ReductionReport:

@@ -17,7 +17,6 @@ from filterbounds.bounds import (
     NotGoodPair,
     ParamsOutOfRange,
     _binom_bits,
-    bounds_report,
     check_binom_scaling,
     check_counting_bound,
     decode_dataset,
@@ -27,13 +26,23 @@ from filterbounds.bounds import (
     is_good_pair,
     space_lower_bound,
 )
-from filterbounds.combinat import binom_exact, bounded_subset_count, iter_subsets_of_size
+from filterbounds.cli import main
+from filterbounds.combinat import (
+    binom_exact,
+    bounded_subset_count,
+    bounded_subset_index,
+    bounded_subset_unindex,
+    iter_subsets_of_size,
+)
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
     FailStateError,
     FingerprintMultisetModel,
+    ModelKind,
     Seed,
+    make_model,
+    seed_space,
 )
 from filterbounds.reduction import PairedState, PairedStaticFilter
 from filterbounds.witness import EnumerationTooLarge
@@ -149,6 +158,18 @@ class TestBinomScaling:
             check_binom_scaling(4, 5, Fraction(1, 2))
         with pytest.raises(ParamsOutOfRange):
             check_binom_scaling(4, 2, Fraction(3, 2))
+
+    @pytest.mark.parametrize(
+        "u, n, beta",
+        [(10**400, 10**400, Fraction(1)), (10**400 + 1, 10**400, Fraction(1)),
+         (16, 4, Fraction(1, 10**400))],
+        ids=["u_equals_n", "u_is_n_plus_one", "tiny_beta"],
+    )
+    def test_past_float_range_is_out_of_range(self, u, n, beta):
+        # the binomials are trivial and cheap, but n * slack overflows a
+        # float and log2 of a beta below the smallest float is undefined
+        with pytest.raises(ParamsOutOfRange, match="floats past their range"):
+            check_binom_scaling(u, n, beta)
 
 
 class TestSpaceLowerBound:
@@ -330,6 +351,90 @@ class TestFindBestSeed:
             find_best_seed(paired_noisy, BoundsParams(u=6, n=2), too_many)
 
 
+def reference_encode(static, params, seed, dataset):
+    """The list-and-dict coder: positions come from the sorted complement."""
+    members = frozenset(dataset)
+    state = static.init_state(seed, dataset)
+    if getattr(state, "is_fail", False):
+        raise NotGoodPair("filter failed on this pair")
+    u = static.params.u
+    yes = frozenset(x for x in range(u) if static.query(seed, state, x))
+    if not yes <= members:
+        raise NotGoodPair(f"false positives {sorted(yes - members)} spoil the code")
+    misses = members - yes
+    limit = params.fn_limit
+    if len(misses) > limit:
+        raise NotGoodPair(f"{len(misses)} false negatives exceed limit {limit}")
+    ambient = sorted(set(range(u)) - yes)
+    position = {x: i for i, x in enumerate(ambient)}
+    miss_positions = tuple(sorted(position[x] for x in misses))
+    return DatasetCode(state, bounded_subset_index(miss_positions, len(ambient), limit))
+
+
+def reference_decode(static, params, seed, code):
+    if getattr(code.state, "is_fail", False):
+        raise InvalidCode("cannot decode from a failed state")
+    u = static.params.u
+    yes = frozenset(x for x in range(u) if static.query(seed, code.state, x))
+    ambient = sorted(set(range(u)) - yes)
+    limit = params.fn_limit
+    if not 0 <= code.index < bounded_subset_count(len(ambient), limit):
+        raise InvalidCode(f"index {code.index} out of range")
+    positions = bounded_subset_unindex(code.index, len(ambient), limit)
+    return yes | frozenset(ambient[p] for p in positions)
+
+
+def _outcome(code, *args):
+    try:
+        return code(*args)
+    except (NotGoodPair, InvalidCode) as exc:
+        return type(exc), str(exc)
+
+
+P83 = UniverseParams(8, 3)
+CODER_CASES = {
+    # fn_limit 1: a noise member is a miss with a nonzero index
+    "noisy62_wide": (
+        make_model(ModelKind.NOISY_EXACT, UniverseParams(6, 2), Fraction(1, 6), noise_m=1),
+        BoundsParams(u=6, n=2, eps_minus=Fraction(43, 256), alpha=Fraction(4)),
+    ),
+    "noisy83_wide": (
+        make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 4), noise_m=2),
+        BoundsParams(u=8, n=3, eps_minus=Fraction(1, 3), alpha=Fraction(2)),
+    ),
+    "noisy83_tight": (
+        make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 4), noise_m=2),
+        BoundsParams(u=8, n=3),
+    ),
+    "exact83": (make_model(ModelKind.EXACT_SET, P83), BoundsParams(u=8, n=3)),
+    # wrong yeses outside the dataset
+    "fingerprint82": (
+        make_model(ModelKind.FINGERPRINT_MULTISET, UniverseParams(8, 2), Fraction(1, 2)),
+        BoundsParams(u=8, n=2, eps_minus=Fraction(1, 2), alpha=Fraction(4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CODER_CASES))
+def test_mask_coder_matches_the_reference_coder(case):
+    model, params = CODER_CASES[case]
+    static = PairedStaticFilter(model)
+    u, n = model.params.u, model.params.n
+    for seed in seed_space(3):
+        for ds in iter_subsets_of_size(u, n):
+            code = _outcome(encode_dataset, static, params, seed, ds)
+            assert code == _outcome(reference_encode, static, params, seed, ds)
+            if not isinstance(code, DatasetCode):
+                continue
+            # every index at this state, one past the last included
+            ambient = u - static.yes_mask(seed, code.state).bit_count()
+            for index in range(bounded_subset_count(ambient, params.fn_limit) + 1):
+                other = DatasetCode(code.state, index)
+                assert _outcome(decode_dataset, static, params, seed, other) == _outcome(
+                    reference_decode, static, params, seed, other
+                )
+
+
 class TestDatasetCoding:
     WIDE = BoundsParams(u=6, n=2, eps_minus=Fraction(43, 256), alpha=Fraction(4))
 
@@ -410,12 +515,16 @@ class TestDatasetCoding:
 
 
 class TestBoundsReport:
-    def test_collects_checks(self):
-        results = [
-            check_counting_bound(5, BoundsParams(u=8, n=2)),
-            check_binom_scaling(16, 4, Fraction(1, 2)),
-            space_lower_bound("dynamic", 16, 4, Fraction(0)),
+    def test_collects_checks(self, tmp_path, capsys):
+        entries = [
+            {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5},
+            {"check": "binom_scaling", "u": 16, "n": 4, "beta": "1/2"},
+            {"check": "space", "kind": "dynamic", "u": 16, "n": 4},
         ]
-        blob = json.loads(bounds_report(results))
+        path = tmp_path / "checks.json"
+        path.write_text(json.dumps({"bounds_checks": entries}))
+        assert main(["bounds", "--config", str(path)]) == 0
+        blob = json.loads(capsys.readouterr().out)
         names = [entry["name"] for entry in blob["checks"]]
         assert names == ["counting_bound", "binom_scaling", "space_lower_bound"]
+        assert blob["checks"][0] == check_counting_bound(5, BoundsParams(u=8, n=2)).to_json_dict()

@@ -1,10 +1,10 @@
 """Sequence validation, traces, classification, rewriters, text format."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filterbounds.core import Operation, OpKind, OpSequence, UniverseParams
+from filterbounds.core import Operation, OpKind, OpSequence, UniverseParams, _mask_elems
 from filterbounds.sequences import (
     ArgOutOfUniverse,
     CardinalityExceeded,
@@ -301,3 +301,17 @@ class TestEnumerator:
     def test_enumeration_has_no_duplicates(self, u, n):
         seqs = list(enumerate_sequences(UniverseParams(u, n), 3))
         assert len(seqs) == len(set(seqs))
+
+
+def bin_elems(mask: int) -> list[int]:
+    """The set bits of mask read off its binary text, lowest first."""
+    return [x for x, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+
+
+@given(st.one_of(
+    st.integers(0, 1 << 200),
+    st.sets(st.integers(0, 5000), max_size=20).map(lambda xs: sum(1 << x for x in xs)),
+))
+@example(1 << 10**6 | 1)  # two bits a million apart: stepping bit by bit is quadratic
+def test_mask_elems_lists_the_set_bits_lowest_first(mask):
+    assert list(_mask_elems(mask)) == bin_elems(mask)

@@ -341,18 +341,18 @@ class TestViolationDemo:
 class TestVerificationSuite:
     def test_default_zoo_passes(self):
         report = run_verification_suite(default_verify_config())
-        assert report.passed
-        assert len(report.checks) == 10
-        names = [c.name for c in report.checks]
+        assert report["passed"]
+        assert len(report["checks"]) == 10
+        names = [c["name"] for c in report["checks"]]
         assert names[-2:] == ["counting_bound_negative_probe", "binom_scaling_grid"]
         assert sum(1 for n in names if n.startswith("sticky[")) == 2
 
     def test_negative_control_fails_where_expected(self):
         report = run_verification_suite(negative_control_config())
-        assert not report.passed
-        failing = {c.name for c in report.checks if not c.passed}
+        assert not report["passed"]
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert any("fingerprint_multiset" in name for name in failing)
-        clean = {c.name for c in report.checks if c.passed}
+        clean = {c["name"] for c in report["checks"] if c["passed"]}
         assert any("exact_set" in name for name in clean)
         assert any("noisy_exact" in name for name in clean)
 
@@ -367,7 +367,7 @@ class TestVerificationSuite:
         cfg = config_from_dict(
             {"models": [spec.to_dict()], "seed_bits": 6}, default_verify_config()
         )
-        details = {c.name: c.details for c in run_verification_suite(cfg).checks}
+        details = {c["name"]: c["details"] for c in run_verification_suite(cfg)["checks"]}
         model = witness_transform(spec.build())
         seeds = list(seed_space(6))
         violations = failed = 0
@@ -410,9 +410,9 @@ class TestVerificationSuite:
         cfg = config_from_dict({"models": []}, default_verify_config())
         with pytest.warns(UserWarning):
             report = run_verification_suite(cfg)
-        assert report.checks == []
-        assert report.warnings
-        assert report.passed  # vacuously
+        assert report["checks"] == []
+        assert report["warnings"]
+        assert report["passed"]  # vacuously
 
     def test_report_json_stable(self):
         cfg = config_from_dict(
@@ -420,9 +420,14 @@ class TestVerificationSuite:
             default_verify_config(),
         )
         report = run_verification_suite(cfg)
-        assert report.to_json() == run_verification_suite(cfg).to_json()
-        blob = json.loads(report.to_json())
+        assert report == run_verification_suite(cfg)
+        blob = json.loads(json.dumps(report))
         assert blob["check_count"] == len(blob["checks"])
+
+    def test_runner_returns_the_report_verify_prints(self, capsys):
+        assert main(["verify", "--seed-bits", "7"]) == 0
+        cfg = config_from_dict({"seed_bits": 7}, default_verify_config())
+        assert json.loads(capsys.readouterr().out) == run_verification_suite(cfg)
 
 
 class TestEncodeDecode:
@@ -659,6 +664,18 @@ class TestCli:
                           "eps_plus": "1/2"}]}, ["fp-rate", "--trials", "100"]),
             ({"models": [{"kind": "fingerprint_multiset", "u": 2, "n": 3, "eps_plus": "1/2",
                           "collision_table": [[0, 0], [1, 0]]}]}, ["demo-violations"]),
+            # a grid cell whose binomials are trivial but whose n * slack
+            # overflows a float
+            ({"grid": {"u": [10**400], "n": [10**400], "beta": ["1"]}},
+             ["verify", "--seed-bits", "2"]),
+            ({"bounds_checks": [{"check": "binom_scaling", "u": 10**400, "n": 10**400,
+                                 "beta": "1"}]}, ["bounds"]),
+            # a bad field in the second entry of a list
+            ({"models": [{"kind": "exact_set", "u": 6, "n": 2},
+                         {"kind": "exact_set", "u": "x", "n": 2}]}, ["verify"]),
+            ({"bounds_checks": [{"check": "space", "u": 16, "n": 4},
+                                {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5,
+                                 "alpah": "3"}]}, ["bounds"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -672,6 +689,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "config, command, line",
+        [
+            ({"models": [{"kind": "exact_set", "u": 6, "n": 2},
+                         {"kind": "exact_set", "u": "x", "n": 2}]}, "verify",
+             "config models[1]: exact_set model spec u: must be an integer, got 'x'"),
+            ({"grid": {"u": [16], "n": [4], "beta": ["1/2"], "Beta": ["1"]}}, "verify",
+             "config grid takes no ['Beta']; its keys are ['beta', 'n', 'u']"),
+            ({"grid": {"u": [16, "x"], "n": [4], "beta": ["1/2"]}}, "verify",
+             "config grid u[1]: must be an integer, got 'x'"),
+            ({"negative_probe": {"fspace_bits": 3, "u": 8, "n": 2, "alhpa": "2"}}, "verify",
+             "config negative_probe takes no ['alhpa']; its keys are "
+             "['alpha', 'eps_minus', 'fspace_bits', 'n', 'p_fail', 'u']"),
+            ({"alphas": ["2", "x"]}, "verify", "config alphas[1]: bad rational literal 'x'"),
+            ({"bounds_checks": [{"check": "space", "u": 16, "n": 4}, {"check": "nope"}]},
+             "bounds",
+             "bounds config bounds_checks[1]: bounds check check: must be one of "
+             "['counting', 'binom_scaling', 'space'], got 'nope'"),
+            ({"grid": {"u": [10**400], "n": [10**400], "beta": ["1"]}}, "verify",
+             "binom_scaling needs floats past their range"),
+        ],
+        ids=["model", "grid_key", "grid_entry", "probe_key", "alpha", "bounds_entry",
+             "float_range"],
+    )
+    def test_error_line_names_the_list_entry_and_each_object_once(
+        self, config, command, line, tmp_path, capsys
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--seed-bits", "2", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     @pytest.mark.parametrize(
         "command, text",
