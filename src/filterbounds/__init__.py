@@ -23,8 +23,7 @@ _EXPORTS = {
         "CountingBoundResult", "DatasetCode", "InvalidCode", "NotGoodPair",
         "ParamsOutOfRange", "SpaceBound", "binom_exact", "check_binom_scaling",
         "check_counting_bound", "decode_dataset", "encode_dataset",
-        "false_negative_set", "find_best_seed", "is_good_pair",
-        "space_lower_bound",
+        "find_best_seed", "is_good_pair", "space_lower_bound",
     ),
     "core": ("Operation", "OpKind", "OpSequence", "UniverseParams"),
     "sequences": (
@@ -39,7 +38,7 @@ _EXPORTS = {
         "FAIL_STATE", "ExactSetModel", "FailStateError", "FilterModel",
         "FilterState", "FingerprintMultisetModel", "InvalidParams",
         "ModelKind", "NoisyExactModel", "Seed", "draw_seed", "fingerprint",
-        "make_model", "measure_space", "run_sequence", "seed_space",
+        "make_model", "run_sequence", "seed_space",
     ),
     "harness": (
         "ConfigError", "ExperimentConfig", "ModelSpec", "run_fp_experiment",
@@ -48,7 +47,7 @@ _EXPORTS = {
     "demo": ("run_violation_demo",),
     "reduction": (
         "PairedState", "PairedStaticFilter", "ReductionReport",
-        "check_reduction", "pair_init", "pair_query",
+        "check_reduction", "pair_init",
     ),
     "witness": (
         "EnumerationTooLarge", "WitnessModel", "check_sticky", "state_after",

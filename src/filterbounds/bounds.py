@@ -10,9 +10,11 @@ one side and datasets on the other gives, for a space of fspace bits,
 
 with alpha a Markov slack parameter.  check_counting_bound evaluates that
 inequality in exact integer and rational arithmetic.  The constructive
-half lives in find_best_seed / encode_dataset / decode_dataset: pick the
-seed with the most well-behaved datasets, then code each such dataset as
-(state, rank of its false-negative set) and decode by querying the state.
+half lives in pick_best_seed / encode_dataset / decode_dataset: pick the
+seed with the most well-behaved datasets (the commands count them in the
+reduction sweep, ReductionReport.best_seed; find_best_seed, the reference,
+counts pair by pair), then code each such dataset as (state, rank of its
+false-negative set) and decode by querying the state.
 
 check_binom_scaling verifies the binomial estimate used to turn the
 counting form into bits, and space_lower_bound assembles the headline
@@ -36,12 +38,11 @@ from .combinat import (
     bounded_subset_count,
     bounded_subset_index,
     bounded_subset_unindex,
-    floor_frac,
     frac_str,
     iter_subsets_of_size,
 )
 from .core import UniverseParams, _mask_elems, _Record, _set
-from .filters import FailStateError, Seed
+from .filters import Seed
 from .witness import check_enumeration_budget
 
 
@@ -199,7 +200,7 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> BinomScalingResult:
     beta = Fraction(beta)
     if not 0 <= beta <= 1:
         raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
-    k = floor_frac(beta * n)
+    k = math.floor(beta * n)
     _check_exact_cost("binom_scaling", _binom_bits(u, k) + _binom_bits(u, n))
     lhs = math.log2(binom_exact(u, k))
     try:
@@ -275,18 +276,6 @@ def space_lower_bound(
         leading /= 2
         constant /= 2
     return SpaceBound(kind, u, n, eps, leading, constant)
-
-
-def false_negative_set(
-    static_filter: StaticFilter, seed: Seed, dataset: Sequence[int]
-) -> frozenset[int]:
-    """Members of the dataset the filter wrongly answers 0 on."""
-    state = static_filter.init_state(seed, dataset)
-    if getattr(state, "is_fail", False):
-        raise FailStateError("filter failed on this (seed, dataset) pair")
-    return frozenset(
-        x for x in dataset if static_filter.query(seed, state, x) == 0
-    )
 
 
 def is_good_pair(

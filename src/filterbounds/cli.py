@@ -115,6 +115,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args, default_verify_config())
     report = run_verification_suite(cfg)
+    for text in report["warnings"]:
+        print(f"warning: {text}", file=sys.stderr)
     _emit(_report_json(report), args.out)
     return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
 

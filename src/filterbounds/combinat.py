@@ -137,10 +137,6 @@ def ceil_log2_frac(num: int, den: int) -> int:
     return (q - 1).bit_length()
 
 
-def floor_frac(value: Fraction) -> int:
-    return math.floor(value)
-
-
 def frac_str(value: Fraction) -> str:
     """Exact 'p/q' text of a rational, denominator always shown ('1/1')."""
     return f"{value.numerator}/{value.denominator}"

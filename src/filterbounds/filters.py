@@ -35,11 +35,11 @@ derive the pair once and any other seed object derives it afresh.  A bulk
 insert sorts the batch's fingerprints and writes the slot fields in one
 run-length pass; a query, insert or delete binary-searches the slot fields
 and splices the one slot it changes instead of decoding the multiset.  All
-rely on the layout encode_multiset writes, the only layout a live
-fingerprint state has: slots in ascending fingerprint order, each a
-fingerprint field of fp_bits followed by a count field of count_bits.  So
-the fingerprint fields sit count_bits above the low end of the state value
-and every fp_bits + count_bits bits above that, largest fingerprint lowest.
+rely on the one layout a live fingerprint state has: slots in ascending
+fingerprint order, each a fingerprint field of fp_bits followed by a count
+field of count_bits holding count - 1.  So the fingerprint fields sit
+count_bits above the low end of the state value and every fp_bits +
+count_bits bits above that, largest fingerprint lowest.
 
 The exact models step through two memos filled as states are met: rank to
 set bitmask, and bitmask to state.  encode_set ranks each set once, when a
@@ -369,25 +369,6 @@ def hash_params(seed: Seed, p: int) -> tuple[int, int]:
     return 1 + seed_word(seed, 0) % (p - 1), seed_word(seed, 1) % p
 
 
-def fingerprints(
-    xs: Iterable[int],
-    seed: Seed,
-    nbits: int,
-    u: int,
-    collision_table: Mapping[int, int] | None = None,
-) -> list[int]:
-    """Pairwise independent fingerprints of the xs in [2**nbits], in order.
-
-    h(x) = ((a*x + c) mod p) mod 2**nbits with p the smallest prime above
-    u and (a, c) derived from the seed once per call, a nonzero.  Entries
-    of the optional collision table override the hash; they exist to force
-    collisions in demonstrations.  Every x must lie in [0, u) and every
-    forced value must fit nbits, else ValueError.
-    """
-    p = next_prime(u)
-    return _hash_batch(list(xs), hash_params(seed, p), p, nbits, u, collision_table)
-
-
 def _hash_batch(
     xs: Sequence[int],
     pair: tuple[int, int],
@@ -396,7 +377,7 @@ def _hash_batch(
     u: int,
     collision_table: Mapping[int, int] | None,
 ) -> list[int]:
-    """fingerprints under an already derived hash pair."""
+    """fingerprint of each x under an already derived hash pair, in order."""
     if xs and (min(xs) < 0 or max(xs) >= u):
         bad = next(x for x in xs if not 0 <= x < u)
         raise ValueError(f"element {bad} outside universe [0, {u})")
@@ -420,8 +401,16 @@ def fingerprint(
     u: int,
     collision_table: Mapping[int, int] | None = None,
 ) -> int:
-    """The fingerprint of one element; see fingerprints."""
-    return fingerprints((x,), seed, nbits, u, collision_table)[0]
+    """Pairwise independent fingerprint of x in [2**nbits].
+
+    h(x) = ((a*x + c) mod p) mod 2**nbits with p the smallest prime above
+    u and (a, c) derived from the seed, a nonzero.  An entry of the
+    optional collision table overrides the hash; it exists to force
+    collisions in demonstrations.  x must lie in [0, u) and a forced value
+    must fit nbits, else ValueError.
+    """
+    p = next_prime(u)
+    return _hash_batch((x,), hash_params(seed, p), p, nbits, u, collision_table)[0]
 
 
 # the widest fingerprint a model accepts; a false-positive rate of 2**-1024
@@ -512,28 +501,6 @@ class FingerprintMultisetModel(FilterModel):
             return table[x]  # checked to fit fp_bits at construction
         a, c = self._hash_pair(seed)
         return (a * x + c) % self._prime & self._fp_mask
-
-    def encode_multiset(self, counts: Mapping[int, int]) -> FilterState:
-        slot_bits = self.fp_bits + self.count_bits
-        value = 0
-        for fp in sorted(counts):
-            count = counts[fp]
-            if not 1 <= count <= self.params.n:
-                raise ValueError(f"slot count {count} outside 1..{self.params.n}")
-            value = (value << slot_bits) | (fp << self.count_bits) | (count - 1)
-        return FilterState(value, slot_bits * len(counts))
-
-    def decode_multiset(self, state: FilterState) -> dict[int, int]:
-        if state.fail:
-            raise FailStateError("cannot decode the fail state")
-        slot_bits = self.fp_bits + self.count_bits
-        counts: dict[int, int] = {}
-        value = state.value
-        for _ in range(state.nbits // slot_bits):
-            field = value & ((1 << slot_bits) - 1)
-            counts[field >> self.count_bits] = (field & ((1 << self.count_bits) - 1)) + 1
-            value >>= slot_bits
-        return counts
 
     def state_for_elements(self, seed: Seed, elems: Sequence[int]) -> FilterState:
         """Bulk insert into a fresh state; equals stepping the inserts in order.
@@ -647,21 +614,3 @@ def make_model(
     return FingerprintMultisetModel(
         params, eps_plus, fingerprint_bits, collision_table
     )
-
-
-def measure_space(
-    model: FilterModel, seqs: Iterable[OpSequence], seeds: Iterable[Seed]
-) -> int:
-    """Largest non-fail state width reached over the given runs, in bits.
-
-    The fail sentinel does not count; an empty run set measures 0.
-    """
-    seqs = list(seqs)
-    best = 0
-    for seed in seeds:
-        for seq in seqs:
-            states, _ = run_sequence(model, seed, seq)
-            for st in states:
-                if not st.fail and st.nbits > best:
-                    best = st.nbits
-    return best

@@ -43,13 +43,6 @@ class PairedState(_Record):
     def is_fail(self) -> bool:
         return self.after_insert.fail or self.after_delete.fail
 
-    @property
-    def space_bits(self) -> int:
-        """Space charge: the sum of the component widths."""
-        if self.is_fail:
-            return 0
-        return self.after_insert.nbits + self.after_delete.nbits
-
     def serialize(self) -> str:
         """Length-prefixed pair, decodable without out-of-band widths."""
         if self.is_fail:
@@ -91,20 +84,6 @@ def pair_init(model: FilterModel, seed: Seed, dataset: Sequence[int]) -> PairedS
     return PairedState(after_insert, delete_run(model, seed, after_insert, elems))
 
 
-def pair_query(
-    model: FilterModel, seed: Seed, state: PairedState, x: int
-) -> int:
-    """1 iff the insert snapshot says yes and the delete snapshot says no.
-
-    A failed pair answers 0; the static side never raises on fail.
-    """
-    if state.is_fail:
-        return 0
-    b1 = model.query_bit(seed, state.after_insert, x)
-    b2 = model.query_bit(seed, state.after_delete, x)
-    return b1 & (1 - b2)
-
-
 class PairedStaticFilter:
     """Static-filter face of the construction: init on a dataset, pure queries."""
 
@@ -119,7 +98,13 @@ class PairedStaticFilter:
         return pair_init(self.model, seed, dataset)
 
     def query(self, seed: Seed, state: PairedState, x: int) -> int:
-        return pair_query(self.model, seed, state, x)
+        """1 iff the insert snapshot says yes and the delete snapshot says
+        no; a failed pair answers 0, the static side never raises on fail."""
+        if state.is_fail:
+            return 0
+        b1 = self.model.query_bit(seed, state.after_insert, x)
+        b2 = self.model.query_bit(seed, state.after_delete, x)
+        return b1 & (1 - b2)
 
     def yes_mask(self, seed: Seed, state: PairedState) -> int:
         """Every x that query answers 1 on, as a bitmask; 0 for a failed pair."""
@@ -253,7 +238,7 @@ def check_reduction(model: FilterModel, seeds: Sequence[Seed]) -> ReductionRepor
             members = member_masks[i]
             insert_yes = yes_mask(seed, after_insert)
             delete_yes = yes_mask(seed, after_delete)
-            answered = insert_yes & ~delete_yes  # what pair_query answers 1 on
+            answered = insert_yes & ~delete_yes  # what PairedStaticFilter.query answers 1 on
             false_positives = answered & ~members
             if false_positives:
                 fp_count += weight * false_positives.bit_count()

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +16,6 @@ from filterbounds.combinat import (
     bounded_subset_index,
     bounded_subset_unindex,
     ceil_log2_frac,
-    floor_frac,
     next_prime,
     subset_rank,
     subset_unrank,
@@ -193,12 +191,6 @@ def test_ceil_log2_frac_is_tight(num, den):
     assert (1 << w) * den >= num
     if w > 0:
         assert (1 << (w - 1)) * den < num
-
-
-def test_floor_frac():
-    assert floor_frac(Fraction(2, 3)) == 0
-    assert floor_frac(Fraction(7, 2)) == 3
-    assert floor_frac(Fraction(4)) == 4
 
 
 def test_next_prime():

@@ -1,4 +1,8 @@
-"""Filter models: encodings, stepping, fail sink, fingerprints, space."""
+"""Filter models: encodings, stepping, fail sink and fingerprints.
+
+The fingerprint slot layout is written and read back here, slot by slot,
+as the oracle for the model's bulk insert, slot search and spliced steps.
+"""
 
 import itertools
 import random
@@ -21,11 +25,11 @@ from filterbounds.filters import (
     ModelKind,
     NoisyExactModel,
     Seed,
+    _hash_batch,
     draw_seed,
     fingerprint,
-    fingerprints,
+    hash_params,
     make_model,
-    measure_space,
     run_sequence,
     seed_space,
     seed_word,
@@ -48,6 +52,29 @@ S0 = Seed(0, 8)
 def all_small_subsets(u, n):
     for k in range(n + 1):
         yield from iter_subsets_of_size(u, k)
+
+
+def encode_slots(model, counts):
+    """The fingerprint state of {fingerprint: count}: slots in ascending
+    fingerprint order, each fp_bits of fingerprint then count - 1 in
+    count_bits, the first slot highest."""
+    slot_bits = model.fp_bits + model.count_bits
+    value = 0
+    for fp in sorted(counts):
+        value = (value << slot_bits) | (fp << model.count_bits) | (counts[fp] - 1)
+    return FilterState(value, slot_bits * len(counts))
+
+
+def decode_slots(model, state):
+    """{fingerprint: count} read back from a live fingerprint state."""
+    slot_bits = model.fp_bits + model.count_bits
+    counts = {}
+    value = state.value
+    for _ in range(state.nbits // slot_bits):
+        field = value & ((1 << slot_bits) - 1)
+        counts[field >> model.count_bits] = (field & ((1 << model.count_bits) - 1)) + 1
+        value >>= slot_bits
+    return counts
 
 
 class TestSeeds:
@@ -319,26 +346,17 @@ class TestFingerprintMultiset:
         with pytest.raises(InvalidParams):
             FingerprintMultisetModel(P82, Fraction(0))
 
-    def test_multiset_round_trip(self):
-        model = FingerprintMultisetModel(P82, Fraction(1, 2))
-        counts = {0: 2, 3: 1}
-        assert model.decode_multiset(model.encode_multiset(counts)) == counts
-        with pytest.raises(ValueError):
-            model.encode_multiset({0: 3})
-        with pytest.raises(ValueError):
-            model.encode_multiset({0: 0})
-
     def test_duplicate_insert_inflates_count(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
         fp = model.fingerprint_of(S0, 3)
         state = model.state_for_elements(S0, [3, 3])
-        assert model.decode_multiset(state) == {fp: 2}
+        assert decode_slots(model, state) == {fp: 2}
 
     def test_counts_saturate_at_n(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
         state = model.state_for_elements(S0, [3] * 5)
         fp = model.fingerprint_of(S0, 3)
-        assert model.decode_multiset(state)[fp] == 2
+        assert decode_slots(model, state)[fp] == 2
 
     def test_delete_of_absent_fingerprint_is_noop(self):
         model = FingerprintMultisetModel(
@@ -374,6 +392,9 @@ class TestFingerprintMultiset:
         assert not state.fail
         assert model.insert_state(S0, state, 2) is FAIL_STATE
         assert model.state_for_elements(S0, [0, 1, 2]) is FAIL_STATE
+        ops = [op_init(), op_ins(0), op_ins(1), op_ins(2)]
+        states, _ = run_sequence(model, S0, validate_sequence(ops, UniverseParams(8, 3)))
+        assert [s.nbits for s in states[:3]] == [0, 3, 6] and states[-1].fail
 
     def test_fail_is_a_sink_and_answers_yes(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
@@ -432,9 +453,9 @@ def element_lists(model, draw):
 
 
 def reference_query(model, seed, state, y):
-    """Membership of y's fingerprint in the decoded multiset, memo-free."""
+    """Membership of y's fingerprint in the decoded slots, memo-free."""
     fp = fingerprint(y, seed, model.fp_bits, model.params.u, model.collision_table)
-    return 1 if fp in model.decode_multiset(state) else 0
+    return 1 if fp in decode_slots(model, state) else 0
 
 
 class TestFingerprintProperties:
@@ -463,7 +484,7 @@ class TestFingerprintProperties:
             state, _ = model.step(seed, state, op_ins(x) if insert else op_del(x))
             if state.fail:
                 break
-            slots = model.decode_multiset(state)
+            slots = decode_slots(model, state)
             for y in range(model.params.u):
                 want = 1 if model.fingerprint_of(seed, y) in slots else 0
                 assert model.query_bit(seed, state, y) == want
@@ -477,7 +498,7 @@ class TestFingerprintProperties:
             counts = {
                 fp: data.draw(st.integers(1, model.params.n)) for fp in sorted(fps)
             }
-            state = model.encode_multiset(counts)
+            state = encode_slots(model, counts)
             for y in range(model.params.u):
                 assert model.query_bit(seed, state, y) == reference_query(
                     model, seed, state, y
@@ -489,9 +510,11 @@ class TestFingerprintProperties:
         model, seed = case
         elems = element_lists(model, data.draw)
         u, table = model.params.u, model.collision_table
-        assert fingerprints(elems, seed, model.fp_bits, u, table) == [
-            fingerprint(x, seed, model.fp_bits, u, table) for x in elems
-        ]
+        one_at_a_time = [fingerprint(x, seed, model.fp_bits, u, table) for x in elems]
+        p = model._prime
+        batch = _hash_batch(elems, hash_params(seed, p), p, model.fp_bits, u, table)
+        assert batch == one_at_a_time
+        assert [model.fingerprint_of(seed, x) for x in elems] == one_at_a_time
 
     @settings(deadline=None)
     @given(fingerprint_models(), st.data())
@@ -503,7 +526,7 @@ class TestFingerprintProperties:
         spot = data.draw(st.integers(0, len(elems)))
         bad = elems[:spot] + [outside] + elems[spot:]
         with pytest.raises(ValueError):
-            fingerprints(bad, seed, bits, u, model.collision_table)
+            fingerprint(outside, seed, bits, u, model.collision_table)
         with pytest.raises(ValueError):
             model.state_for_elements(seed, bad)
         with pytest.raises(ValueError):
@@ -511,14 +534,14 @@ class TestFingerprintProperties:
         x = data.draw(st.integers(0, u - 1))
         wide = {x: data.draw(st.sampled_from([-1, 1 << bits]))}
         with pytest.raises(ValueError):
-            fingerprints(elems + [x], seed, bits, u, wide)
+            fingerprint(x, seed, bits, u, wide)
         with pytest.raises(InvalidParams):
             FingerprintMultisetModel(model.params, model.eps_plus, bits, wide)
 
 
 def reference_fingerprint_step(model, seed, state, x, insert):
-    """The step through decode_multiset and encode_multiset, as before the splice."""
-    counts = model.decode_multiset(state)
+    """The step through decode_slots and encode_slots, as before the splice."""
+    counts = decode_slots(model, state)
     fp = model.fingerprint_of(seed, x)
     if insert:
         if fp not in counts and len(counts) == model.params.n:
@@ -528,7 +551,7 @@ def reference_fingerprint_step(model, seed, state, x, insert):
         counts[fp] -= 1
         if counts[fp] == 0:
             del counts[fp]
-    return model.encode_multiset(counts)
+    return encode_slots(model, counts)
 
 
 class TestFingerprintSplice:
@@ -565,14 +588,14 @@ class TestFingerprintSplice:
         state = model.fresh_state(S0)
         for x in (0, 1, 0):
             state = model.insert_state(S0, state, x)
-        assert model.decode_multiset(state) == {0: 2}
+        assert decode_slots(model, state) == {0: 2}
         state = model.insert_state(S0, state, 2)
-        assert model.decode_multiset(state) == {0: 2, 1: 1}
+        assert decode_slots(model, state) == {0: 2, 1: 1}
         assert model.insert_state(S0, state, 3) is FAIL_STATE
         state = model.delete_state(S0, state, 1)
-        assert model.decode_multiset(state) == {0: 1, 1: 1}
+        assert decode_slots(model, state) == {0: 1, 1: 1}
         state = model.delete_state(S0, state, 0)
-        assert model.decode_multiset(state) == {1: 1}
+        assert decode_slots(model, state) == {1: 1}
         assert model.delete_state(S0, state, 3) == state
 
 
@@ -705,7 +728,7 @@ class TestHashPairMemo:
                for x in elems]
         if len(set(fps)) > n:
             return FAIL_STATE
-        return model.encode_multiset({fp: min(fps.count(fp), n) for fp in fps})
+        return encode_slots(model, {fp: min(fps.count(fp), n) for fp in fps})
 
     def test_interleaved_seeds_and_models_match_the_reference(self):
         twin_a, twin_b = Seed(77, 8), Seed(77, 8)
@@ -776,34 +799,3 @@ class TestMakeModel:
 
     def test_describe_mentions_shape(self):
         assert make_model("exact_set", P82).describe() == "exact_set(u=8, n=2)"
-
-
-class TestMeasureSpace:
-    def test_exact_set_width_frozen(self):
-        model = ExactSetModel(P82)
-        seq = validate_sequence([op_init(), op_ins(0), op_ins(1)], P82)
-        assert measure_space(model, [seq], [S0]) == 6
-
-    def test_fingerprint_grows_per_slot(self):
-        # fp_bits 2 + count bit 1 per slot; two distinct slots reach 6
-        model = FingerprintMultisetModel(
-            P82, Fraction(1, 2), collision_table={0: 0, 1: 1}
-        )
-        assert model.fp_bits == 2
-        short = validate_sequence([op_init(), op_ins(0)], P82)
-        full = validate_sequence([op_init(), op_ins(0), op_ins(1)], P82)
-        assert measure_space(model, [short], [S0]) == 3
-        assert measure_space(model, [short, full], [S0]) == 6
-
-    def test_fail_states_do_not_count(self):
-        model = FingerprintMultisetModel(
-            P82, Fraction(1, 2), collision_table={0: 0, 1: 1, 2: 2}
-        )
-        ops = [op_init(), op_ins(0), op_ins(1), op_ins(2)]
-        seq = validate_sequence(ops, UniverseParams(8, 3))
-        states, _ = run_sequence(model, S0, seq)
-        assert states[-1].fail
-        assert measure_space(model, [seq], [S0]) == 6
-
-    def test_empty_measures_zero(self):
-        assert measure_space(ExactSetModel(P82), [], []) == 0

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -408,10 +409,11 @@ class TestVerificationSuite:
 
     def test_empty_zoo_warns_and_checks_nothing(self):
         cfg = config_from_dict({"models": []}, default_verify_config())
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the report carries the warning
             report = run_verification_suite(cfg)
         assert report["checks"] == []
-        assert report["warnings"]
+        assert report["warnings"] == [EMPTY_ZOO_WARNING]
         assert report["passed"]  # vacuously
 
     def test_report_json_stable(self):
@@ -470,6 +472,17 @@ class TestCli:
         assert main(["verify", "--config", str(path)]) == 1
         blob = json.loads(capsys.readouterr().out)
         assert blob["passed"] is False
+
+    def test_verify_empty_zoo_prints_one_warning_line(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"models": []}')
+        done = subprocess.run(
+            [sys.executable, "-m", "filterbounds", "verify", "--config", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == f"warning: {EMPTY_ZOO_WARNING}\n"
+        assert json.loads(done.stdout)["warnings"] == [EMPTY_ZOO_WARNING]
 
     def test_fp_rate_csv(self, capsys):
         assert main(["fp-rate", "--trials", "500", "--format", "csv"]) == 0
@@ -1030,6 +1043,9 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.split() == [make().config_hash() for make in DEFAULT_CONFIGS]
+
+
+EMPTY_ZOO_WARNING = "no models configured; verification suite has nothing to check"
 
 
 def child_env():

@@ -3,13 +3,22 @@
 Every record keeps the behaviour it had as a frozen dataclass: the same
 positional order, keywords and defaults, equality only within one class,
 a hash of its fields where they have one, and the dataclass repr text.
+
+The module also ties the package to its benchmark: every perfbench tracer
+target resolves, and every public function or method is run by a command,
+named by the tracer, or kept in KEPT_UNRUN for a stated reason.
 """
 
+import contextlib
 import copy
 import importlib
 import importlib.util
+import inspect
+import io
+import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import filterbounds
 from filterbounds.bounds import (
     BestSeed,
     BinomScalingResult,
@@ -27,6 +37,8 @@ from filterbounds.bounds import (
     ParamsOutOfRange,
     SpaceBound,
 )
+from filterbounds.cli import main
+from filterbounds.combinat import next_prime
 from filterbounds.core import (
     _Record,
     Operation,
@@ -369,6 +381,118 @@ def test_every_benchmark_trace_target_is_defined_where_the_tracer_looks():
         for part in path[:-1]:
             owner = getattr(owner, part)
         assert path[-1] in vars(owner), qualname
+
+
+# Public code that no command runs and no tracer target names, with the
+# reason each stays.  Keys are module.function or module.Class.method; a
+# bare module name covers every name the module defines.
+KEPT_UNRUN = {
+    "harness.negative_control_config":
+        "perfbench/launch.py builds the certify workload's control config",
+    "filters.FilterModel.yes_mask":
+        "the brute-force default that the tests hold every override to",
+    "filters.FilterModel.seed_class":
+        "the brute-force default, one class per seed, that the tests sweep against",
+    "filters.ExactSetModel.decode_set":
+        "unranks states the model never handed out, as the tests build them",
+    "filters.NoisyExactModel.noise_set":
+        "the noise oracle that the bounds and reduction tests compare against",
+    "reduction.PairedStaticFilter.query":
+        "the static filter's query, which is_good_pair, a tracer target, calls",
+    "sequences":
+        "acceptance test 8 checks its rewriters, and ROADMAP item 6 builds on them",
+}
+
+
+def _public_code():
+    """module.function and module.Class.method -> code object, for every
+    public function and method the package defines.  Property getters count
+    as methods; abstract methods and Protocol classes do not count."""
+    found = {}
+    for info in pkgutil.iter_modules(filterbounds.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"filterbounds.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not inspect.isclass(obj):
+                if inspect.isfunction(inspect.unwrap(obj)):
+                    found[f"{info.name}.{name}"] = inspect.unwrap(obj).__code__
+                continue
+            if getattr(obj, "_is_protocol", False):
+                continue
+            for attr, member in vars(obj).items():
+                member = getattr(member, "fget", member)  # a property's getter
+                member = getattr(member, "__func__", member)  # static or class method
+                if (
+                    not attr.startswith("_")
+                    and inspect.isfunction(member)
+                    and not getattr(member, "__isabstractmethod__", False)
+                ):
+                    found[f"{info.name}.{name}.{attr}"] = member.__code__
+    return found
+
+
+def _codes_every_command_calls(tmp_path):
+    """The code objects entered while the six commands run, at small sizes."""
+    verify_config = tmp_path / "verify.json"
+    verify_config.write_text(json.dumps({"models": [
+        {"kind": "exact_set", "u": 6, "n": 2},
+        {"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6", "noise_m": 1},
+    ]}))
+    bounds_config = tmp_path / "bounds.json"
+    bounds_config.write_text(json.dumps({"bounds_checks": [
+        {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5},
+        {"check": "binom_scaling", "u": 16, "n": 4, "beta": "1/2"},
+        {"check": "space", "kind": "dynamic", "u": 64, "n": 4, "eps": "1/8"},
+    ]}))
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) in (0, 1)
+        return out.getvalue()
+
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    next_prime.cache_clear()  # a cached call enters no code
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run("verify", "--seed-bits", "7", "--config", str(verify_config))
+        run("fp-rate", "--trials", "500")
+        run("fp-rate", "--trials", "500", "--format", "csv")
+        run("demo-violations", "--seed-bits", "4")
+        run("bounds", "--config", str(bounds_config))
+        code = json.loads(run("encode", "--seed-bits", "4", "--elements", "1,4"))
+        run("decode", "--seed-bits", "4", "--state", code["state"], "--index", code["index"])
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_every_public_function_is_run_by_a_command_or_kept_for_a_reason(tmp_path):
+    called = _codes_every_command_calls(tmp_path)
+    traced = set(_load_tracer().TARGETS)
+    unrun = {
+        name for name, code in _public_code().items()
+        if code not in called and name not in traced
+    }
+    # a name's own entry first, else its module's
+    excused_by = {
+        name: name if name in KEPT_UNRUN else name.split(".")[0]
+        for name in unrun
+        if name in KEPT_UNRUN or name.split(".")[0] in KEPT_UNRUN
+    }
+    dead = sorted(unrun - set(excused_by))
+    assert not dead, f"no command runs {dead}: delete them, or keep them in KEPT_UNRUN"
+    stale = sorted(set(KEPT_UNRUN) - set(excused_by.values()))
+    assert not stale, f"{stale} in KEPT_UNRUN are run by a command or traced"
 
 
 @pytest.mark.parametrize("workload", ["certify", "montecarlo", "coding"])

@@ -30,7 +30,6 @@ from filterbounds.reduction import (
     ReductionReport,
     check_reduction,
     pair_init,
-    pair_query,
     parse_paired_state,
 )
 from filterbounds import witness
@@ -87,19 +86,14 @@ class ForgetsNoiseStart(NoisyExactModel):
 
 
 class TestPairedState:
-    def test_space_is_sum_of_components(self):
-        pair = PairedState(FilterState(3, 5), FilterState(0, 5))
-        assert pair.space_bits == 10
-        assert not pair.is_fail
-
     def test_fail_pair(self):
         pair = PairedState(FAIL_STATE, FAIL_STATE)
         assert pair.is_fail
-        assert pair.space_bits == 0
         assert pair.serialize() == "FAIL"
 
     def test_serialize_round_trip(self):
         pair = PairedState(FilterState(5, 5), FilterState(0, 0))
+        assert not pair.is_fail
         text = pair.serialize()
         assert text == "5:00101/0:"
         assert parse_paired_state(text) == pair
@@ -134,16 +128,17 @@ class TestPairInit:
 class TestPairQuery:
     def test_truth_table(self, exact62):
         # answer is: insert snapshot yes AND delete snapshot no
+        query = PairedStaticFilter(exact62).query
         full = exact62.encode_set((3,))
         empty = exact62.encode_set(())
-        assert pair_query(exact62, S0, PairedState(full, empty), 3) == 1
-        assert pair_query(exact62, S0, PairedState(full, full), 3) == 0
-        assert pair_query(exact62, S0, PairedState(empty, empty), 3) == 0
-        assert pair_query(exact62, S0, PairedState(empty, full), 3) == 0
+        assert query(S0, PairedState(full, empty), 3) == 1
+        assert query(S0, PairedState(full, full), 3) == 0
+        assert query(S0, PairedState(empty, empty), 3) == 0
+        assert query(S0, PairedState(empty, full), 3) == 0
 
     def test_fail_answers_zero_without_raising(self, exact62):
         pair = PairedState(FAIL_STATE, FAIL_STATE)
-        assert pair_query(exact62, S0, pair, 0) == 0
+        assert PairedStaticFilter(exact62).query(S0, pair, 0) == 0
 
 
 class TestPairedStaticFilter:
@@ -152,7 +147,9 @@ class TestPairedStaticFilter:
         assert static.params == noisy62.params
         state = static.init_state(S0, (1, 4))
         assert state == pair_init(noisy62, S0, (1, 4))
-        assert static.query(S0, state, 1) == pair_query(noisy62, S0, state, 1)
+        yes = static.yes_mask(S0, state)
+        for x in range(noisy62.params.u):
+            assert static.query(S0, state, x) == yes >> x & 1
         assert static.describe() == f"paired({noisy62.describe()})"
 
     def test_no_false_positives_on_noisy_base(self, noisy62, seeds8):
@@ -436,7 +433,7 @@ def reference_sweep(model, seeds):
                 failed += weight
                 continue
             live[ds] += weight
-            pair_bits = max(pair_bits, pair.space_bits)
+            pair_bits = max(pair_bits, pair.after_insert.nbits + pair.after_delete.nbits)
             part_bits = max(part_bits, pair.after_insert.nbits, pair.after_delete.nbits)
             ins = reference_yes(model, seed, pair.after_insert, tables)
             dele = reference_yes(model, seed, pair.after_delete, tables)
