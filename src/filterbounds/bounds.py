@@ -79,7 +79,10 @@ def _check_exact_cost(check: str, bits: int) -> None:
 
 
 class StaticFilter(Protocol):
-    """What the encoding machinery needs from a static filter."""
+    """What the encoding machinery needs from a static filter.
+
+    Its states carry is_fail, true when the filter failed on the dataset.
+    """
 
     @property
     def params(self) -> UniverseParams: ...
@@ -286,7 +289,7 @@ def is_good_pair(
 ) -> bool:
     """Did the filter survive and keep its false negatives small here?"""
     state = static_filter.init_state(seed, dataset)
-    if getattr(state, "is_fail", False):
+    if state.is_fail:
         return False
     misses = sum(
         1 for x in dataset if static_filter.query(seed, state, x) == 0
@@ -358,7 +361,7 @@ def encode_dataset(
     yes-set (the code only exists for filters without false positives).
     """
     state = static_filter.init_state(seed, dataset)
-    if getattr(state, "is_fail", False):
+    if state.is_fail:
         raise NotGoodPair("filter failed on this pair")
     members = 0
     for x in dataset:
@@ -390,7 +393,7 @@ def decode_dataset(
     complement.  Raises InvalidCode for failed states or out-of-range
     indexes.
     """
-    if getattr(code.state, "is_fail", False):
+    if code.state.is_fail:
         raise InvalidCode("cannot decode from a failed state")
     u = static_filter.params.u
     yes = static_filter.yes_mask(seed, code.state)

@@ -12,9 +12,9 @@ from fractions import Fraction
 from .combinat import frac_str
 from .core import OpSequence
 from .filters import (
+    ExactSetModel,
     FilterModel,
     FingerprintMultisetModel,
-    make_model,
     run_sequence,
     seed_classes,
     seed_space,
@@ -69,7 +69,7 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
     if model.collision_table[x] != model.collision_table[y]:
         raise ConfigError("the first two collision table entries must collide")
     seqs = _demo_sequences(model.params.u, model.params.n, x, y)
-    control = make_model("exact_set", model.params)
+    control = ExactSetModel(model.params)
     seeds = list(seed_space(cfg.seed_bits))
 
     def events(m: FilterModel) -> tuple[int, int]:

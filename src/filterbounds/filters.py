@@ -15,7 +15,7 @@ rational stays exact.  The default key is the seed itself, which is plain
 brute force.  ExactSet reads none of the seed (one class), NoisyExact reads
 seed.value mod u, and FingerprintMultiset reads the hash pair (a, c).
 
-Three models ship here:
+Three models ship here, each with its config name as its kind:
 
 * ExactSet: stores the current set exactly as a fixed-width rank over all
   subsets of [u] of size <= n.  Correct under duplicate insertions and
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from enum import Enum
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -153,16 +152,10 @@ class FilterState(_Record):
 FAIL_STATE = FilterState(0, 1, fail=True)
 
 
-class ModelKind(Enum):
-    EXACT_SET = "exact_set"
-    NOISY_EXACT = "noisy_exact"
-    FINGERPRINT_MULTISET = "fingerprint_multiset"
-
-
 class FilterModel(ABC):
     """Shared stepping logic: init refreshes, fail is a sink, queries answer."""
 
-    kind: ModelKind
+    kind: str  # the model's config name
     params: UniverseParams
     eps_plus: Fraction
 
@@ -211,7 +204,7 @@ class FilterModel(ABC):
         return self.delete_state(seed, state, op.arg), None
 
     def describe(self) -> str:
-        return f"{self.kind.value}(u={self.params.u}, n={self.params.n})"
+        return f"{self.kind}(u={self.params.u}, n={self.params.n})"
 
 
 def run_sequence(
@@ -242,7 +235,7 @@ class ExactSetModel(FilterModel):
     fixed width of ceil(log2(number of such subsets)) bits.
     """
 
-    kind = ModelKind.EXACT_SET
+    kind = "exact_set"
 
     def __init__(self, params: UniverseParams, eps_plus: Fraction = Fraction(0)):
         if not 0 <= eps_plus <= 1:
@@ -331,7 +324,7 @@ class NoisyExactModel(ExactSetModel):
     exactly m/u.
     """
 
-    kind = ModelKind.NOISY_EXACT
+    kind = "noisy_exact"
 
     def __init__(self, params: UniverseParams, eps_plus: Fraction, noise_m: int):
         super().__init__(params, eps_plus)
@@ -359,7 +352,7 @@ class NoisyExactModel(ExactSetModel):
 
     def describe(self) -> str:
         return (
-            f"{self.kind.value}(u={self.params.u}, n={self.params.n}, "
+            f"{self.kind}(u={self.params.u}, n={self.params.n}, "
             f"m={self.noise_m})"
         )
 
@@ -428,18 +421,21 @@ class FingerprintMultisetModel(FilterModel):
     Encoding: occupied slots sorted by fingerprint, each slot written as
     the fingerprint (fp_bits wide) followed by count - 1 (enough bits for
     counts 1..n).  An insert that would create an (n+1)-th distinct slot
-    fails; a delete whose fingerprint is absent is a no-op.
+    fails; a delete whose fingerprint is absent is a no-op.  The optional
+    collision table, a mapping or [element, fingerprint] pairs, forces
+    fingerprints as fingerprint() describes.
     """
 
-    kind = ModelKind.FINGERPRINT_MULTISET
+    kind = "fingerprint_multiset"
 
     def __init__(
         self,
         params: UniverseParams,
         eps_plus: Fraction,
         fingerprint_bits: int | None = None,
-        collision_table: Mapping[int, int] | None = None,
+        collision_table: Mapping[int, int] | Iterable[tuple[int, int]] | None = None,
     ):
+        table = dict(collision_table or ())
         if not 0 < eps_plus <= 1:
             raise InvalidParams(f"false-positive budget {eps_plus} outside (0, 1]")
         self.params = params
@@ -453,7 +449,7 @@ class FingerprintMultisetModel(FilterModel):
             raise InvalidParams(
                 f"fingerprint width {fingerprint_bits} outside [1, {MAX_FINGERPRINT_BITS}] bits"
             )
-        for x, forced in (collision_table or {}).items():
+        for x, forced in table.items():
             if not (0 <= x < params.u and 0 <= forced < (1 << fingerprint_bits)):
                 raise InvalidParams(
                     f"collision table entry {x}: {forced} needs an element of "
@@ -468,7 +464,7 @@ class FingerprintMultisetModel(FilterModel):
             )
         self.fp_bits = fingerprint_bits
         self.count_bits = width_for_count(params.n)
-        self.collision_table = dict(collision_table) if collision_table else None
+        self.collision_table = table or None
         self._prime = next_prime(params.u)
         self._slot_bits = fingerprint_bits + self.count_bits
         self._fp_mask = (1 << fingerprint_bits) - 1
@@ -591,26 +587,7 @@ class FingerprintMultisetModel(FilterModel):
 
     def describe(self) -> str:
         return (
-            f"{self.kind.value}(u={self.params.u}, n={self.params.n}, "
+            f"{self.kind}(u={self.params.u}, n={self.params.n}, "
             f"fp_bits={self.fp_bits})"
         )
 
-
-def make_model(
-    kind: ModelKind | str,
-    params: UniverseParams,
-    eps_plus: Fraction = Fraction(0),
-    *,
-    noise_m: int = 0,
-    fingerprint_bits: int | None = None,
-    collision_table: Mapping[int, int] | None = None,
-) -> FilterModel:
-    """Construct a model by kind, validating the parameter combination."""
-    kind = ModelKind(kind)
-    if kind is ModelKind.EXACT_SET:
-        return ExactSetModel(params, eps_plus)
-    if kind is ModelKind.NOISY_EXACT:
-        return NoisyExactModel(params, eps_plus, noise_m)
-    return FingerprintMultisetModel(
-        params, eps_plus, fingerprint_bits, collision_table
-    )

@@ -43,10 +43,11 @@ from .bounds import (
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
 from .core import UniverseParams, _Record
 from .filters import (
+    ExactSetModel,
     FilterModel,
     FingerprintMultisetModel,
+    NoisyExactModel,
     draw_seed,
-    make_model,
     seed_space,
 )
 from .reduction import (
@@ -160,15 +161,10 @@ class ModelSpec(
     def build(self) -> FilterModel:
         if self.n > self.u:
             raise ConfigError(f"bad model spec: n={self.n} exceeds u={self.u}")
+        model, parsers, _ = _MODEL_FIELDS[self.kind]
+        extra = {key: getattr(self, key) for key in parsers if key not in _SHAPE}
         try:
-            return make_model(
-                self.kind,
-                UniverseParams(self.u, self.n),
-                self.eps_plus,
-                noise_m=self.noise_m,
-                fingerprint_bits=self.fingerprint_bits,
-                collision_table=dict(self.collision_table or ()) or None,
-            )
+            return model(UniverseParams(self.u, self.n), self.eps_plus, **extra)
         except ValueError as exc:
             raise ConfigError(f"bad model spec: {exc}") from exc
 
@@ -198,10 +194,12 @@ def _collision_table(value: Any) -> tuple[tuple[int, int], ...]:
 
 
 _SHAPE = {"u": _integer, "n": _integer, "eps_plus": parse_fraction}
+# model kind: (model class, its parsers, required keys); a key past _SHAPE
+# is passed to the class by name
 _MODEL_FIELDS = {
-    "exact_set": (_SHAPE, ("u", "n")),
-    "noisy_exact": ({**_SHAPE, "noise_m": _integer}, ("u", "n")),
-    "fingerprint_multiset": ({
+    "exact_set": (ExactSetModel, _SHAPE, ("u", "n")),
+    "noisy_exact": (NoisyExactModel, {**_SHAPE, "noise_m": _integer}, ("u", "n")),
+    "fingerprint_multiset": (FingerprintMultisetModel, {
         **_SHAPE,
         "fingerprint_bits": _optional(_integer),
         "collision_table": _optional(_collision_table),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from filterbounds.core import UniverseParams
-from filterbounds.filters import ModelKind, make_model, seed_space
+from filterbounds.filters import ExactSetModel, NoisyExactModel, seed_space
 
 P62 = UniverseParams(6, 2)
 
@@ -17,10 +17,10 @@ def seeds8():
 
 @pytest.fixture(scope="session")
 def exact62():
-    return make_model(ModelKind.EXACT_SET, P62)
+    return ExactSetModel(P62)
 
 
 @pytest.fixture(scope="session")
 def noisy62():
     # one noise element; seed-dependent false positives, never incomplete
-    return make_model(ModelKind.NOISY_EXACT, P62, Fraction(1, 6), noise_m=1)
+    return NoisyExactModel(P62, Fraction(1, 6), noise_m=1)

@@ -36,10 +36,10 @@ from filterbounds.combinat import (
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
+    ExactSetModel,
     FingerprintMultisetModel,
-    ModelKind,
+    NoisyExactModel,
     Seed,
-    make_model,
     seed_space,
 )
 from filterbounds.reduction import PairedState, PairedStaticFilter
@@ -348,7 +348,7 @@ def reference_encode(static, params, seed, dataset):
     """The list-and-dict coder: positions come from the sorted complement."""
     members = frozenset(dataset)
     state = static.init_state(seed, dataset)
-    if getattr(state, "is_fail", False):
+    if state.is_fail:
         raise NotGoodPair("filter failed on this pair")
     u = static.params.u
     yes = frozenset(x for x in range(u) if static.query(seed, state, x))
@@ -365,7 +365,7 @@ def reference_encode(static, params, seed, dataset):
 
 
 def reference_decode(static, params, seed, code):
-    if getattr(code.state, "is_fail", False):
+    if code.state.is_fail:
         raise InvalidCode("cannot decode from a failed state")
     u = static.params.u
     yes = frozenset(x for x in range(u) if static.query(seed, code.state, x))
@@ -388,21 +388,21 @@ P83 = UniverseParams(8, 3)
 CODER_CASES = {
     # fn_limit 1: a noise member is a miss with a nonzero index
     "noisy62_wide": (
-        make_model(ModelKind.NOISY_EXACT, UniverseParams(6, 2), Fraction(1, 6), noise_m=1),
+        NoisyExactModel(UniverseParams(6, 2), Fraction(1, 6), noise_m=1),
         BoundsParams(u=6, n=2, eps_minus=Fraction(43, 256), alpha=Fraction(4)),
     ),
     "noisy83_wide": (
-        make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 4), noise_m=2),
+        NoisyExactModel(P83, Fraction(1, 4), noise_m=2),
         BoundsParams(u=8, n=3, eps_minus=Fraction(1, 3), alpha=Fraction(2)),
     ),
     "noisy83_tight": (
-        make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 4), noise_m=2),
+        NoisyExactModel(P83, Fraction(1, 4), noise_m=2),
         BoundsParams(u=8, n=3),
     ),
-    "exact83": (make_model(ModelKind.EXACT_SET, P83), BoundsParams(u=8, n=3)),
+    "exact83": (ExactSetModel(P83), BoundsParams(u=8, n=3)),
     # wrong yeses outside the dataset
     "fingerprint82": (
-        make_model(ModelKind.FINGERPRINT_MULTISET, UniverseParams(8, 2), Fraction(1, 2)),
+        FingerprintMultisetModel(UniverseParams(8, 2), Fraction(1, 2)),
         BoundsParams(u=8, n=2, eps_minus=Fraction(1, 2), alpha=Fraction(4)),
     ),
 }

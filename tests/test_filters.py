@@ -22,18 +22,17 @@ from filterbounds.filters import (
     MAX_RANK_TERMS,
     FingerprintMultisetModel,
     InvalidParams,
-    ModelKind,
     NoisyExactModel,
     Seed,
     _hash_batch,
     draw_seed,
     fingerprint,
     hash_params,
-    make_model,
     run_sequence,
     seed_space,
     seed_word,
 )
+from filterbounds.harness import _MODEL_FIELDS, ModelSpec
 from filterbounds.sequences import (
     dataset_trace,
     enumerate_sequences,
@@ -786,16 +785,21 @@ class TestCostAndHashLimits:
 
 class TestMakeModel:
     def test_kind_dispatch(self):
-        assert isinstance(make_model("exact_set", P82), ExactSetModel)
-        assert isinstance(
-            make_model(ModelKind.NOISY_EXACT, P62, Fraction(1, 6), noise_m=1),
-            NoisyExactModel,
-        )
-        fpm = make_model(
-            "fingerprint_multiset", P82, Fraction(1, 2), fingerprint_bits=4
-        )
-        assert isinstance(fpm, FingerprintMultisetModel)
-        assert fpm.fp_bits == 4
+        # every optional field away from its default; each kind takes only its own
+        models = {}
+        for kind, (model_class, *_) in _MODEL_FIELDS.items():
+            spec = ModelSpec(
+                kind, 8, 2, Fraction(1, 2),
+                noise_m=3, fingerprint_bits=4, collision_table=((1, 0), (2, 0)),
+            )
+            model = models[kind] = spec.build()
+            assert type(model) is model_class
+            assert model.kind == kind
+            assert model.describe().startswith(f"{kind}(")
+        assert models["noisy_exact"].noise_m == 3
+        assert models["fingerprint_multiset"].fp_bits == 4
+        assert models["fingerprint_multiset"].collision_table == {1: 0, 2: 0}
 
     def test_describe_mentions_shape(self):
-        assert make_model("exact_set", P82).describe() == "exact_set(u=8, n=2)"
+        assert ExactSetModel(P82).describe() == "exact_set(u=8, n=2)"
+        assert ModelSpec("exact_set", 8, 2, Fraction(0)).build().describe() == "exact_set(u=8, n=2)"

@@ -13,17 +13,17 @@ from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
+    ExactSetModel,
     FailStateError,
     FilterModel,
     FilterState,
     FingerprintMultisetModel,
-    ModelKind,
     NoisyExactModel,
     Seed,
-    make_model,
     seed_classes,
     seed_space,
 )
+from filterbounds.harness import ModelSpec
 from filterbounds.reduction import (
     PairedState,
     PairedStaticFilter,
@@ -269,16 +269,11 @@ class TestReportJson:
 
 P62 = UniverseParams(6, 2)
 SEED_CLASS_MODELS = {
-    "exact_set": make_model(ModelKind.EXACT_SET, P62),
-    "noisy_exact": make_model(ModelKind.NOISY_EXACT, P62, Fraction(1, 6), noise_m=1),
-    "fingerprint_multiset": make_model(
-        ModelKind.FINGERPRINT_MULTISET, P62, Fraction(1, 2)
-    ),
-    "fingerprint_collisions": make_model(
-        ModelKind.FINGERPRINT_MULTISET,
-        P62,
-        Fraction(1, 2),
-        collision_table={1: 0, 2: 0},
+    "exact_set": ExactSetModel(P62),
+    "noisy_exact": NoisyExactModel(P62, Fraction(1, 6), noise_m=1),
+    "fingerprint_multiset": FingerprintMultisetModel(P62, Fraction(1, 2)),
+    "fingerprint_collisions": FingerprintMultisetModel(
+        P62, Fraction(1, 2), collision_table={1: 0, 2: 0}
     ),
 }
 
@@ -473,8 +468,8 @@ WALK_MODELS = {
     **SWEEP_MODELS,
     "failing_delete": FailingDelete(P62, Fraction(1, 2)),
     "fails_on_odd_seeds": FailsOnOddSeeds(P62, Fraction(1, 6), noise_m=1),
-    "exact_u8_n3": make_model(ModelKind.EXACT_SET, P83),
-    "noisy_u8_n3": make_model(ModelKind.NOISY_EXACT, P83, Fraction(1, 8), noise_m=1),
+    "exact_u8_n3": ExactSetModel(P83),
+    "noisy_u8_n3": NoisyExactModel(P83, Fraction(1, 8), noise_m=1),
 }
 
 
@@ -547,7 +542,7 @@ class TestSubsetWalk:
     def test_each_set_is_ranked_once(self, kind, noise_m, wrap):
         # the exact models' memos rank a set the first time a step meets it,
         # and never unrank a state they handed out
-        base = make_model(kind, UniverseParams(8, 3), Fraction(1, 8), noise_m=noise_m)
+        base = ModelSpec(kind, 8, 3, Fraction(1, 8), noise_m=noise_m).build()
         ranked, unranked = [], []
         encode, decode = base.encode_set, base.decode_set
 
