@@ -19,7 +19,8 @@ false-negative set) and decode by querying the state.
 check_binom_scaling verifies the binomial estimate used to turn the
 counting form into bits, and space_lower_bound assembles the headline
 space bounds with the leading term and the linear-in-n constant reported
-separately.
+separately.  Each of the three returns the dict that verify and bounds
+report for it.
 
 All three evaluate exact binomials, whose cost grows faster than their bit
 length.  Each first estimates the bits of every exact integer it would
@@ -117,8 +118,8 @@ class BoundsParams(_Record):
         _set(self, "eps_minus", eps_minus)
         _set(self, "p_fail", p_fail)
         _set(self, "alpha", alpha)
-        if self.u < 1 or self.n < 1:
-            raise ParamsOutOfRange("u and n must be positive")
+        if not 1 <= self.n <= self.u:
+            raise ParamsOutOfRange(f"need 1 <= n <= u, got u={self.u}, n={self.n}")
         for name in ("eps_minus", "p_fail"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
@@ -133,27 +134,16 @@ class BoundsParams(_Record):
         return alpha.numerator * self.n * eps.numerator // (alpha.denominator * eps.denominator)
 
 
-class CountingBoundResult(_Record):
-    __slots__ = ("holds", "lhs", "rhs", "fspace_bits", "params")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": "counting_bound",
-            "params": {
-                "u": self.params.u,
-                "n": self.params.n,
-                "eps_minus": frac_str(self.params.eps_minus),
-                "p_fail": frac_str(self.params.p_fail),
-                "alpha": frac_str(self.params.alpha),
-                "fspace_bits": self.fspace_bits,
-            },
-            "lhs": str(self.lhs),
-            "rhs": frac_str(self.rhs),
-            "holds": self.holds,
-        }
+def _printed(value: int | Fraction) -> str:
+    """The report text of an integer, or the exact 'p/q' of a Fraction; one
+    past Python's int-to-str digit limit cannot be printed and is refused."""
+    try:
+        return frac_str(value) if isinstance(value, Fraction) else str(value)
+    except ValueError:
+        raise ParamsOutOfRange("a report number passes Python's int-to-str digit limit") from None
 
 
-def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoundResult:
+def check_counting_bound(fspace_bits: int, params: BoundsParams) -> dict:
     """Evaluate the state-counting necessary condition exactly.
 
     lhs = 2**fspace * sum of C(u, k) for k up to floor(alpha*n*eps_minus);
@@ -172,27 +162,26 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> CountingBoun
     lhs = (1 << fspace_bits) * bounded_subset_count(u, limit)
     share = 1 - 1 / params.alpha - params.p_fail
     rhs = share * binom_exact(params.u, params.n)
-    holds = lhs * rhs.denominator >= rhs.numerator
-    return CountingBoundResult(holds, lhs, rhs, fspace_bits, params)
-
-
-class BinomScalingResult(_Record):
-    __slots__ = ("holds", "lhs_bits", "rhs_bits", "u", "n", "beta")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": "binom_scaling",
-            "params": {"u": self.u, "n": self.n, "beta": frac_str(self.beta)},
-            "lhs": self.lhs_bits,
-            "rhs": self.rhs_bits,
-            "holds": self.holds,
-        }
+    return {
+        "name": "counting_bound",
+        "params": {
+            "u": params.u,
+            "n": params.n,
+            "eps_minus": frac_str(params.eps_minus),
+            "p_fail": frac_str(params.p_fail),
+            "alpha": frac_str(params.alpha),
+            "fspace_bits": fspace_bits,
+        },
+        "lhs": _printed(lhs),
+        "rhs": _printed(rhs),
+        "holds": lhs * rhs.denominator >= rhs.numerator,
+    }
 
 
 LOG_TOLERANCE = 1e-9
 
 
-def check_binom_scaling(u: int, n: int, beta: Fraction) -> BinomScalingResult:
+def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
     """Check log2 C(u, floor(beta*n)) <= beta*log2 C(u, n) + n*log2(e/beta**beta).
 
     Binomials are exact integers; only the final log comparison is
@@ -211,7 +200,13 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> BinomScalingResult:
         rhs = float(beta) * math.log2(binom_exact(u, n)) + n * slack
     except (OverflowError, ValueError):  # n past float range, or beta below it
         raise ParamsOutOfRange("binom_scaling needs floats past their range") from None
-    return BinomScalingResult(lhs <= rhs + LOG_TOLERANCE, lhs, rhs, u, n, beta)
+    return {
+        "name": "binom_scaling",
+        "params": {"u": u, "n": n, "beta": frac_str(beta)},
+        "lhs": lhs,
+        "rhs": rhs,
+        "holds": lhs <= rhs + LOG_TOLERANCE,
+    }
 
 
 class BoundKind(Enum):
@@ -219,38 +214,9 @@ class BoundKind(Enum):
     DYNAMIC = "dynamic"
 
 
-class SpaceBound(_Record):
-    """A space lower bound split into leading term and additive constant.
-
-    The bound reads: leading_bits - constant_bits.  The constant collects
-    the linear-in-n slack of the proof chain and is reported separately
-    because only the leading term is tight.
-    """
-
-    __slots__ = ("kind", "u", "n", "eps", "leading_bits", "constant_bits")
-
-    @property
-    def bits(self) -> float:
-        return self.leading_bits - self.constant_bits
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": "space_lower_bound",
-            "params": {"kind": self.kind.value, "u": self.u, "n": self.n,
-                       "eps": frac_str(self.eps)},
-            "leading_bits": self.leading_bits,
-            "constant_bits": self.constant_bits,
-            # the constant collects proof-chain slack; only the leading
-            # term is a tight claim
-            "constant_is_estimate": True,
-            "bits": self.bits,
-        }
-
-
-def space_lower_bound(
-    kind: BoundKind | str, u: int, n: int, eps: Fraction
-) -> SpaceBound:
-    """Headline space bound for a filter with error budget eps.
+def space_lower_bound(kind: BoundKind | str, u: int, n: int, eps: Fraction) -> dict:
+    """Headline space bound for a filter with error budget eps, reported as
+    leading_bits - constant_bits.
 
     For the static no-false-positive regime the leading term is
     (1 - eps - 1/n) * log2 C(u, n); the dynamic regime, reached through
@@ -278,7 +244,14 @@ def space_lower_bound(
     if kind is BoundKind.DYNAMIC:
         leading /= 2
         constant /= 2
-    return SpaceBound(kind, u, n, eps, leading, constant)
+    return {
+        "name": "space_lower_bound",
+        "params": {"kind": kind.value, "u": u, "n": n, "eps": frac_str(eps)},
+        "leading_bits": leading,
+        "constant_bits": constant,
+        "constant_is_estimate": True,
+        "bits": leading - constant,
+    }
 
 
 def is_good_pair(

@@ -125,9 +125,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     checks = []
     for check, fields in bounds_checks_from_dict(_read_config(args.config) if args.config else {}):
         try:
-            # an integer past Python's int-to-str digit limit raises
-            # ValueError in to_json_dict, before any entry is printed
-            checks.append(check(**fields).to_json_dict())
+            # a number past Python's int-to-str digit limit makes the check
+            # raise, before any entry is printed
+            checks.append(check(**fields))
         except ValueError as exc:
             raise ConfigError(f"bad bounds check entry {fields}: {exc}") from exc
     _emit(_report_json({"checks": checks}), args.out)

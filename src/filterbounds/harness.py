@@ -28,11 +28,10 @@ from typing import Any, Callable, Mapping, Sequence
 from .bounds import (
     BoundKind,
     BoundsParams,
-    CountingBoundResult,
     DatasetCode,
     InvalidCode,
     NotGoodPair,
-    SpaceBound,
+    _printed,
     check_binom_scaling,
     check_counting_bound,
     decode_dataset,
@@ -78,7 +77,9 @@ def parse_fraction(text: Any) -> Fraction:
     """Parse 'p/q', 'p', an int or a float into an exact Fraction; a bool is no number."""
     if not isinstance(text, bool):
         try:
-            return Fraction(text if isinstance(text, (int, Fraction)) else str(text).strip())
+            value = Fraction(text if isinstance(text, (int, Fraction)) else str(text).strip())
+            frac_str(value)  # refuses a "1e5000" whose digits no report can print
+            return value
         except (ValueError, ZeroDivisionError):
             pass
     raise ConfigError(f"bad rational literal {text!r}")
@@ -240,11 +241,11 @@ _COUNTING = (
 )
 
 
-def _counting_bound(fspace_bits: int, **params: Any) -> CountingBoundResult:
+def _counting_bound(fspace_bits: int, **params: Any) -> dict:
     return check_counting_bound(fspace_bits, BoundsParams(**params))
 
 
-def _space_bound(kind: Any = "nstatic", eps: Fraction = Fraction(0), **shape: int) -> SpaceBound:
+def _space_bound(kind: Any = "nstatic", eps: Fraction = Fraction(0), **shape: int) -> dict:
     return space_lower_bound(kind, eps=eps, **shape)
 
 
@@ -491,12 +492,10 @@ def _sticky_check(model: FilterModel, report: ReductionReport) -> dict:
     }
 
 
-def _measured_params(
-    spec: ModelSpec, report: ReductionReport, alpha: Fraction
-) -> BoundsParams:
+def _measured_params(report: ReductionReport, alpha: Fraction) -> BoundsParams:
     return BoundsParams(
-        u=spec.u,
-        n=spec.n,
+        u=report.u,
+        n=report.n,
         eps_minus=report.max_false_negative_rate,
         p_fail=report.fail_fraction,
         alpha=alpha,
@@ -539,7 +538,7 @@ def _coding_check(
         "details": {
             "best_seed": best.seed.value,
             "good_count": best.good_count,
-            "required": frac_str(best.required),
+            "required": _printed(best.required),
             "distinct_codes": len(codes),
             "roundtrip_failures": roundtrip_failures,
         },
@@ -575,10 +574,9 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
 
 
 def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
-    probe_result = None
+    probe = None
     if cfg.negative_probe is not None:
-        probe = _read_fields(cfg.negative_probe, "negative_probe", *_COUNTING)
-        probe_result = _counting_bound(**probe)
+        probe = _counting_bound(**_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
     grid_results = [
         check_binom_scaling(u, n, beta)
         for u in cfg.grid.u_values
@@ -590,7 +588,7 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
         BoundsParams(1, 1, alpha=alpha)  # refuses an alpha <= 1 before any sweep
     seeds = list(seed_space(cfg.seed_bits))
     checks = []
-    for spec, base in zip(cfg.models, bases):
+    for base in bases:
         model = witness_transform(base)
         report = check_reduction(model, seeds)
         checks.append(_sticky_check(model, report))
@@ -607,31 +605,29 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
             "passed": reduction_ok,
             "details": report.to_json_dict(),
         })
-        measured = _measured_params(spec, report, cfg.best_seed_alpha)
+        measured = _measured_params(report, cfg.best_seed_alpha)
         checks.append(_coding_check(model, measured, report))
         counting = [
-            check_counting_bound(
-                report.space_pair_bits, _measured_params(spec, report, alpha)
-            )
+            check_counting_bound(report.space_pair_bits, _measured_params(report, alpha))
             for alpha in cfg.alphas
         ]
         checks.append({
             "name": f"counting_bound[{model.describe()}]",
-            "passed": all(r.holds for r in counting),
-            "details": {"results": [r.to_json_dict() for r in counting]},
+            "passed": all(r["holds"] for r in counting),
+            "details": {"results": counting},
         })
-    if probe_result is not None:
+    if probe is not None:
         checks.append({
             "name": "counting_bound_negative_probe",
-            "passed": not probe_result.holds,
-            "details": probe_result.to_json_dict(),
+            "passed": not probe["holds"],
+            "details": probe,
         })
     checks.append({
         "name": "binom_scaling_grid",
-        "passed": all(r.holds for r in grid_results),
+        "passed": all(r["holds"] for r in grid_results),
         "details": {
             "cells": len(grid_results),
-            "failures": [r.to_json_dict() for r in grid_results if not r.holds],
+            "failures": [r for r in grid_results if not r["holds"]],
         },
     })
     return checks
@@ -689,9 +685,8 @@ def _coding_context(
 ) -> tuple[PairedStaticFilter, BoundsParams, Any]:
     if not cfg.models:
         raise ConfigError("encode/decode need a model spec")
-    spec = cfg.models[0]
-    model = witness_transform(spec.build())
+    model = witness_transform(cfg.models[0].build())
     static = PairedStaticFilter(model)
     report = check_reduction(model, list(seed_space(cfg.seed_bits)))
-    params = _measured_params(spec, report, cfg.best_seed_alpha)
+    params = _measured_params(report, cfg.best_seed_alpha)
     return static, params, report.best_seed(params)

@@ -129,15 +129,15 @@ def test_3_counting_bound_holds_and_rejects_the_probe(zoo, reduction_reports, ve
             )
             result = check_counting_bound(report.space_pair_bits, params)
             checked += 1
-            ok = ok and result.holds
+            ok = ok and result["holds"]
     probe = check_counting_bound(3, BoundsParams(u=8, n=2))
-    ok = ok and not probe.holds and probe.lhs == 8 and probe.rhs == 14
+    ok = ok and not probe["holds"] and probe["lhs"] == "8" and Fraction(probe["rhs"]) == 14
     verdict(
         3,
         ok,
         f"counting bound holds at measured space for {checked} "
         f"(model, alpha) combinations; undersized probe rejected "
-        f"({probe.lhs} < {probe.rhs})",
+        f"({probe['lhs']} < {Fraction(probe['rhs'])})",
     )
 
 
@@ -190,8 +190,8 @@ def test_5_binomial_scaling_grid(verdict):
             for beta in cfg.grid.beta_values:
                 result = check_binom_scaling(u, n, beta)
                 cells += 1
-                ok = ok and result.holds
-                worst_margin = min(worst_margin, result.rhs_bits - result.lhs_bits)
+                ok = ok and result["holds"]
+                worst_margin = min(worst_margin, result["rhs"] - result["lhs"])
     ok = ok and worst_margin >= -1e-9
     verdict(
         5,

@@ -52,6 +52,8 @@ class TestBoundsParams:
     def test_validation(self):
         with pytest.raises(ParamsOutOfRange):
             BoundsParams(u=0, n=1)
+        with pytest.raises(ParamsOutOfRange, match="n <= u"):
+            BoundsParams(u=2, n=3)
         with pytest.raises(ParamsOutOfRange):
             BoundsParams(u=4, n=2, eps_minus=Fraction(3, 2))
         with pytest.raises(ParamsOutOfRange):
@@ -80,21 +82,21 @@ class TestCountingBound:
     def test_frozen_pass(self):
         params = BoundsParams(u=8, n=2)
         result = check_counting_bound(5, params)
-        assert result.lhs == 32
-        assert result.rhs == Fraction(14)
-        assert result.holds
+        assert result["lhs"] == "32"
+        assert result["rhs"] == "14/1"
+        assert result["holds"] is True
 
     def test_frozen_fail(self):
         result = check_counting_bound(3, BoundsParams(u=8, n=2))
-        assert result.lhs == 8
-        assert result.rhs == Fraction(14)
-        assert not result.holds
+        assert result["lhs"] == "8"
+        assert result["rhs"] == "14/1"
+        assert result["holds"] is False
 
     def test_vacuous_when_rhs_nonpositive(self):
         params = BoundsParams(u=8, n=2, p_fail=Fraction(1))
         result = check_counting_bound(0, params)
-        assert result.rhs < 0
-        assert result.holds
+        assert Fraction(result["rhs"]) < 0
+        assert result["holds"] is True
 
     def test_negative_fspace_rejected(self):
         with pytest.raises(ParamsOutOfRange):
@@ -112,12 +114,12 @@ class TestCountingBound:
                                     alpha=alpha, p_fail=p_fail,
                                 )
                                 got = check_counting_bound(fspace, params)
-                                assert got.holds == oracle_counting_holds(
+                                assert got["holds"] == oracle_counting_holds(
                                     fspace, params
                                 )
 
     def test_json_dict(self):
-        blob = check_counting_bound(5, BoundsParams(u=8, n=2)).to_json_dict()
+        blob = check_counting_bound(5, BoundsParams(u=8, n=2))
         assert blob["name"] == "counting_bound"
         assert blob["lhs"] == "32"
         assert blob["rhs"] == "14/1"
@@ -127,29 +129,29 @@ class TestCountingBound:
 class TestBinomScaling:
     def test_frozen_values(self):
         result = check_binom_scaling(16, 4, Fraction(1, 2))
-        assert result.lhs_bits == pytest.approx(math.log2(120))
-        assert result.rhs_bits == pytest.approx(
+        assert result["lhs"] == pytest.approx(math.log2(120))
+        assert result["rhs"] == pytest.approx(
             0.5 * math.log2(1820) + 4 * (math.log2(math.e) + 0.5)
         )
-        assert result.holds
+        assert result["holds"] is True
 
     def test_beta_edges(self):
         zero = check_binom_scaling(16, 4, Fraction(0))
-        assert zero.lhs_bits == 0 and zero.holds
+        assert zero["lhs"] == 0 and zero["holds"] is True
         one = check_binom_scaling(16, 4, Fraction(1))
-        assert one.lhs_bits == pytest.approx(math.log2(1820))
-        assert one.holds
+        assert one["lhs"] == pytest.approx(math.log2(1820))
+        assert one["holds"] is True
 
     def test_non_integral_beta_n_floors(self):
         result = check_binom_scaling(16, 5, Fraction(1, 2))
-        assert result.lhs_bits == pytest.approx(math.log2(binom_exact(16, 2)))
+        assert result["lhs"] == pytest.approx(math.log2(binom_exact(16, 2)))
 
     def test_holds_across_grid(self):
         for u in (4, 16, 64):
             for n in (1, 2, 4, min(16, u)):
                 for beta in (Fraction(0), Fraction(1, 4), Fraction(1, 2),
                              Fraction(3, 4), Fraction(1)):
-                    assert check_binom_scaling(u, n, beta).holds
+                    assert check_binom_scaling(u, n, beta)["holds"] is True
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ParamsOutOfRange):
@@ -173,24 +175,24 @@ class TestBinomScaling:
 class TestSpaceLowerBound:
     def test_static_frozen(self):
         bound = space_lower_bound(BoundKind.N_STATIC, 16, 4, Fraction(0))
-        assert bound.leading_bits == pytest.approx(0.75 * math.log2(1820))
-        assert bound.leading_bits == pytest.approx(8.122292051314544)
-        assert bound.constant_bits == pytest.approx(12.770780163555854)
-        assert bound.bits == pytest.approx(bound.leading_bits - bound.constant_bits)
+        assert bound["leading_bits"] == pytest.approx(0.75 * math.log2(1820))
+        assert bound["leading_bits"] == pytest.approx(8.122292051314544)
+        assert bound["constant_bits"] == pytest.approx(12.770780163555854)
+        assert bound["bits"] == pytest.approx(bound["leading_bits"] - bound["constant_bits"])
 
     def test_dynamic_is_half(self):
         static = space_lower_bound("nstatic", 16, 4, Fraction(0))
         dynamic = space_lower_bound("dynamic", 16, 4, Fraction(0))
-        assert dynamic.leading_bits == pytest.approx(static.leading_bits / 2)
-        assert dynamic.constant_bits == pytest.approx(static.constant_bits / 2)
+        assert dynamic["leading_bits"] == pytest.approx(static["leading_bits"] / 2)
+        assert dynamic["constant_bits"] == pytest.approx(static["constant_bits"] / 2)
 
     def test_eps_quarter_frozen(self):
         bound = space_lower_bound("nstatic", 16, 4, Fraction(1, 4))
-        assert bound.leading_bits == pytest.approx(5.414861367543029)
+        assert bound["leading_bits"] == pytest.approx(5.414861367543029)
 
     def test_leading_monotone(self):
         # smaller error budget and bigger universe both cost more space
-        lead = lambda u, eps: space_lower_bound("nstatic", u, 4, eps).leading_bits
+        lead = lambda u, eps: space_lower_bound("nstatic", u, 4, eps)["leading_bits"]
         assert lead(32, Fraction(0)) > lead(32, Fraction(1, 4)) > lead(
             32, Fraction(1, 2)
         )
@@ -199,15 +201,15 @@ class TestSpaceLowerBound:
     def test_half_error_at_minimal_universe(self):
         # at u = 2n and eps = 1/2 the prefactor is 1/2 - 1/n, so the
         # leading term crosses zero between n = 2 and n = 3
-        assert space_lower_bound("nstatic", 4, 2, Fraction(1, 2)).leading_bits == 0
+        assert space_lower_bound("nstatic", 4, 2, Fraction(1, 2))["leading_bits"] == 0
         for n in (3, 4, 5):
             bound = space_lower_bound("nstatic", 2 * n, n, Fraction(1, 2))
-            assert bound.leading_bits > 0
+            assert bound["leading_bits"] > 0
 
     def test_leading_term_grows_like_n_log_u_over_n(self):
         # at eps = 0 the leading term passes (1 - 1/n) * log2 C(u, n)
         bound = space_lower_bound("nstatic", 1 << 16, 16, Fraction(0))
-        assert bound.leading_bits == pytest.approx(
+        assert bound["leading_bits"] == pytest.approx(
             (1 - 1 / 16) * math.log2(binom_exact(1 << 16, 16))
         )
 
@@ -218,7 +220,7 @@ class TestSpaceLowerBound:
             space_lower_bound("nstatic", 6, 4, Fraction(0))  # u < 2n
 
     def test_json_dict(self):
-        blob = space_lower_bound("dynamic", 16, 4, Fraction(0)).to_json_dict()
+        blob = space_lower_bound("dynamic", 16, 4, Fraction(0))
         assert blob["name"] == "space_lower_bound"
         assert blob["params"]["kind"] == "dynamic"
         assert blob["constant_is_estimate"] is True
@@ -520,4 +522,4 @@ class TestBoundsReport:
         blob = json.loads(capsys.readouterr().out)
         names = [entry["name"] for entry in blob["checks"]]
         assert names == ["counting_bound", "binom_scaling", "space_lower_bound"]
-        assert blob["checks"][0] == check_counting_bound(5, BoundsParams(u=8, n=2)).to_json_dict()
+        assert blob["checks"][0] == check_counting_bound(5, BoundsParams(u=8, n=2))

@@ -454,6 +454,10 @@ ZOO16 = [
     {"kind": "noisy_exact", "u": 16, "n": 4, "eps_plus": "1/16", "noise_m": 1},
 ]
 
+# an alpha just under 100 whose numerator has 4,300 digits, the most Python
+# prints; the counting rhs and the best seed's required count at it have more
+HUGE_ALPHA = "9" * 4300 + "/1" + "0" * 4298
+
 
 class TestCli:
     def test_verify_passes(self, capsys):
@@ -689,6 +693,17 @@ class TestCli:
             ({"bounds_checks": [{"check": "space", "u": 16, "n": 4},
                                 {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5,
                                  "alpah": "3"}]}, ["bounds"]),
+            # report numbers past Python's int-to-str digit limit: 2**20000,
+            # and a rhs or required count at an alpha of 4,300 digits
+            ({"negative_probe": {"fspace_bits": 20000, "u": 8, "n": 2}}, ["verify"]),
+            ({"alphas": [HUGE_ALPHA]}, ["verify", "--seed-bits", "2"]),
+            ({"best_seed_alpha": HUGE_ALPHA}, ["verify", "--seed-bits", "2"]),
+            # a rational literal whose digits no report can print
+            ({"alphas": ["1e5000"]}, ["verify", "--seed-bits", "2"]),
+            # n > u in a counting bound
+            ({"bounds_checks": [{"check": "counting", "u": 2, "n": 3,
+                                 "fspace_bits": 0}]}, ["bounds"]),
+            ({"negative_probe": {"fspace_bits": 3, "u": 2, "n": 3}}, ["verify"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -866,10 +881,20 @@ class TestCli:
             ]},
              ["bounds"],
              "06102c0129ca88cb9c5672e0a58bcd81d93997e5587773af788c735335e9af83"),
+            # eps_minus, p_fail, a non-integral beta * n and an nstatic
+            # space entry with eps > 0, which the case above leaves default
+            ({"bounds_checks": [
+                {"check": "counting", "u": 9, "n": 3, "fspace_bits": 2,
+                 "eps_minus": "1/4", "p_fail": "1/10", "alpha": "3/2"},
+                {"check": "binom_scaling", "u": 16, "n": 5, "beta": "1/3"},
+                {"check": "space", "u": 65536, "n": 16, "eps": "1/8"},
+            ]},
+             ["bounds"],
+             "746f88ddbe9547ce35584e2588a48f5f47efa710d9717d79ee3dc4c46c6dab0c"),
         ],
         ids=["verify7", "verify16", "negative_control7", "zoo_u10_n3",
              "encode", "decode", "demo8", "demo16", "fp_rate_json",
-             "fp_rate_csv", "bounds"],
+             "fp_rate_csv", "bounds", "bounds_branches"],
     )
     def test_report_bytes_are_pinned(self, config, argv, digest, tmp_path, capsys):
         # the sha256 of each report's stdout, as the benchmark checks it;
@@ -1076,6 +1101,7 @@ MODEL_KEYS = ("kind", "u", "n", "eps_plus", "noise_m", "fingerprint_bits",
               "collision_table")
 CHECK_KEYS = ("check", "kind", "u", "n", "fspace_bits", "eps_minus", "p_fail",
               "alpha", "beta", "eps")
+PROBE_KEYS = ("fspace_bits", "u", "n", "alpha", "eps_minus", "p_fail")
 WRONG_SMALL = st.one_of(
     st.integers(-2, 9),
     st.sampled_from(
@@ -1084,7 +1110,7 @@ WRONG_SMALL = st.one_of(
          [[-1, 0], [2, 0]], [[1, 2, 3]], ["a"], "exact_set", "dynamic"]
     ),
 )
-WRONG = WRONG_SMALL | st.sampled_from([10**20, -(10**20)])
+WRONG = WRONG_SMALL | st.sampled_from([10**20, -(10**20), 20000, HUGE_ALPHA])
 
 
 @st.composite
@@ -1099,6 +1125,10 @@ def fuzzed_config(draw, command):
         model = dict(draw(st.sampled_from(FUZZ_MODELS)))
         config = {"seed_bits": 2, "models": [model]}
         targets = [(config, CONFIG_KEYS), (model, MODEL_KEYS)]
+        if command == "verify":
+            probe = dict(DEFAULT_NEGATIVE_PROBE)
+            config["negative_probe"] = probe
+            targets.append((probe, PROBE_KEYS))
     for _ in range(draw(st.integers(1, 2))):
         target, keys = draw(st.sampled_from(targets))
         target[draw(st.sampled_from(keys))] = draw(WRONG)
@@ -1108,7 +1138,9 @@ def fuzzed_config(draw, command):
 @st.composite
 def cli_calls(draw):
     """argv, config and whether --out points into a missing directory."""
-    command = draw(st.sampled_from(["fp-rate", "bounds", "encode", "decode"]))
+    command = draw(st.sampled_from(
+        ["fp-rate", "bounds", "encode", "decode", "verify", "demo-violations"]
+    ))
     argv = [command]
     fmt = draw(st.sampled_from([None, "json", "csv"]))
     if fmt is not None:

@@ -28,13 +28,9 @@ import pytest
 import filterbounds
 from filterbounds.bounds import (
     BestSeed,
-    BinomScalingResult,
-    BoundKind,
     BoundsParams,
-    CountingBoundResult,
     DatasetCode,
     ParamsOutOfRange,
-    SpaceBound,
 )
 from filterbounds.cli import main
 from filterbounds.combinat import next_prime
@@ -102,28 +98,6 @@ RECORDS = [
         {"eps_minus": Fraction(0), "p_fail": Fraction(0), "alpha": Fraction(2)},
         "BoundsParams(u=6, n=2, eps_minus=Fraction(1, 3), p_fail=Fraction(1, 8), "
         "alpha=Fraction(3, 2))",
-    ),
-    (
-        CountingBoundResult,
-        (False, 8, Fraction(15, 2), 3, BoundsParams(8, 2)),
-        {},
-        "CountingBoundResult(holds=False, lhs=8, rhs=Fraction(15, 2), fspace_bits=3, "
-        "params=BoundsParams(u=8, n=2, eps_minus=Fraction(0, 1), p_fail=Fraction(0, 1), "
-        "alpha=Fraction(2, 1)))",
-    ),
-    (
-        BinomScalingResult,
-        (True, 1.5, 2.25, 16, 4, Fraction(1, 2)),
-        {},
-        "BinomScalingResult(holds=True, lhs_bits=1.5, rhs_bits=2.25, u=16, n=4, "
-        "beta=Fraction(1, 2))",
-    ),
-    (
-        SpaceBound,
-        (BoundKind.DYNAMIC, 16, 4, Fraction(1, 8), 3.0, 1.5),
-        {},
-        "SpaceBound(kind=<BoundKind.DYNAMIC: 'dynamic'>, u=16, n=4, eps=Fraction(1, 8), "
-        "leading_bits=3.0, constant_bits=1.5)",
     ),
     (
         BestSeed,
@@ -296,6 +270,7 @@ def test_binding_init_rejects_bad_arguments(cls, values, defaults, text):
         (lambda: Operation(OpKind.INIT, 1), ValueError),
         (lambda: BoundsParams(0, 1), ParamsOutOfRange),
         (lambda: BoundsParams(6, 0), ParamsOutOfRange),
+        (lambda: BoundsParams(2, 3), ParamsOutOfRange),
         (lambda: BoundsParams(6, 2, eps_minus=Fraction(-1)), ParamsOutOfRange),
         (lambda: BoundsParams(6, 2, p_fail=Fraction(3, 2)), ParamsOutOfRange),
         (lambda: BoundsParams(6, 2, alpha=Fraction(1)), ParamsOutOfRange),
