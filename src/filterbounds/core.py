@@ -1,36 +1,30 @@
-"""Value types every command steps a model with, and the record base.
+"""The record base, the universe parameters and the bitmask helper.
 
-An operation sequence starts with an init and then mixes inserts, deletes
-and queries over elements of [u] = {0, ..., u-1}.  This module holds what
-every command needs to step a model: OpKind, Operation, UniverseParams,
-OpSequence and the bitmask helper _mask_elems.  The sequence algebra
-(validation, dataset traces, classification, the rewriters, the text
-format and enumeration) is in filterbounds.sequences, which only
-demo-violations and the tests import, so no other command compiles it.
+What the other modules share: _Record and its field writer _set;
+UniverseParams, a universe size u and a dataset cardinality bound n; and
+the set bits of a mask, _mask_elems.
 
 The package's value types are plain records built on _Record.  A record
 lists its fields once, in __slots__, and the defaults of its trailing
-fields once, in the class keyword defaults={name: value}; a default that
-is a class, such as dict or list, is called for each record, so no two
-records share one.  The base's __init__ binds positional and then keyword
-arguments to the fields in order and raises TypeError for a missing,
-unknown, repeated or surplus argument; records that validate their
-arguments keep an explicit __init__ of their own.  The base derives ==,
-hash and repr from __slots__ in the dataclass manner: equality holds only
-between records of one class with equal fields, the hash is that of the
-tuple of fields, and repr reads Name(field=value, ...); copy and pickle
-rebuild a record through its __init__.  Every record is frozen, its
-fields written once by __init__; hidden= names fields that repr leaves
-out.  Records are built this way rather than with dataclasses, and the
-binder is a plain loop with no exec, code generation or inspect, because
-every command is one short process, and importing dataclasses and
-generating its methods would cost each command more start-up than most of
-them spend on work.
+fields once, in the class keyword defaults={name: value}; every record
+shares a default, so each is an immutable value.  The base's __init__
+binds positional and then keyword arguments to the fields in order and
+raises TypeError for a missing, unknown, repeated or surplus argument;
+records that validate their arguments keep an explicit __init__ of their
+own.  The base derives ==, hash and repr from __slots__ in the dataclass
+manner: equality holds only between records of one class with equal
+fields, the hash is that of the tuple of fields, and repr reads
+Name(field=value, ...); copy and pickle rebuild a record through its
+__init__.  Every record is frozen, its fields written once by __init__;
+hidden= names fields that repr leaves out.  Records are built this way
+rather than with dataclasses, and the binder is a plain loop with no
+exec, code generation or inspect, because every command is one short
+process, and importing dataclasses and generating its methods would cost
+each command more start-up than most of them spend on work.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter
 from typing import Iterator
 
@@ -63,8 +57,6 @@ class _Record:
                 value = kwargs[name]
             elif name in defaults:
                 value = defaults[name]
-                if isinstance(value, type):
-                    value = value()
             else:
                 raise TypeError(f"{title}() missing required argument {name!r}")
             _set(self, name, value)
@@ -97,28 +89,6 @@ class _Record:
 _set = object.__setattr__
 
 
-class OpKind(Enum):
-    INIT = "init"
-    INS = "ins"
-    DEL = "del"
-    QUERY = "query"
-
-
-class Operation(_Record):
-    """One step of a sequence.  arg is present exactly when kind is not INIT."""
-
-    __slots__ = ("kind", "arg")
-
-    def __init__(self, kind: OpKind, arg: int | None = None) -> None:
-        if kind is OpKind.INIT:
-            if arg is not None:
-                raise ValueError("init carries no argument")
-        elif arg is None:
-            raise ValueError(f"{kind.value} requires an argument")
-        _set(self, "kind", kind)
-        _set(self, "arg", arg)
-
-
 class UniverseParams(_Record):
     """Universe size u and dataset cardinality bound n."""
 
@@ -131,16 +101,6 @@ class UniverseParams(_Record):
             raise ValueError(f"cardinality bound must be >= 1, got {n}")
         _set(self, "u", u)
         _set(self, "n", n)
-
-
-class OpSequence(_Record):
-    __slots__ = ("params", "ops")
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.ops)
 
 
 def _mask_elems(mask: int) -> Iterator[int]:

@@ -1,8 +1,8 @@
 """The violation demo: scripted failures of the fingerprint model.
 
 Only the demo-violations command and the tests run this, so it lives
-apart from the harness that every command imports, and cli imports it
-when that command is called.
+apart from the harness that every command imports; cli imports it, and
+through it the operation language in sequences, for that command alone.
 """
 
 from __future__ import annotations
@@ -10,17 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinat import frac_str
-from .core import OpSequence
 from .filters import (
     ExactSetModel,
     FilterModel,
     FingerprintMultisetModel,
-    run_sequence,
     seed_classes,
     seed_space,
 )
 from .harness import ConfigError, ExperimentConfig, ModelSpec
-from .sequences import format_sequence, parse_sequence
+from .sequences import OpSequence, format_sequence, parse_sequence, run_sequence
 
 
 def default_demo_config() -> ExperimentConfig:

@@ -1,11 +1,11 @@
 """Dynamic membership filter models with bit-exact state encodings.
 
-A model maps (seed, state, operation) to a next state and, for queries, a
-0/1 answer.  States are canonical bit strings so that two states are equal
-exactly when their encodings are equal; the bit length of the encoding is
-the space charge.  A distinguished fail state acts as a sink: every
-non-init operation keeps it, and queries on it answer 1.  Seeds are not
-charged to space.
+A model's transitions map a seed and a state to a fresh state, the state
+after an insert or a delete, or a query's 0/1 answer.  States are canonical
+bit strings, equal exactly when their encodings are; the bit length of the
+encoding is the space charge.  A transition may return the sink FAIL_STATE;
+sequences.step keeps it under every non-init operation and answers 1 to a
+query on it.  Seeds are not charged to space.
 
 A model also names, through seed_class, the part of the seed it reads.
 Two seeds with equal keys must give identical states and answers on every
@@ -67,7 +67,7 @@ from .combinat import (
     next_prime,
     width_for_count,
 )
-from .core import OpKind, Operation, OpSequence, UniverseParams, _mask_elems, _Record, _set
+from .core import UniverseParams, _mask_elems, _Record, _set
 
 
 class InvalidParams(ValueError):
@@ -153,7 +153,7 @@ FAIL_STATE = FilterState(0, 1, fail=True)
 
 
 class FilterModel(ABC):
-    """Shared stepping logic: init refreshes, fail is a sink, queries answer."""
+    """A model's transitions at live states; sequences.step applies them to operations."""
 
     kind: str  # the model's config name
     params: UniverseParams
@@ -186,39 +186,8 @@ class FilterModel(ABC):
         """
         return seed
 
-    def step(
-        self, seed: Seed, state: FilterState, op: Operation
-    ) -> tuple[FilterState, int | None]:
-        """Apply one operation.  Returns (next state, answer or None)."""
-        if op.kind is OpKind.INIT:
-            return self.fresh_state(seed), None
-        if not 0 <= op.arg < self.params.u:
-            raise ValueError(f"argument {op.arg} outside universe")
-        if state.fail:
-            # sink; a query on fail answers 1
-            return state, 1 if op.kind is OpKind.QUERY else None
-        if op.kind is OpKind.QUERY:
-            return state, self.query_bit(seed, state, op.arg)
-        if op.kind is OpKind.INS:
-            return self.insert_state(seed, state, op.arg), None
-        return self.delete_state(seed, state, op.arg), None
-
     def describe(self) -> str:
         return f"{self.kind}(u={self.params.u}, n={self.params.n})"
-
-
-def run_sequence(
-    model: FilterModel, seed: Seed, seq: OpSequence
-) -> tuple[list[FilterState], list[int | None]]:
-    """States and answers after each operation, starting before the init."""
-    states: list[FilterState] = []
-    answers: list[int | None] = []
-    state = FAIL_STATE  # unreachable placeholder; ops[0] is init
-    for op in seq.ops:
-        state, answer = model.step(seed, state, op)
-        states.append(state)
-        answers.append(answer)
-    return states, answers
 
 
 # sizing an exact-set state sums one binomial C(u, k) per size k up to

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
@@ -73,11 +74,28 @@ class ConfigError(ValueError):
     """A config file or flag combination the harness cannot run."""
 
 
+# a decimal exponent in the syntax Fraction accepts
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
+
 def parse_fraction(text: Any) -> Fraction:
-    """Parse 'p/q', 'p', an int or a float into an exact Fraction; a bool is no number."""
+    """Parse 'p/q', 'p', an int or a float into an exact Fraction; a bool is no number.
+
+    Fraction builds 10**exponent before it checks anything, which takes
+    minutes at nine exponent digits.  A literal whose exponent passes the
+    int-to-str digit limit by more than the literal's length is 0 or has a
+    numerator or denominator past that limit, so it is settled first.
+    """
     if not isinstance(text, bool):
         try:
-            value = Fraction(text if isinstance(text, (int, Fraction)) else str(text).strip())
+            literal = text if isinstance(text, (int, Fraction)) else str(text).strip()
+            exponent = isinstance(literal, str) and _EXPONENT.search(literal)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if exponent and limit and abs(int(exponent[1])) > limit + len(literal):
+                literal = literal[: exponent.start()] + "e0"  # a zero stays 0
+                if Fraction(literal):
+                    raise ValueError(literal)
+            value = Fraction(literal)
             frac_str(value)  # refuses a "1e5000" whose digits no report can print
             return value
         except (ValueError, ZeroDivisionError):
@@ -585,7 +603,11 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
     ]
     bases = [spec.build() for spec in cfg.models]
     for alpha in (cfg.best_seed_alpha, *cfg.alphas):
-        BoundsParams(1, 1, alpha=alpha)  # refuses an alpha <= 1 before any sweep
+        for base in bases:
+            # refuses, before any sweep, an alpha <= 1 and one whose counting
+            # rhs or best seed's required count, (1 - 1/alpha) * C(u, n) with
+            # no failed pairs, no report can print
+            check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
     seeds = list(seed_space(cfg.seed_bits))
     checks = []
     for base in bases:

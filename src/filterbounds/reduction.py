@@ -117,19 +117,7 @@ class PairedStaticFilter:
         return f"paired({self.model.describe()})"
 
 
-class ReductionReport(
-    _Record,
-    hidden=("misses_by_class",),
-    defaults={
-        "fn_matches_delete_fp": True,
-        "space_pair_bits": 0,
-        "space_budget_bits": 0,
-        "fail_fraction": Fraction(0),
-        "failed_pairs": 0,
-        "first_false_positive": None,
-        "misses_by_class": list,
-    },
-):
+class ReductionReport(_Record, hidden=("misses_by_class",)):
     """Exact certification results for one model over a seed space.
 
     The false-negative rate is the largest, over live datasets and their

@@ -12,10 +12,11 @@ an element that is absent (a deletion of a nonelement).  Both leave the
 traced set unchanged.  The rewriters in this module convert between the
 two kinds while preserving the trace at every surviving index.
 
-The value types (Operation, UniverseParams, OpSequence) live in core,
-which every command imports; this module is the algebra over them, which
-only demo-violations and the tests run.  All functions are pure;
-everything is safe to call concurrently.
+This module owns the operation language: the types OpKind, Operation and
+OpSequence, their interpreter step and run_sequence, which apply them to a
+filter model, and the algebra over them.  Only demo-violations and the
+tests load it.  All functions are pure; everything is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,68 @@ import re
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .core import OpKind, Operation, OpSequence, UniverseParams, _mask_elems, _Record
+from .core import UniverseParams, _mask_elems, _Record, _set
+from .filters import FAIL_STATE, FilterModel, FilterState, Seed
+
+
+class OpKind(Enum):
+    INIT = "init"
+    INS = "ins"
+    DEL = "del"
+    QUERY = "query"
+
+
+class Operation(_Record):
+    """One step of a sequence.  arg is present exactly when kind is not INIT."""
+
+    __slots__ = ("kind", "arg")
+
+    def __init__(self, kind: OpKind, arg: int | None = None) -> None:
+        if kind is OpKind.INIT:
+            if arg is not None:
+                raise ValueError("init carries no argument")
+        elif arg is None:
+            raise ValueError(f"{kind.value} requires an argument")
+        _set(self, "kind", kind)
+        _set(self, "arg", arg)
+
+
+class OpSequence(_Record):
+    __slots__ = ("params", "ops")
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+
+def step(
+    model: FilterModel, seed: Seed, state: FilterState, op: Operation
+) -> tuple[FilterState, int | None]:
+    """(next state, answer or None) after op; the fail state is a sink whose queries answer 1."""
+    if op.kind is OpKind.INIT:
+        return model.fresh_state(seed), None
+    if not 0 <= op.arg < model.params.u:
+        raise ValueError(f"argument {op.arg} outside universe")
+    if state.fail:
+        return state, 1 if op.kind is OpKind.QUERY else None
+    if op.kind is OpKind.QUERY:
+        return state, model.query_bit(seed, state, op.arg)
+    if op.kind is OpKind.INS:
+        return model.insert_state(seed, state, op.arg), None
+    return model.delete_state(seed, state, op.arg), None
+
+
+def run_sequence(
+    model: FilterModel, seed: Seed, seq: OpSequence
+) -> tuple[list[FilterState], list[int | None]]:
+    """States and answers after each operation, starting before the init."""
+    states: list[FilterState] = []
+    answers: list[int | None] = []
+    state = FAIL_STATE  # unreachable placeholder; ops[0] is init
+    for op in seq.ops:
+        state, answer = step(model, seed, state, op)
+        states.append(state)
+        answers.append(answer)
+    return states, answers
 
 
 def op_init() -> Operation:

@@ -23,7 +23,7 @@ from filterbounds.bounds import (
 )
 from filterbounds.cli import main as cli_main
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
-from filterbounds.core import OpKind, UniverseParams
+from filterbounds.core import UniverseParams
 from filterbounds.demo import default_demo_config, run_violation_demo
 from filterbounds.filters import seed_space
 from filterbounds.harness import (
@@ -35,6 +35,7 @@ from filterbounds.harness import (
 from filterbounds.reduction import PairedStaticFilter, check_reduction
 from filterbounds.sequences import (
     OpClass,
+    OpKind,
     classify_ops,
     dataset_trace,
     enumerate_sequences,

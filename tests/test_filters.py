@@ -28,7 +28,6 @@ from filterbounds.filters import (
     draw_seed,
     fingerprint,
     hash_params,
-    run_sequence,
     seed_space,
     seed_word,
 )
@@ -40,6 +39,8 @@ from filterbounds.sequences import (
     op_init,
     op_ins,
     op_query,
+    run_sequence,
+    step,
     validate_sequence,
 )
 
@@ -240,11 +241,11 @@ class TestExactModelsAreComplete:
                     state = model.encode_set(elems)
                     for x in range(8):
                         if len(cur) < 2 or x in cur:
-                            nxt, _ = model.step(seed, state, op_ins(x))
+                            nxt, _ = step(model, seed, state, op_ins(x))
                             assert nxt == model.encode_set(sorted(cur | {x}))
-                        nxt, _ = model.step(seed, state, op_del(x))
+                        nxt, _ = step(model, seed, state, op_del(x))
                         assert nxt == model.encode_set(sorted(cur - {x}))
-                    nxt, _ = model.step(seed, state, op_init())
+                    nxt, _ = step(model, seed, state, op_init())
                     assert nxt == model.encode_set(())
 
     def test_members_answer_yes_under_every_seed(self):
@@ -397,16 +398,16 @@ class TestFingerprintMultiset:
 
     def test_fail_is_a_sink_and_answers_yes(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
-        state, answer = model.step(S0, FAIL_STATE, op_query(0))
+        state, answer = step(model, S0, FAIL_STATE, op_query(0))
         assert state is FAIL_STATE and answer == 1
-        state, _ = model.step(S0, FAIL_STATE, op_ins(1))
+        state, _ = step(model, S0, FAIL_STATE, op_ins(1))
         assert state.fail
-        state, _ = model.step(S0, FAIL_STATE, op_del(1))
+        state, _ = step(model, S0, FAIL_STATE, op_del(1))
         assert state.fail
 
     def test_init_resets_fail(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
-        state, _ = model.step(S0, FAIL_STATE, op_init())
+        state, _ = step(model, S0, FAIL_STATE, op_init())
         assert not state.fail and state.nbits == 0
 
     def test_bulk_equals_sequential(self, seeds8):
@@ -424,7 +425,7 @@ class TestFingerprintMultiset:
     def test_step_rejects_out_of_universe(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
         with pytest.raises(ValueError):
-            model.step(S0, model.fresh_state(S0), op_ins(8))
+            step(model, S0, model.fresh_state(S0), op_ins(8))
 
 
 @st.composite
@@ -468,7 +469,7 @@ class TestFingerprintProperties:
         elems = element_lists(model, data.draw)
         state = model.fresh_state(seed)
         for x in elems:
-            state, _ = model.step(seed, state, op_ins(x))
+            state, _ = step(model, seed, state, op_ins(x))
         assert model.state_for_elements(seed, elems) == state
 
     @settings(deadline=None)
@@ -480,7 +481,7 @@ class TestFingerprintProperties:
         )
         state = model.fresh_state(seed)
         for insert, x in ops:
-            state, _ = model.step(seed, state, op_ins(x) if insert else op_del(x))
+            state, _ = step(model, seed, state, op_ins(x) if insert else op_del(x))
             if state.fail:
                 break
             slots = decode_slots(model, state)

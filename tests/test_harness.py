@@ -819,8 +819,11 @@ class TestCli:
             {"models": ZOO16[:1] + [dict(ZOO16[1], noise_m=2)]},
             {"alphas": ["1"]},
             {"best_seed_alpha": "1/2"},
+            {"alphas": [HUGE_ALPHA]},
+            {"best_seed_alpha": HUGE_ALPHA},
         ],
-        ids=["second_model", "alphas", "best_seed_alpha"],
+        ids=["second_model", "alphas", "best_seed_alpha", "unprintable_alpha",
+             "unprintable_best_seed_alpha"],
     )
     def test_bad_input_is_refused_before_the_first_sweep(
         self, change, tmp_path, monkeypatch, capsys
@@ -835,6 +838,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("alpha", ["1e100000000", "1e-100000000"])
+    def test_huge_decimal_exponent_exits_two_at_once(self, alpha, tmp_path):
+        # Fraction would build 10**100000000 first, which takes minutes
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"alphas": [alpha]}))
+        done = subprocess.run(
+            [sys.executable, "-m", "filterbounds", "verify", "--config", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and "bad rational literal" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):
         # one pass per seed class makes the widest admitted seed space cheap
@@ -1013,8 +1029,9 @@ DEFAULT_CONFIGS = [
 
 
 class TestStartup:
-    """What a command's process loads: never OpenSSL, and the sequence
-    algebra and the demo only for demo-violations."""
+    """What a command's process loads: never OpenSSL, the operation
+    language and the demo only for demo-violations, and nothing new while
+    verify runs."""
 
     def test_no_command_loads_openssl(self, tmp_path):
         checks = [{"check": "counting", "u": 8, "n": 2, "fspace_bits": 5}]
@@ -1046,6 +1063,24 @@ class TestStartup:
         assert "filterbounds.sequences" not in before_demo
         assert "filterbounds.demo" not in before_demo
         assert "filterbounds.demo" in loaded
+
+    def test_verify_loads_no_module_past_the_tracer_imports(self):
+        # the benchmark's tracer wraps the functions of the modules imported
+        # here before verify runs; a module that verify loads later would
+        # bind unwrapped copies and escape the trace
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from filterbounds import bounds, cli, harness, reduction, witness\n"
+            "def package():\n"
+            "    return {m for m in sys.modules if m.startswith('filterbounds.')}\n"
+            "before = package()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--seed-bits', '3']) == 0\n"
+            "print(json.dumps(sorted(package() - before)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(done.stdout) == []
 
     @pytest.mark.parametrize("make", DEFAULT_CONFIGS)
     def test_config_hash_is_the_sha256_prefix_of_the_canonical_config(self, make):

@@ -34,13 +34,7 @@ from filterbounds.bounds import (
 )
 from filterbounds.cli import main
 from filterbounds.combinat import next_prime
-from filterbounds.core import (
-    _Record,
-    Operation,
-    OpKind,
-    OpSequence,
-    UniverseParams,
-)
+from filterbounds.core import _Record, UniverseParams
 from filterbounds.filters import FilterState, Seed
 from filterbounds.harness import (
     DEFAULT_GRID,
@@ -49,7 +43,7 @@ from filterbounds.harness import (
     ModelSpec,
 )
 from filterbounds.reduction import PairedState, ReductionReport
-from filterbounds.sequences import DatasetTrace, RewriteResult
+from filterbounds.sequences import DatasetTrace, Operation, OpKind, OpSequence, RewriteResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -158,15 +152,7 @@ RECORDS = [
             False, 8, 8, Fraction(1, 4), 3,
             (Seed(1, 2), (0, 1), [2]), [(Seed(0, 2), [0, 1])],
         ),
-        {
-            "fn_matches_delete_fp": True,
-            "space_pair_bits": 0,
-            "space_budget_bits": 0,
-            "fail_fraction": Fraction(0),
-            "failed_pairs": 0,
-            "first_false_positive": None,
-            "misses_by_class": [],
-        },
+        {},
         # misses_by_class is left out of the repr
         "ReductionReport(u=6, n=2, model='witness(exact_set)', seed_bits=2, seed_count=4, "
         "dataset_count=15, false_positive_count=1, completeness_violations=0, "

@@ -12,9 +12,8 @@ from filterbounds.filters import (
     FailStateError,
     FingerprintMultisetModel,
     Seed,
-    run_sequence,
 )
-from filterbounds.sequences import op_del, op_ins, op_init, validate_sequence
+from filterbounds.sequences import op_del, op_ins, op_init, run_sequence, validate_sequence
 from filterbounds.witness import (
     EnumerationTooLarge,
     WitnessModel,
