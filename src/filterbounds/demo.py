@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .combinat import frac_str
 from .filters import (
-    ExactSetModel,
     FilterModel,
     FingerprintMultisetModel,
     seed_classes,
@@ -67,7 +66,7 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
     if model.collision_table[x] != model.collision_table[y]:
         raise ConfigError("the first two collision table entries must collide")
     seqs = _demo_sequences(model.params.u, model.params.n, x, y)
-    control = ExactSetModel(model.params)
+    control = ModelSpec("exact_set", spec.u, spec.n, Fraction(0)).build()
     seeds = list(seed_space(cfg.seed_bits))
 
     def events(m: FilterModel) -> tuple[int, int]:

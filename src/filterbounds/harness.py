@@ -56,7 +56,7 @@ from .reduction import (
     check_reduction,
     parse_paired_state,
 )
-from .witness import SEED_BUDGET, witness_transform
+from .witness import DATASET_BUDGET, SEED_BUDGET, witness_transform
 
 # hashlib loads OpenSSL, which costs every command milliseconds and
 # megabytes for one short digest; the interpreter's own SHA-256 module
@@ -170,37 +170,27 @@ def _kind_fields(obj: Any, what: str, tag: str, tables: Mapping[str, tuple]) -> 
     return _read_fields(obj, f"{kind} {what}", {tag: str, **parsers}, required)
 
 
-class ModelSpec(
-    _Record, defaults={"noise_m": 0, "fingerprint_bits": None, "collision_table": None}
-):
-    __slots__ = (
-        "kind", "u", "n", "eps_plus", "noise_m", "fingerprint_bits", "collision_table",
-    )
+def _config_json(value: Any) -> Any:
+    """The JSON form of a config value, the one writer of every config object.
 
-    def build(self) -> FilterModel:
-        if self.n > self.u:
-            raise ConfigError(f"bad model spec: n={self.n} exceeds u={self.u}")
-        model, parsers, _ = _MODEL_FIELDS[self.kind]
-        extra = {key: getattr(self, key) for key in parsers if key not in _SHAPE}
-        try:
-            return model(UniverseParams(self.u, self.n), self.eps_plus, **extra)
-        except ValueError as exc:
-            raise ConfigError(f"bad model spec: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "kind": self.kind,
-            "u": self.u,
-            "n": self.n,
-            "eps_plus": frac_str(self.eps_plus),
+    A Fraction becomes "p/q", a tuple a list and a dict a copy.  A config
+    record becomes its fields by name, less each field it names in _omitted
+    while that field still equals its default.
+    """
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, tuple):
+        return [_config_json(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, _Record):
+        omitted = getattr(value, "_omitted", ())
+        return {
+            name: _config_json(field)
+            for name, field in zip(value.__slots__, value._values(value))
+            if name not in omitted or field != value._defaults[name]
         }
-        if self.noise_m:
-            out["noise_m"] = self.noise_m
-        if self.fingerprint_bits is not None:
-            out["fingerprint_bits"] = self.fingerprint_bits
-        if self.collision_table is not None:
-            out["collision_table"] = [list(pair) for pair in self.collision_table]
-        return out
+    return value
 
 
 def _collision_table(value: Any) -> tuple[tuple[int, int], ...]:
@@ -213,33 +203,53 @@ def _collision_table(value: Any) -> tuple[tuple[int, int], ...]:
 
 
 _SHAPE = {"u": _integer, "n": _integer, "eps_plus": parse_fraction}
-# model kind: (model class, its parsers, required keys); a key past _SHAPE
-# is passed to the class by name
+# model kind: (model class, its own keys as key: (parser, default)); build
+# passes a kind's own keys to its class by name
 _MODEL_FIELDS = {
-    "exact_set": (ExactSetModel, _SHAPE, ("u", "n")),
-    "noisy_exact": (NoisyExactModel, {**_SHAPE, "noise_m": _integer}, ("u", "n")),
+    "exact_set": (ExactSetModel, {}),
+    "noisy_exact": (NoisyExactModel, {"noise_m": (_integer, 0)}),
     "fingerprint_multiset": (FingerprintMultisetModel, {
-        **_SHAPE,
-        "fingerprint_bits": _optional(_integer),
-        "collision_table": _optional(_collision_table),
-    }, ("u", "n")),
+        "fingerprint_bits": (_optional(_integer), None),
+        "collision_table": (_optional(_collision_table), None),
+    }),
+}
+_OWN_DEFAULTS = {key: d for _, own in _MODEL_FIELDS.values() for key, (_, d) in own.items()}
+# what _kind_fields reads for each kind: (its parsers, required keys)
+_MODEL_PARSERS = {
+    kind: ({**_SHAPE, **{key: parse for key, (parse, _) in own.items()}}, ("u", "n"))
+    for kind, (_, own) in _MODEL_FIELDS.items()
 }
 
 
+class ModelSpec(_Record, defaults=_OWN_DEFAULTS):
+    # every kind's shape, then each kind's own keys; a spec leaves the keys of
+    # other kinds at their defaults, which the writer omits
+    __slots__ = ("kind", *_SHAPE, *_OWN_DEFAULTS)
+    _omitted = tuple(_OWN_DEFAULTS)
+
+    def build(self) -> FilterModel:
+        if self.n > self.u:
+            raise ConfigError(f"bad model spec: n={self.n} exceeds u={self.u}")
+        model, own = _MODEL_FIELDS[self.kind]
+        extra = {key: getattr(self, key) for key in own}
+        try:
+            return model(UniverseParams(self.u, self.n), self.eps_plus, **extra)
+        except ValueError as exc:
+            raise ConfigError(f"bad model spec: {exc}") from exc
+
+    to_dict = _config_json
+
+
 def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
-    fields = _kind_fields(data, "model spec", "kind", _MODEL_FIELDS)
+    fields = _kind_fields(data, "model spec", "kind", _MODEL_PARSERS)
     return ModelSpec(**{"eps_plus": Fraction(0), **fields})
 
 
-class GridSpec(_Record):
-    __slots__ = ("u_values", "n_values", "beta_values")
+_GRID_FIELDS = {"u": _list_of(_integer), "n": _list_of(_integer), "beta": _list_of(parse_fraction)}
 
-    def to_dict(self) -> dict:
-        return {
-            "u": list(self.u_values),
-            "n": list(self.n_values),
-            "beta": [frac_str(b) for b in self.beta_values],
-        }
+
+class GridSpec(_Record):
+    __slots__ = tuple(_GRID_FIELDS)
 
 
 DEFAULT_GRID = GridSpec(
@@ -293,10 +303,7 @@ def bounds_checks_from_dict(data: Mapping[str, Any]) -> list:
 
 
 def _grid(value: Any) -> GridSpec:
-    ints = _list_of(_integer)
-    fields = _read_fields(value, "", {"u": ints, "n": ints, "beta": _list_of(parse_fraction)},
-                          ("u", "n", "beta"))
-    return GridSpec(fields["u"], fields["n"], fields["beta"])
+    return GridSpec(**_read_fields(value, "", _GRID_FIELDS, GridSpec.__slots__))
 
 
 def _probe(value: Any) -> Any:
@@ -304,42 +311,27 @@ def _probe(value: Any) -> Any:
     return value  # stored and hashed as given
 
 
-class ExperimentConfig(
-    _Record,
-    defaults={
-        "seed": 20260823,
-        "seed_bits": 8,
-        "trials": 100_000,
-        "alphas": (Fraction(3, 2), Fraction(2), Fraction(4)),
-        "best_seed_alpha": Fraction(2),
-        "models": (),
-        "grid": DEFAULT_GRID,
-        "negative_probe": None,
-    },
-):
-    __slots__ = (
-        "seed", "seed_bits", "trials", "alphas", "best_seed_alpha", "models",
-        "grid", "negative_probe",
-    )
+# config key: (parser, default)
+_CONFIG_FIELDS = {
+    "seed": (_integer, 20260823),
+    "seed_bits": (_integer, 8),
+    "trials": (_integer, 100_000),
+    "alphas": (_list_of(parse_fraction), (Fraction(3, 2), Fraction(2), Fraction(4))),
+    "best_seed_alpha": (parse_fraction, Fraction(2)),
+    "models": (_list_of(model_spec_from_dict), ()),
+    "grid": (_grid, DEFAULT_GRID),
+    "negative_probe": (_optional(_probe), None),
+}
 
-    def resolved_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "seed": self.seed,
-            "seed_bits": self.seed_bits,
-            "trials": self.trials,
-            "alphas": [frac_str(a) for a in self.alphas],
-            "best_seed_alpha": frac_str(self.best_seed_alpha),
-            "models": [m.to_dict() for m in self.models],
-            "grid": self.grid.to_dict(),
-        }
-        if self.negative_probe is not None:
-            out["negative_probe"] = dict(self.negative_probe)
-        return out
+
+class ExperimentConfig(_Record, defaults={key: d for key, (_, d) in _CONFIG_FIELDS.items()}):
+    __slots__ = tuple(_CONFIG_FIELDS)
+    _omitted = ("negative_probe",)
+
+    resolved_dict = _config_json
 
     def config_hash(self) -> str:
-        canonical = json.dumps(
-            self.resolved_dict(), sort_keys=True, separators=(",", ":")
-        )
+        canonical = json.dumps(self.resolved_dict(), sort_keys=True, separators=(",", ":"))
         return sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -347,21 +339,12 @@ class ExperimentConfig(
 MAX_SEED_BITS = SEED_BUDGET.bit_length() - 1
 
 
-_CONFIG_FIELDS = {
-    "seed": _integer, "seed_bits": _integer, "trials": _integer,
-    "alphas": _list_of(parse_fraction), "best_seed_alpha": parse_fraction,
-    "models": _list_of(model_spec_from_dict), "grid": _grid, "negative_probe": _optional(_probe),
-}
-
-
 def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> ExperimentConfig:
     """Overlay a parsed config file onto a command's defaults."""
-    fields = _read_fields(data, "config", _CONFIG_FIELDS)
+    fields = _read_fields(data, "config", {key: p for key, (p, _) in _CONFIG_FIELDS.items()})
     cfg = ExperimentConfig(**{**_config_kwargs(base), **fields})
     if not 0 <= cfg.seed_bits <= MAX_SEED_BITS:
-        raise ConfigError(
-            f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands"
-        )
+        raise ConfigError(f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     return cfg
@@ -434,6 +417,8 @@ def run_fp_experiment(cfg: ExperimentConfig) -> dict:
         raise ConfigError("fp experiment needs nonmembers, so n < u")
     if u > sys.maxsize:
         raise ConfigError(f"fp experiment samples from u <= {sys.maxsize}, got {u}")
+    if n > DATASET_BUDGET:
+        raise ConfigError(f"fp experiment samples a dataset of n <= {DATASET_BUDGET}, got {n}")
     trials = cfg.trials
     workload_rng = random.Random(f"fp-workload:{cfg.seed}")
     dataset = sorted(workload_rng.sample(range(u), n))
@@ -597,9 +582,9 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
         probe = _counting_bound(**_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
     grid_results = [
         check_binom_scaling(u, n, beta)
-        for u in cfg.grid.u_values
-        for n in cfg.grid.n_values
-        for beta in cfg.grid.beta_values
+        for u in cfg.grid.u
+        for n in cfg.grid.n
+        for beta in cfg.grid.beta
     ]
     bases = [spec.build() for spec in cfg.models]
     for alpha in (cfg.best_seed_alpha, *cfg.alphas):

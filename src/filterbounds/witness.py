@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from .combinat import binom_exact, iter_subsets_of_size
+from .combinat import iter_subsets_of_size
 from .core import _mask_elems
 from .filters import FailStateError, FilterModel, FilterState, Seed
 
@@ -37,12 +37,17 @@ STEP_BUDGET = 10**7
 def check_enumeration_budget(
     u: int, n: int, seed_count: int = 0, class_count: int = 0
 ) -> int:
-    """Refuse, before any model step, a sweep too large; return C(u, n)."""
-    dataset_count = binom_exact(u, n)
-    if dataset_count > DATASET_BUDGET:
-        raise EnumerationTooLarge(
-            f"{dataset_count} datasets exceed budget {DATASET_BUDGET}"
-        )
+    """Refuse, before any model step, a sweep too large; return C(u, n).
+
+    C(u, n) is built as a running product that stops once it passes the
+    budget, since at u=2**62 the full binomial takes longer to compute than
+    any sweep and has more digits than an error line can print.
+    """
+    dataset_count = int(0 <= n <= u)
+    for i in range(min(n, u - n)):
+        dataset_count = dataset_count * (u - i) // (i + 1)
+        if dataset_count > DATASET_BUDGET:
+            raise EnumerationTooLarge(f"C({u}, {n}) datasets exceed budget {DATASET_BUDGET}")
     if seed_count > SEED_BUDGET:
         raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
     steps = class_count * dataset_count * n

@@ -186,9 +186,9 @@ def test_5_binomial_scaling_grid(verdict):
     worst_margin = float("inf")
     ok = True
     cells = 0
-    for u in cfg.grid.u_values:
-        for n in cfg.grid.n_values:
-            for beta in cfg.grid.beta_values:
+    for u in cfg.grid.u:
+        for n in cfg.grid.n:
+            for beta in cfg.grid.beta:
                 result = check_binom_scaling(u, n, beta)
                 cells += 1
                 ok = ok and result["holds"]

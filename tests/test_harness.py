@@ -93,6 +93,46 @@ class TestModelSpec:
             model_spec_from_dict({"kind": "exact_set", "u": 8})
 
 
+RATIONALS = st.one_of(
+    st.integers(0, 9),
+    st.fractions(0, 9, max_denominator=12).map(lambda f: f"{f.numerator}/{f.denominator}"),
+)
+# a value for each key a model spec may leave out
+MODEL_KEYS = {
+    "eps_plus": RATIONALS,
+    "noise_m": st.integers(0, 4),
+    "fingerprint_bits": st.none() | st.integers(1, 8),
+    "collision_table": st.none() | st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 7)),
+        max_size=3, unique_by=lambda pair: pair[0],
+    ),
+}
+# every kind, with each key it may leave out present or absent
+MODELS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just(kind), "u": st.integers(1, 64), "n": st.integers(1, 64)},
+        optional={key: MODEL_KEYS[key] for key in ("eps_plus", *own)},
+    )
+    for kind, (_, own) in harness._MODEL_FIELDS.items()
+)
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2**64),
+    "seed_bits": st.integers(0, 16),
+    "trials": st.integers(1, 10**6),
+    "alphas": st.lists(RATIONALS, max_size=3),
+    "best_seed_alpha": RATIONALS,
+    "models": st.lists(MODELS, max_size=3),
+    "grid": st.fixed_dictionaries({
+        "u": st.lists(st.integers(1, 99)), "n": st.lists(st.integers(1, 99)),
+        "beta": st.lists(RATIONALS),
+    }),
+    "negative_probe": st.none() | st.fixed_dictionaries(
+        {"u": st.integers(1, 9), "n": st.integers(1, 9), "fspace_bits": st.integers(0, 9)},
+        optional={"alpha": RATIONALS, "eps_minus": RATIONALS, "p_fail": RATIONALS},
+    ),
+})
+
+
 class TestConfig:
     def test_overlay_keeps_unmentioned_fields(self):
         base = default_verify_config()
@@ -143,6 +183,40 @@ class TestConfig:
         again = config_from_dict(json.loads(text), ExperimentConfig())
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
+
+    @given(CONFIGS)
+    def test_any_config_reads_back_from_its_resolved_dict(self, config):
+        cfg = config_from_dict(config, ExperimentConfig())
+        again = config_from_dict(json.loads(json.dumps(cfg.resolved_dict())), ExperimentConfig())
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize(
+        "config, base, digest",
+        [
+            ({"models": [{"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6",
+                          "noise_m": 0}]}, ExperimentConfig, "644847294ff6263a"),
+            ({"models": [{"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6"}]},
+             ExperimentConfig, "644847294ff6263a"),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 8, "n": 2, "eps_plus": "2/4",
+                          "fingerprint_bits": 3, "collision_table": [[2, 0], [1, 0]]}]},
+             ExperimentConfig, "be36dffa420a824a"),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 8, "n": 2, "eps_plus": 0.5,
+                          "fingerprint_bits": None, "collision_table": None}]},
+             ExperimentConfig, "75af6de72906b43e"),
+            ({"negative_probe": None}, default_verify_config, "f10bcf80b3e4e3cc"),
+            ({"negative_probe": {"fspace_bits": 3, "u": 8, "n": 2, "alpha": 2}},
+             default_verify_config, "8704f9e03c295c2d"),
+            ({"grid": {"u": [8, 9], "n": [2], "beta": ["2/4", 1]}, "alphas": ["3/2", 4],
+              "best_seed_alpha": "6/2"}, ExperimentConfig, "492bac38a25de25c"),
+        ],
+        ids=["noise_m_0", "noise_m_absent", "fingerprint_fields", "fingerprint_nulls",
+             "probe_null", "probe_given", "grid_and_alphas"],
+    )
+    def test_config_hash_is_pinned(self, config, base, digest):
+        # a default field left out, a rational as "p/q" in lowest terms, and
+        # the probe as given: each a choice the hash of every report carries
+        assert config_from_dict(config, base()).config_hash() == digest
 
     def test_errors_name_the_object_and_the_key(self):
         model = {"kind": "exact_set", "u": 6.9, "n": 2}
@@ -457,6 +531,7 @@ ZOO16 = [
 # an alpha just under 100 whose numerator has 4,300 digits, the most Python
 # prints; the counting rhs and the best seed's required count at it have more
 HUGE_ALPHA = "9" * 4300 + "/1" + "0" * 4298
+FP62 = {"kind": "fingerprint_multiset", "u": 1 << 62, "n": 2, "eps_plus": "1/2"}
 
 
 class TestCli:
@@ -704,6 +779,15 @@ class TestCli:
             ({"bounds_checks": [{"check": "counting", "u": 2, "n": 3,
                                  "fspace_bits": 0}]}, ["bounds"]),
             ({"negative_probe": {"fspace_bits": 3, "u": 2, "n": 3}}, ["verify"]),
+            # a dataset count past the int-to-str digit limit, a dataset
+            # too large to sample, and a control model too large to size
+            ({"models": [dict(FP62, n=1100)]}, ["encode", "--seed-bits", "1",
+                                                "--elements", "0,1"]),
+            ({"models": [dict(FP62, n=1 << 61)]}, ["fp-rate", "--trials", "10"]),
+            ({"models": [dict(FP62, u=1100, n=1100, collision_table=[[1, 0], [2, 0]])]},
+             ["demo-violations"]),
+            ({"models": [dict(FP62, n=1100, collision_table=[[1, 0], [2, 0]])]},
+             ["demo-violations"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -850,6 +934,24 @@ class TestCli:
         )
         assert done.returncode == 2
         assert done.stderr.startswith("error:") and "bad rational literal" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["encode", "--elements", "0,1"], ["decode", "--state", "0:/0:", "--index", "0"]],
+        ids=["encode", "decode"],
+    )
+    def test_astronomical_dataset_count_exits_two_at_once(self, argv, tmp_path):
+        # C(2**62, 2**61) would take longer to compute than any sweep
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"models": [dict(FP62, n=1 << 61)]}))
+        done = subprocess.run(
+            [sys.executable, "-m", "filterbounds", *argv, "--seed-bits", "1",
+             "--config", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and "exceed budget" in done.stderr
         assert len(done.stderr.splitlines()) == 1
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):

@@ -1,5 +1,6 @@
 """Witness transform: yes-sets, state delegation, sticky false positives."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from filterbounds.sequences import op_del, op_ins, op_init, run_sequence, valida
 from filterbounds.witness import (
     EnumerationTooLarge,
     WitnessModel,
+    check_enumeration_budget,
     check_sticky,
     state_after,
     witness_transform,
@@ -76,6 +78,17 @@ class TestStateAfter:
             collision_table={0: 0, 1: 1, 2: 2},
         )
         assert state_after(model, S0, (0, 1, 2)).fail
+
+
+def test_budget_counts_datasets_exactly_up_to_the_budget():
+    # the running product equals math.comb up to the budget, 0 for n > u
+    for u in range(0, 30):
+        for n in range(0, 32):
+            if math.comb(u, n) <= witness.DATASET_BUDGET:
+                assert check_enumeration_budget(u, n) == math.comb(u, n)
+            else:
+                with pytest.raises(EnumerationTooLarge, match=rf"C\({u}, {n}\)"):
+                    check_enumeration_budget(u, n)
 
 
 class TestWitnessModel:
