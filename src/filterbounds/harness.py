@@ -48,6 +48,7 @@ from .filters import (
     FingerprintMultisetModel,
     NoisyExactModel,
     draw_seed,
+    seed_classes,
     seed_space,
 )
 from .reduction import (
@@ -56,7 +57,7 @@ from .reduction import (
     check_reduction,
     parse_paired_state,
 )
-from .witness import DATASET_BUDGET, SEED_BUDGET, witness_transform
+from .witness import DATASET_BUDGET, SEED_BUDGET, check_enumeration_budget, witness_transform
 
 # hashlib loads OpenSSL, which costs every command milliseconds and
 # megabytes for one short digest; the interpreter's own SHA-256 module
@@ -559,9 +560,9 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
     alpha using the measured space and error rates.
     Followed by the negative probe (a capacity the counting bound must
     reject) and the binomial scaling grid.  Both are evaluated, every model
-    is built and every alpha is checked before the first sweep, so that bad
-    input fails fast.  An empty zoo yields zero checks and one entry in the
-    report's warnings, which verify also prints on stderr.
+    built, every alpha checked and every sweep grouped into seed classes and
+    priced before the first sweep, so that bad input fails fast.  An empty
+    zoo yields zero checks and one warning, which verify also prints on stderr.
     """
     empty_zoo = "no models configured; verification suite has nothing to check"
     checks = _zoo_checks(cfg) if cfg.models else []
@@ -594,15 +595,20 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
             # no failed pairs, no report can print
             check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
     seeds = list(seed_space(cfg.seed_bits))
-    checks = []
+    sweeps = []
     for base in bases:
         model = witness_transform(base)
-        report = check_reduction(model, seeds)
+        classes = seed_classes(model, seeds)
+        check_enumeration_budget(base.params.u, base.params.n, len(seeds), len(classes))
+        sweeps.append((model, classes))
+    checks = []
+    for model, classes in sweeps:
+        report = check_reduction(model, classes)
         checks.append(_sticky_check(model, report))
         reduction_ok = (
             report.false_positive_count == 0
             and report.completeness_violations == 0
-            and report.max_false_negative_rate <= base.eps_plus
+            and report.max_false_negative_rate <= model.eps_plus
             and report.fn_matches_delete_fp
             and report.space_pair_bits <= report.space_budget_bits
             and report.fail_fraction == 0
@@ -694,6 +700,6 @@ def _coding_context(
         raise ConfigError("encode/decode need a model spec")
     model = witness_transform(cfg.models[0].build())
     static = PairedStaticFilter(model)
-    report = check_reduction(model, list(seed_space(cfg.seed_bits)))
+    report = check_reduction(model, seed_classes(model, seed_space(cfg.seed_bits)))
     params = _measured_params(report, cfg.best_seed_alpha)
     return static, params, report.best_seed(params)

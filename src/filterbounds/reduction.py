@@ -23,7 +23,7 @@ from typing import Sequence
 from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
 from .core import UniverseParams, _mask_elems, _Record
-from .filters import FilterModel, FilterState, Seed, seed_classes
+from .filters import FilterModel, FilterState, Seed
 from .witness import (
     WitnessModel,
     check_enumeration_budget,
@@ -167,24 +167,28 @@ class ReductionReport(_Record, hidden=("misses_by_class",)):
         }
 
 
-def check_reduction(model: FilterModel, seeds: Sequence[Seed]) -> ReductionReport:
+def check_reduction(
+    model: FilterModel, classes: Sequence[tuple[Seed, int]]
+) -> ReductionReport:
     """Exhaustively certify the paired filter over datasets x seeds.
 
-    Each seed class of filters.seed_classes is swept once, under its
-    earliest seed, and every tally is weighted by the class size, so the
-    enumeration stays complete and the fractions exact.  One subset walk
-    per class gives the insert snapshots and a witness model's table; a
-    delete snapshot adds n deletes; tallies are set algebra on yes-masks.
-    Counts false positives (must be zero for a model with sticky wrong
-    yeses), the largest false-negative seed fraction over (dataset, member)
-    cells, the widest pair against twice the widest component state, and
-    the failed-pair fraction.  The false-negative events are cross-checked
-    against the base model's wrong yeses at the delete snapshot, which they
-    must equal cell by cell when the seed space is fully enumerated.
+    classes is what filters.seed_classes returns: per seed class its
+    earliest seed and size, earliest first, the sizes summing to the seed
+    count.  Each class is swept once, under its earliest seed, and every
+    tally is weighted by the class size, so the enumeration stays complete
+    and the fractions exact.  One subset walk per class gives the insert
+    snapshots and a witness model's table; a delete snapshot adds n
+    deletes; tallies are set algebra on yes-masks.  Counts false positives
+    (must be zero for a model with sticky wrong yeses), the largest
+    false-negative seed fraction over (dataset, member) cells, the widest
+    pair against twice the widest component state, and the failed-pair
+    fraction.  The false-negative events are cross-checked against the
+    base model's wrong yeses at the delete snapshot, which they must equal
+    cell by cell when the seed space is fully enumerated.
     """
     u, n = model.params.u, model.params.n
-    classes = seed_classes(model, seeds)
-    dataset_count = check_enumeration_budget(u, n, len(seeds), len(classes))
+    seed_count = sum(weight for _, weight in classes)
+    dataset_count = check_enumeration_budget(u, n, seed_count, len(classes))
     datasets = list(iter_subsets_of_size(u, n))
     member_masks = [sum(1 << x for x in ds) for ds in datasets]
     fp_count = 0
@@ -240,7 +244,7 @@ def check_reduction(model: FilterModel, seeds: Sequence[Seed]) -> ReductionRepor
                     if misses >> x & 1:
                         fn_counts[i][j] += weight
             class_misses.append(misses.bit_count())
-    total_cells = len(seeds) * dataset_count
+    total_cells = seed_count * dataset_count
     # the largest count/live over live datasets, compared by cross-multiplying
     max_fn, max_live = 0, 1
     for live, counts in zip(live_counts, fn_counts):
@@ -251,8 +255,8 @@ def check_reduction(model: FilterModel, seeds: Sequence[Seed]) -> ReductionRepor
         u=u,
         n=n,
         model=model.describe(),
-        seed_bits=seeds[0].bits if seeds else 0,
-        seed_count=len(seeds),
+        seed_bits=classes[0][0].bits if classes else 0,
+        seed_count=seed_count,
         dataset_count=dataset_count,
         false_positive_count=fp_count,
         completeness_violations=completeness_violations,

@@ -224,36 +224,19 @@ class RewriteResult(_Record):
     __slots__ = ("seq", "index_map")
 
 
-def _check_flags(
-    seq: OpSequence, potential: Sequence[bool] | None
-) -> tuple[bool, ...]:
-    if potential is None:
-        return tuple(True for _ in seq.ops)
-    flags = tuple(bool(f) for f in potential)
-    if len(flags) != len(seq.ops):
-        raise ValueError(
-            f"potential flags length {len(flags)} != sequence length {len(seq.ops)}"
-        )
-    return flags
-
-
-def rewrite_dup_to_del(
-    seq: OpSequence, potential: Sequence[bool] | None = None
-) -> RewriteResult:
+def rewrite_dup_to_del(seq: OpSequence) -> RewriteResult:
     """Replace potential duplicate insertions by delete-then-insert pairs.
 
-    Every flagged insert ins(x) becomes del(x); ins(x).  The default flags
-    every insert.  The inserted delete empties the slot first, so flagged
-    inserts are never duplicates in the output; the deletes may of course
-    target nonelements, which is the point of the exchange.  The output is
-    valid for the same (u, n) and its trace agrees with the original at
-    every image index.
+    Every insert ins(x) becomes del(x); ins(x).  The inserted delete empties
+    the slot first, so no insert is a duplicate in the output; the deletes
+    may of course target nonelements, which is the point of the exchange.
+    The output is valid for the same (u, n) and its trace agrees with the
+    original at every image index.
     """
-    flags = _check_flags(seq, potential)
     new_ops: list[Operation] = []
     index_map = []
-    for op, flagged in zip(seq.ops, flags):
-        if op.kind is OpKind.INS and flagged:
+    for op in seq.ops:
+        if op.kind is OpKind.INS:
             new_ops.append(op_del(op.arg))
         new_ops.append(op)
         index_map.append(len(new_ops) - 1)
@@ -262,23 +245,19 @@ def rewrite_dup_to_del(
     )
 
 
-def rewrite_del_to_dup(
-    seq: OpSequence, potential: Sequence[bool] | None = None
-) -> RewriteResult:
+def rewrite_del_to_dup(seq: OpSequence) -> RewriteResult:
     """Replace potential deletions of nonelements by insert-then-delete pairs.
 
-    Every flagged delete del(x) becomes ins(x); del(x).  The default flags
-    every delete.  After the inserted ins(x) the element is present, so
-    flagged deletes never target nonelements in the output; the inserts
-    may be duplicates.  The leading insert can hold one extra element for
-    a moment, so the output is validated against bound n + 1 and carries
-    that bound in its params.
+    Every delete del(x) becomes ins(x); del(x).  After the inserted ins(x)
+    the element is present, so no delete targets a nonelement in the
+    output; the inserts may be duplicates.  The leading insert can hold one
+    extra element for a moment, so the output is validated against bound
+    n + 1 and carries that bound in its params.
     """
-    flags = _check_flags(seq, potential)
     new_ops: list[Operation] = []
     index_map = []
-    for op, flagged in zip(seq.ops, flags):
-        if op.kind is OpKind.DEL and flagged:
+    for op in seq.ops:
+        if op.kind is OpKind.DEL:
             new_ops.append(op_ins(op.arg))
         new_ops.append(op)
         index_map.append(len(new_ops) - 1)

@@ -25,7 +25,7 @@ from filterbounds.cli import main as cli_main
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
 from filterbounds.core import UniverseParams
 from filterbounds.demo import default_demo_config, run_violation_demo
-from filterbounds.filters import seed_space
+from filterbounds.filters import seed_classes, seed_space
 from filterbounds.harness import (
     default_fp_config,
     default_verify_config,
@@ -67,7 +67,10 @@ def zoo():
 @pytest.fixture(scope="module")
 def reduction_reports(zoo):
     _, seeds, models = zoo
-    return [(spec, model, check_reduction(model, seeds)) for spec, model in models]
+    return [
+        (spec, model, check_reduction(model, seed_classes(model, seeds)))
+        for spec, model in models
+    ]
 
 
 def test_1_sticky_false_positives_survive_deletion(zoo, verdict):

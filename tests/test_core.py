@@ -201,19 +201,6 @@ class TestRewriters:
         trace = dataset_trace(out.seq)
         assert max(trace.card_at(t) for t in range(len(trace))) == 1
 
-    def test_explicit_potential_flags(self):
-        seq = validate_sequence([op_init(), op_ins(3), op_ins(3)], P82)
-        out = rewrite_dup_to_del(seq, potential=[False, False, True])
-        assert [
-            (op.kind.value, op.arg) for op in out.seq.ops
-        ] == [("init", None), ("ins", 3), ("del", 3), ("ins", 3)]
-        assert out.index_map == (0, 1, 3)
-
-    def test_flag_length_mismatch(self):
-        seq = validate_sequence([op_init(), op_ins(3)], P82)
-        with pytest.raises(ValueError):
-            rewrite_dup_to_del(seq, potential=[True])
-
     @given(valid_sequences())
     def test_dup_to_del_properties(self, seq):
         out = rewrite_dup_to_del(seq)

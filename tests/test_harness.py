@@ -532,6 +532,17 @@ ZOO16 = [
 # prints; the counting rhs and the best seed's required count at it have more
 HUGE_ALPHA = "9" * 4300 + "/1" + "0" * 4298
 FP62 = {"kind": "fingerprint_multiset", "u": 1 << 62, "n": 2, "eps_plus": "1/2"}
+# an exact_set model within every budget, then one whose 24 seed classes at 16
+# seed bits take too many steps; sweeping the first takes seconds
+LATE_STEP_ZOO = [
+    {"kind": "exact_set", "u": 24, "n": 6},
+    {"kind": "noisy_exact", "u": 24, "n": 6, "eps_plus": "1/6", "noise_m": 1},
+]
+# a small model, then one with C(40, 6) datasets; encode reads only the first
+LATE_DATASET_ZOO = [
+    {"kind": "exact_set", "u": 6, "n": 2},
+    {"kind": "exact_set", "u": 40, "n": 6},
+]
 
 
 class TestCli:
@@ -661,6 +672,17 @@ class TestCli:
         ) == 0
         dec = json.loads(capsys.readouterr().out)
         assert dec["dataset"] == [1, 3]
+
+    def test_encode_and_decode_read_only_the_first_model(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"models": LATE_DATASET_ZOO}))
+        common = ["--seed-bits", "6", "--config", str(path)]
+        assert main(["encode", *common, "--elements", "1,3"]) == 0
+        enc = json.loads(capsys.readouterr().out)
+        assert main(
+            ["decode", *common, "--state", enc["state"], "--index", enc["index"]]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["dataset"] == [1, 3]
 
     def test_bad_elements_exit_two(self, capsys):
         assert main(["encode", "--elements", "1,banana"]) == 2
@@ -905,9 +927,12 @@ class TestCli:
             {"best_seed_alpha": "1/2"},
             {"alphas": [HUGE_ALPHA]},
             {"best_seed_alpha": HUGE_ALPHA},
+            {"models": LATE_STEP_ZOO},
+            {"models": LATE_DATASET_ZOO},
         ],
         ids=["second_model", "alphas", "best_seed_alpha", "unprintable_alpha",
-             "unprintable_best_seed_alpha"],
+             "unprintable_best_seed_alpha", "later_model_over_step_budget",
+             "later_model_over_dataset_budget"],
     )
     def test_bad_input_is_refused_before_the_first_sweep(
         self, change, tmp_path, monkeypatch, capsys

@@ -169,7 +169,7 @@ def expected_noisy_fn_rate(noisy, seeds, dataset, x):
 
 @pytest.fixture(scope="module")
 def noisy_report(noisy62, seeds8):
-    return check_reduction(noisy62, seeds8)
+    return check_reduction(noisy62, seed_classes(noisy62, seeds8))
 
 
 class TestCheckReduction:
@@ -205,7 +205,7 @@ class TestCheckReduction:
         assert noisy_report.fail_fraction == 0
 
     def test_exact_base_has_no_errors_at_all(self, exact62, seeds8):
-        report = check_reduction(exact62, seeds8[:4])
+        report = check_reduction(exact62, seed_classes(exact62, seeds8[:4]))
         assert report.false_positive_count == 0
         assert report.max_false_negative_rate == 0
 
@@ -215,24 +215,23 @@ class TestCheckReduction:
         model = FingerprintMultisetModel(
             UniverseParams(6, 2), Fraction(1, 2), fingerprint_bits=2
         )
-        report = check_reduction(model, seeds8)
+        report = check_reduction(model, seed_classes(model, seeds8))
         assert report.false_positive_count > 0
         assert report.max_false_negative_rate == 0
 
     def test_failed_pairs_are_counted_not_scored(self, seeds8):
         model = FailingInsert(UniverseParams(6, 2), Fraction(1, 2))
-        report = check_reduction(model, seeds8[:4])
+        report = check_reduction(model, seed_classes(model, seeds8[:4]))
         assert report.fail_fraction == 1
         assert report.max_false_negative_rate == 0
         assert report.space_pair_bits == 0
 
     def test_deterministic(self, noisy62, seeds8):
-        assert check_reduction(noisy62, seeds8[:16]) == check_reduction(
-            noisy62, seeds8[:16]
-        )
+        classes = seed_classes(noisy62, seeds8[:16])
+        assert check_reduction(noisy62, classes) == check_reduction(noisy62, classes)
 
     def test_empty_seed_list(self, noisy62):
-        report = check_reduction(noisy62, [])
+        report = check_reduction(noisy62, seed_classes(noisy62, []))
         assert report.seed_count == 0
         assert report.fail_fraction == 0
         assert report.max_false_negative_rate == 0
@@ -240,17 +239,17 @@ class TestCheckReduction:
     def test_dataset_budget_guard(self, noisy62, seeds8, monkeypatch):
         monkeypatch.setattr(witness, "DATASET_BUDGET", 10)
         with pytest.raises(EnumerationTooLarge):
-            check_reduction(noisy62, seeds8[:1])
+            check_reduction(noisy62, seed_classes(noisy62, seeds8[:1]))
 
     def test_seed_budget_guard(self, noisy62):
         seeds = [Seed(0, 17)] * ((1 << 16) + 1)
         with pytest.raises(EnumerationTooLarge):
-            check_reduction(noisy62, seeds)
+            check_reduction(noisy62, seed_classes(noisy62, seeds))
 
 
 class TestReportJson:
     def test_fields_and_fraction_strings(self, noisy62, seeds8):
-        report = check_reduction(noisy62, seeds8)
+        report = check_reduction(noisy62, seed_classes(noisy62, seeds8))
         blob = report.to_json_dict()
         assert blob["instance"] == {
             "u": 6,
@@ -263,8 +262,9 @@ class TestReportJson:
         assert json.loads(json.dumps(blob)) == blob
 
     def test_json_is_stable(self, noisy62, seeds8):
-        report = check_reduction(noisy62, seeds8[:8])
-        assert report.to_json_dict() == check_reduction(noisy62, seeds8[:8]).to_json_dict()
+        classes = seed_classes(noisy62, seeds8[:8])
+        report = check_reduction(noisy62, classes)
+        assert report.to_json_dict() == check_reduction(noisy62, classes).to_json_dict()
 
 
 P62 = UniverseParams(6, 2)
@@ -373,13 +373,13 @@ class TestSeedClasses:
         base = SWEEP_MODELS[name]
         model = wrap(base)
         seeds = list(seed_space(bits))
-        fast = check_reduction(model, seeds)
+        fast = check_reduction(model, seed_classes(model, seeds))
         assert len(fast.misses_by_class) < len(seeds)
         row_of_class = {model.seed_class(s): row for s, row in fast.misses_by_class}
         per_seed = [(s, row_of_class[model.seed_class(s)]) for s in seeds]
         # the default key makes every seed its own class: plain brute force
         monkeypatch.setattr(type(base), "seed_class", FilterModel.seed_class)
-        slow = check_reduction(model, seeds)
+        slow = check_reduction(model, seed_classes(model, seeds))
         # each seed's brute-force row is its class's row
         assert slow.misses_by_class == per_seed
         assert ReductionReport.__slots__ == REDUCTION_REPORT_FIELDS
@@ -500,7 +500,7 @@ class TestSubsetWalk:
     def test_walk_matches_reference_sweep(self, name, bits, wrap):
         base = WALK_MODELS[name]
         seeds = list(seed_space(bits))
-        walked = check_reduction(wrap(base), seeds)
+        walked = check_reduction(wrap(base), seed_classes(wrap(base), seeds))
         reference = reference_sweep(wrap(base), seeds)
         for field in REDUCTION_REPORT_FIELDS:
             assert getattr(walked, field) == getattr(reference, field), field
@@ -529,7 +529,7 @@ class TestSubsetWalk:
             return real(self, seed, state, x)
 
         monkeypatch.setattr(NoisyExactModel, "insert_state", counted)
-        check_reduction(wrap(base), list(seed_space(6)))
+        check_reduction(wrap(base), seed_classes(wrap(base), seed_space(6)))
         u, n, classes = 8, 3, 8
         prefixes = sum(comb(u - n + k, k) for k in range(1, n + 1))
         assert len(inserts) == classes * prefixes
@@ -556,7 +556,7 @@ class TestSubsetWalk:
             return decode(state)
 
         base.encode_set, base.decode_set = counted_encode, counted_decode
-        check_reduction(wrap(base), list(seed_space(4)))
+        check_reduction(wrap(base), seed_classes(wrap(base), seed_space(4)))
         assert ranked and len(ranked) == len(set(ranked))
         assert unranked == []
         cap = bounded_subset_count(8, 3)
