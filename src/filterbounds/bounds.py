@@ -32,19 +32,21 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .combinat import (
-    binom_exact,
     bounded_subset_count,
     bounded_subset_index,
     bounded_subset_unindex,
     frac_str,
     iter_subsets_of_size,
 )
-from .core import UniverseParams, _mask_elems, _Record, _set
+from .core import _mask_elems, _Record, _set
 from .filters import Seed
 from .witness import check_enumeration_budget
+
+if TYPE_CHECKING:  # reduction imports this module
+    from .reduction import PairedStaticFilter
 
 
 class ParamsOutOfRange(ValueError):
@@ -77,23 +79,6 @@ def _check_exact_cost(check: str, bits: int) -> None:
         raise ParamsOutOfRange(
             f"{check} needs exact integers past the budget of {MAX_EXACT_BITS} bits"
         )
-
-
-class StaticFilter(Protocol):
-    """What the encoding machinery needs from a static filter.
-
-    Its states carry is_fail, true when the filter failed on the dataset.
-    """
-
-    @property
-    def params(self) -> UniverseParams: ...
-
-    def init_state(self, seed: Seed, dataset: Sequence[int]) -> Any: ...
-
-    def query(self, seed: Seed, state: Any, x: int) -> int: ...
-
-    def yes_mask(self, seed: Seed, state: Any) -> int:
-        """Bitmask of the universe elements query answers 1 on."""
 
 
 class BoundsParams(_Record):
@@ -161,7 +146,7 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> dict:
     )
     lhs = (1 << fspace_bits) * bounded_subset_count(u, limit)
     share = 1 - 1 / params.alpha - params.p_fail
-    rhs = share * binom_exact(params.u, params.n)
+    rhs = share * math.comb(params.u, params.n)
     return {
         "name": "counting_bound",
         "params": {
@@ -194,10 +179,10 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
         raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
     k = math.floor(beta * n)
     _check_exact_cost("binom_scaling", _binom_bits(u, k) + _binom_bits(u, n))
-    lhs = math.log2(binom_exact(u, k))
+    lhs = math.log2(math.comb(u, k))
     try:
         slack = math.log2(math.e) - (float(beta) * math.log2(beta) if beta > 0 else 0.0)
-        rhs = float(beta) * math.log2(binom_exact(u, n)) + n * slack
+        rhs = float(beta) * math.log2(math.comb(u, n)) + n * slack
     except (OverflowError, ValueError):  # n past float range, or beta below it
         raise ParamsOutOfRange("binom_scaling needs floats past their range") from None
     return {
@@ -237,7 +222,7 @@ def space_lower_bound(kind: BoundKind | str, u: int, n: int, eps: Fraction) -> d
     if u < 2 * n:
         raise ParamsOutOfRange(f"u={u} below 2n={2 * n}")
     _check_exact_cost("space", _binom_bits(u, n))
-    leading = float(1 - eps - Fraction(1, n)) * math.log2(binom_exact(u, n))
+    leading = float(1 - eps - Fraction(1, n)) * math.log2(math.comb(u, n))
     beta = eps + Fraction(1, n)
     slack = math.log2(math.e) - float(beta) * math.log2(beta)
     constant = n * slack + math.log2(float(n * eps) + 2) + n
@@ -255,7 +240,7 @@ def space_lower_bound(kind: BoundKind | str, u: int, n: int, eps: Fraction) -> d
 
 
 def is_good_pair(
-    static_filter: StaticFilter,
+    static_filter: PairedStaticFilter,
     params: BoundsParams,
     seed: Seed,
     dataset: Sequence[int],
@@ -293,7 +278,7 @@ def pick_best_seed(
 
 
 def find_best_seed(
-    static_filter: StaticFilter,
+    static_filter: PairedStaticFilter,
     params: BoundsParams,
     seeds: Sequence[Seed],
 ) -> BestSeed:
@@ -320,7 +305,7 @@ class DatasetCode(_Record):
 
 
 def encode_dataset(
-    static_filter: StaticFilter,
+    static_filter: PairedStaticFilter,
     params: BoundsParams,
     seed: Seed,
     dataset: Sequence[int],
@@ -354,7 +339,7 @@ def encode_dataset(
 
 
 def decode_dataset(
-    static_filter: StaticFilter,
+    static_filter: PairedStaticFilter,
     params: BoundsParams,
     seed: Seed,
     code: DatasetCode,

@@ -1,7 +1,7 @@
 """Exact integer combinatorics shared across the package.
 
-Everything here is big-integer exact: binomials, subset ranking in the
-combinatorial number system, and dense codes for bounded-size subsets.
+Everything here is big-integer exact: subset ranking in the combinatorial
+number system, built on math.comb, and dense codes for bounded-size subsets.
 Floating point never enters a counting decision.
 """
 
@@ -12,21 +12,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-
-
-def binom_exact(u: int, k: int) -> int:
-    """Exact binomial coefficient C(u, k); 0 when k exceeds u.
-
-    Delegates to math.comb, which is arbitrary precision.  k must be
-    nonnegative.
-    """
-    if u < 0:
-        raise ValueError(f"population must be nonnegative, got {u}")
-    if k < 0:
-        raise ValueError(f"subset size must be nonnegative, got {k}")
-    if k > u:
-        return 0
-    return math.comb(u, k)
 
 
 def subset_rank(elems: tuple[int, ...]) -> int:
@@ -77,7 +62,7 @@ def subset_unrank(rank: int, size: int, ambient: int) -> tuple[int, ...]:
 def bounded_subset_count(ambient: int, max_size: int) -> int:
     """Number of subsets of [ambient] of cardinality at most max_size."""
     # sizes above ambient add nothing; a huge max_size must not loop
-    return sum(binom_exact(ambient, k) for k in range(min(max_size, ambient) + 1))
+    return sum(math.comb(ambient, k) for k in range(min(max_size, ambient) + 1))
 
 
 def bounded_subset_index(elems: tuple[int, ...], ambient: int, max_size: int) -> int:
@@ -102,7 +87,7 @@ def bounded_subset_unindex(index: int, ambient: int, max_size: int) -> tuple[int
         raise ValueError(f"index must be nonnegative, got {index}")
     r = index
     for k in range(max_size + 1):
-        block = binom_exact(ambient, k)
+        block = math.comb(ambient, k)
         if r < block:
             return subset_unrank(r, k, ambient)
         r -= block

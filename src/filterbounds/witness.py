@@ -32,6 +32,10 @@ SEED_BUDGET = 1 << 16
 # model steps a sweep may take, estimated as seed classes x C(u, n) x n; the
 # u=20, n=5 noisy_exact model at 16 seed bits takes 1.6 million in seconds
 STEP_BUDGET = 10**7
+# bits of the 1 << x member masks a sweep and a witness table hold, estimated
+# as C(u, n) x u; exact_set at u=40,000, n=1 holds 1.6e9 in 448 MB, and at
+# u=10**5 (1e10) it ran out of a 2 GB address space
+MASK_BIT_BUDGET = 1 << 32
 
 
 def check_enumeration_budget(
@@ -55,6 +59,12 @@ def check_enumeration_budget(
         raise EnumerationTooLarge(
             f"{class_count} seed classes x {dataset_count} datasets x {n} "
             f"steps = {steps} model steps exceed budget {STEP_BUDGET}"
+        )
+    mask_bits = dataset_count * u
+    if mask_bits > MASK_BIT_BUDGET:
+        raise EnumerationTooLarge(
+            f"{dataset_count} datasets x {u}-bit masks = {mask_bits} mask bits "
+            f"exceed budget {MASK_BIT_BUDGET}"
         )
     return dataset_count
 

@@ -27,7 +27,6 @@ from filterbounds.bounds import (
 )
 from filterbounds.cli import main
 from filterbounds.combinat import (
-    binom_exact,
     bounded_subset_count,
     bounded_subset_index,
     bounded_subset_unindex,
@@ -74,7 +73,7 @@ class TestBoundsParams:
 def oracle_counting_holds(fspace, params):
     """Second route: the same inequality straight in Fraction arithmetic."""
     lhs = Fraction(2**fspace) * bounded_subset_count(params.u, params.fn_limit)
-    rhs = (1 - 1 / params.alpha - params.p_fail) * binom_exact(params.u, params.n)
+    rhs = (1 - 1 / params.alpha - params.p_fail) * math.comb(params.u, params.n)
     return lhs >= rhs
 
 
@@ -144,7 +143,7 @@ class TestBinomScaling:
 
     def test_non_integral_beta_n_floors(self):
         result = check_binom_scaling(16, 5, Fraction(1, 2))
-        assert result["lhs"] == pytest.approx(math.log2(binom_exact(16, 2)))
+        assert result["lhs"] == pytest.approx(math.log2(math.comb(16, 2)))
 
     def test_holds_across_grid(self):
         for u in (4, 16, 64):
@@ -210,7 +209,7 @@ class TestSpaceLowerBound:
         # at eps = 0 the leading term passes (1 - 1/n) * log2 C(u, n)
         bound = space_lower_bound("nstatic", 1 << 16, 16, Fraction(0))
         assert bound["leading_bits"] == pytest.approx(
-            (1 - 1 / 16) * math.log2(binom_exact(1 << 16, 16))
+            (1 - 1 / 16) * math.log2(math.comb(1 << 16, 16))
         )
 
     def test_regime_guards(self):
@@ -241,7 +240,7 @@ class TestExactCostLimit:
     def test_bit_estimate_never_undercounts(self):
         for u in range(1, 41):
             for k in range(u + 2):
-                assert _binom_bits(u, k) >= binom_exact(u, k).bit_length()
+                assert _binom_bits(u, k) >= math.comb(u, k).bit_length()
 
     @pytest.mark.parametrize(
         "check",

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -978,6 +979,32 @@ class TestCli:
         assert done.returncode == 2
         assert done.stderr.startswith("error:") and "exceed budget" in done.stderr
         assert len(done.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("u", [10**5, 10**6])
+    def test_mask_memory_past_the_budget_exits_two_at_once(self, u, tmp_path):
+        # one u-bit member mask per dataset: at u=10**5 the sweep ran out of
+        # a 2 GB address space with a MemoryError traceback, and at u=10**6
+        # the kernel killed it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"models": [{"kind": "exact_set", "u": u, "n": 1}], "seed_bits": 0}
+        ))
+
+        def one_gib():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        for argv in (["verify"], ["encode", "--elements", "0"]):
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-m", "filterbounds", *argv, "--config", str(path)],
+                env=child_env(), capture_output=True, text=True, timeout=10,
+                preexec_fn=one_gib,
+            )
+            elapsed = time.perf_counter() - start
+            assert done.returncode == 2, (argv, done.stderr[-500:])
+            assert done.stderr.startswith("error:") and "mask bits" in done.stderr
+            assert len(done.stderr.splitlines()) == 1
+            assert elapsed < 1, (argv, elapsed)
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):
         # one pass per seed class makes the widest admitted seed space cheap

@@ -6,9 +6,11 @@ a hash of its fields where they have one, and the dataclass repr text.
 
 The module also ties the package to its benchmark: every perfbench tracer
 target resolves, and every public function or method is run by a command,
-named by the tracer, or kept in KEPT_UNRUN for a stated reason.
+named by the tracer, or kept in KEPT_UNRUN for a stated reason.  No module
+imports a name it never uses, unless UNUSED_IMPORTS keeps it.
 """
 
+import ast
 import contextlib
 import copy
 import importlib.util
@@ -368,7 +370,7 @@ KEPT_UNRUN = {
 def _public_code():
     """module.function and module.Class.method -> code object, for every
     public function and method the package defines.  Property getters count
-    as methods; abstract methods and Protocol classes do not count."""
+    as methods; abstract methods do not count."""
     found = {}
     for info in pkgutil.iter_modules(filterbounds.__path__):
         if info.name == "__main__":  # importing it runs the command line
@@ -380,8 +382,6 @@ def _public_code():
             if not inspect.isclass(obj):
                 if inspect.isfunction(inspect.unwrap(obj)):
                     found[f"{info.name}.{name}"] = inspect.unwrap(obj).__code__
-                continue
-            if getattr(obj, "_is_protocol", False):
                 continue
             for attr, member in vars(obj).items():
                 member = getattr(member, "fget", member)  # a property's getter
@@ -448,6 +448,48 @@ def test_every_public_function_is_run_by_a_command_or_kept_for_a_reason(tmp_path
     assert not dead, f"no command runs {dead}: delete them, or keep them in KEPT_UNRUN"
     stale = sorted(set(KEPT_UNRUN) - unrun)
     assert not stale, f"{stale} in KEPT_UNRUN are run by a command or traced"
+
+
+# Module-level imports that the importing module never uses, with the
+# reason each stays.  Keys are module.name.
+UNUSED_IMPORTS = {
+    "harness.find_best_seed":
+        "perfbench's rebind test looks up the tracer's wrapper on harness",
+    "reduction.yes_set":
+        "perfbench's rebind test looks up the tracer's wrapper on reduction",
+}
+
+
+def _module_level_imports(body):
+    """Every name bound by an import at module level, including inside try
+    and if blocks."""
+    bound = set()
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, *(h.body for h in node.handlers), node.orelse, node.finalbody):
+                bound |= _module_level_imports(block)
+        elif isinstance(node, ast.If):
+            bound |= _module_level_imports(node.body) | _module_level_imports(node.orelse)
+    return bound
+
+
+def test_the_package_imports_no_name_it_does_not_use():
+    # the package re-exports nothing, so an import the module never reads
+    # is a leftover, unless UNUSED_IMPORTS keeps it for a stated reason
+    unused = set()
+    for path in sorted((SRC / "filterbounds").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # annotations are unquoted expressions, so a name used only in one counts
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update(f"{path.stem}.{name}" for name in _module_level_imports(tree.body) - used)
+    leftover = sorted(unused - set(UNUSED_IMPORTS))
+    assert not leftover, f"{leftover} are imported and never used: delete the imports"
+    stale = sorted(set(UNUSED_IMPORTS) - unused)
+    assert not stale, f"{stale} in UNUSED_IMPORTS are used by their modules"
 
 
 @pytest.mark.parametrize("workload", ["certify", "montecarlo", "coding"])

@@ -91,6 +91,13 @@ def test_budget_counts_datasets_exactly_up_to_the_budget():
                     check_enumeration_budget(u, n)
 
 
+def test_budget_counts_the_bits_of_the_member_masks():
+    # one u-bit mask per dataset: u=40,000, n=1 fits, u=10**5 does not
+    assert check_enumeration_budget(40_000, 1) == 40_000
+    with pytest.raises(EnumerationTooLarge, match="mask bits"):
+        check_enumeration_budget(10**5, 1)
+
+
 class TestWitnessModel:
     def test_budget_guard(self, exact62, monkeypatch):
         with monkeypatch.context() as patch:
