@@ -25,6 +25,8 @@ report for it.
 All three evaluate exact binomials, whose cost grows faster than their bit
 length.  Each first estimates the bits of every exact integer it would
 build and raises ParamsOutOfRange when the total passes MAX_EXACT_BITS.
+check_binom_grid, verify's scaling grid, prices all its cells at once
+against GRID_CELL_BUDGET and GRID_BIT_BUDGET before it checks the first.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ class InvalidCode(ValueError):
 # host and C(10**6, 5 * 10**5) takes 10 s; an entry under this budget
 # finishes in well under a second
 MAX_EXACT_BITS = 1 << 17
+# verify's scaling grid as a whole, on the same host: 10**4 cells at u < 200
+# take 0.1 s, and one at MAX_EXACT_BITS (u=65536, n=32768) 0.12 s
+GRID_CELL_BUDGET = 10**4
+GRID_BIT_BUDGET = 1 << 19
 
 
 def _binom_bits(u: int, k: int) -> int:
@@ -74,11 +80,9 @@ def _binom_bits(u: int, k: int) -> int:
     return min(u, k * u.bit_length()) if k > 0 else 1
 
 
-def _check_exact_cost(check: str, bits: int) -> None:
-    if bits > MAX_EXACT_BITS:
-        raise ParamsOutOfRange(
-            f"{check} needs exact integers past the budget of {MAX_EXACT_BITS} bits"
-        )
+def _check_exact_cost(check: str, bits: int, budget: int = MAX_EXACT_BITS) -> None:
+    if bits > budget:
+        raise ParamsOutOfRange(f"{check} needs exact integers past the budget of {budget} bits")
 
 
 class BoundsParams(_Record):
@@ -177,8 +181,8 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
     beta = Fraction(beta)
     if not 0 <= beta <= 1:
         raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
+    _check_exact_cost("binom_scaling", _scaling_bits(u, n, beta))
     k = math.floor(beta * n)
-    _check_exact_cost("binom_scaling", _binom_bits(u, k) + _binom_bits(u, n))
     lhs = math.log2(math.comb(u, k))
     try:
         slack = math.log2(math.e) - (float(beta) * math.log2(beta) if beta > 0 else 0.0)
@@ -194,12 +198,37 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
     }
 
 
+def _scaling_bits(u: int, n: int, beta: Fraction) -> int:
+    return _binom_bits(u, math.floor(beta * n)) + _binom_bits(u, n)
+
+
+def check_binom_grid(
+    us: Sequence[int], ns: Sequence[int], betas: Sequence[Fraction]
+) -> dict:
+    """check_binom_scaling at every cell of us x ns x betas: the cell count and
+    the failing cells.  The whole grid is priced, by its cells and by their
+    exact-integer bits, before its first cell is checked.
+    """
+    cells = len(us) * len(ns) * len(betas)
+    if cells > GRID_CELL_BUDGET:
+        raise ParamsOutOfRange(
+            f"binom_scaling grid of {cells} cells exceeds budget {GRID_CELL_BUDGET}"
+        )
+    grid = [(u, n, beta) for u in us for n in ns for beta in betas]
+    bits = sum(_scaling_bits(*cell) for cell in grid)
+    _check_exact_cost("binom_scaling grid", bits, GRID_BIT_BUDGET)
+    results = (check_binom_scaling(*cell) for cell in grid)
+    return {"cells": cells, "failures": [r for r in results if not r["holds"]]}
+
+
 class BoundKind(Enum):
     N_STATIC = "nstatic"
     DYNAMIC = "dynamic"
 
 
-def space_lower_bound(kind: BoundKind | str, u: int, n: int, eps: Fraction) -> dict:
+def space_lower_bound(
+    u: int, n: int, eps: Fraction = Fraction(0), kind: BoundKind | str = BoundKind.N_STATIC
+) -> dict:
     """Headline space bound for a filter with error budget eps, reported as
     leading_bits - constant_bits.
 

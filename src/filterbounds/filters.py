@@ -54,7 +54,6 @@ every element, so a subclass that overrides query_bit is still honoured.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -107,10 +106,6 @@ def seed_classes(model: FilterModel, seeds: Iterable[Seed]) -> list[tuple[Seed, 
     for seed in seeds:
         classes.setdefault(model.seed_class(seed), [seed, 0])[1] += 1
     return [(seed, weight) for seed, weight in classes.values()]
-
-
-def draw_seed(rng: random.Random, bits: int = 64) -> Seed:
-    return Seed(rng.getrandbits(bits), bits)
 
 
 _MASK64 = (1 << 64) - 1

@@ -33,6 +33,7 @@ from .bounds import (
     InvalidCode,
     NotGoodPair,
     _printed,
+    check_binom_grid,
     check_binom_scaling,
     check_counting_bound,
     decode_dataset,
@@ -47,7 +48,7 @@ from .filters import (
     FilterModel,
     FingerprintMultisetModel,
     NoisyExactModel,
-    draw_seed,
+    Seed,
     seed_classes,
     seed_space,
 )
@@ -274,10 +275,6 @@ def _counting_bound(fspace_bits: int, **params: Any) -> dict:
     return check_counting_bound(fspace_bits, BoundsParams(**params))
 
 
-def _space_bound(kind: Any = "nstatic", eps: Fraction = Fraction(0), **shape: int) -> dict:
-    return space_lower_bound(kind, eps=eps, **shape)
-
-
 # check name: (function, its parsers, required keys)
 _BOUNDS_CHECKS = {
     "counting": (_counting_bound, *_COUNTING),
@@ -287,7 +284,7 @@ _BOUNDS_CHECKS = {
         ("u", "n", "beta"),
     ),
     "space": (
-        _space_bound,
+        space_lower_bound,
         {"kind": BoundKind, "u": _integer, "n": _integer, "eps": parse_fraction},
         ("u", "n"),
     ),
@@ -433,7 +430,7 @@ def run_fp_experiment(cfg: ExperimentConfig) -> dict:
         nonmember = workload_rng.randrange(u)
         while nonmember in member_set:
             nonmember = workload_rng.randrange(u)
-        seed = draw_seed(seed_rng, 64)
+        seed = Seed(seed_rng.getrandbits(64), 64)
         state = model.state_for_elements(seed, dataset)
         if state.fail:
             continue  # cannot happen for a plain insert run of n elements
@@ -581,12 +578,7 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
     probe = None
     if cfg.negative_probe is not None:
         probe = _counting_bound(**_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
-    grid_results = [
-        check_binom_scaling(u, n, beta)
-        for u in cfg.grid.u
-        for n in cfg.grid.n
-        for beta in cfg.grid.beta
-    ]
+    grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
     bases = [spec.build() for spec in cfg.models]
     for alpha in (cfg.best_seed_alpha, *cfg.alphas):
         for base in bases:
@@ -637,11 +629,8 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
         })
     checks.append({
         "name": "binom_scaling_grid",
-        "passed": all(r["holds"] for r in grid_results),
-        "details": {
-            "cells": len(grid_results),
-            "failures": [r for r in grid_results if not r["holds"]],
-        },
+        "passed": not grid["failures"],
+        "details": grid,
     })
     return checks
 

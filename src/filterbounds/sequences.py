@@ -89,22 +89,6 @@ def run_sequence(
     return states, answers
 
 
-def op_init() -> Operation:
-    return Operation(OpKind.INIT)
-
-
-def op_ins(x: int) -> Operation:
-    return Operation(OpKind.INS, x)
-
-
-def op_del(x: int) -> Operation:
-    return Operation(OpKind.DEL, x)
-
-
-def op_query(x: int) -> Operation:
-    return Operation(OpKind.QUERY, x)
-
-
 class ValidationError(ValueError):
     """A sequence violates one of the validity conditions at time index t."""
 
@@ -237,7 +221,7 @@ def rewrite_dup_to_del(seq: OpSequence) -> RewriteResult:
     index_map = []
     for op in seq.ops:
         if op.kind is OpKind.INS:
-            new_ops.append(op_del(op.arg))
+            new_ops.append(Operation(OpKind.DEL, op.arg))
         new_ops.append(op)
         index_map.append(len(new_ops) - 1)
     return RewriteResult(
@@ -258,7 +242,7 @@ def rewrite_del_to_dup(seq: OpSequence) -> RewriteResult:
     index_map = []
     for op in seq.ops:
         if op.kind is OpKind.DEL:
-            new_ops.append(op_ins(op.arg))
+            new_ops.append(Operation(OpKind.INS, op.arg))
         new_ops.append(op)
         index_map.append(len(new_ops) - 1)
     relaxed = UniverseParams(seq.params.u, seq.params.n + 1)
@@ -290,7 +274,7 @@ def parse_sequence(text: str) -> OpSequence:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "init" and len(parts) == 1:
-            ops.append(op_init())
+            ops.append(Operation(OpKind.INIT))
         elif parts[0] in ("ins", "del", "query") and len(parts) == 2:
             ops.append(Operation(OpKind(parts[0]), int(parts[1])))
         else:
@@ -328,14 +312,14 @@ def enumerate_sequences(
         for x in range(u):
             bit = 1 << x
             if mask & bit or mask.bit_count() < n:
-                ops.append(op_ins(x))
+                ops.append(Operation(OpKind.INS, x))
                 yield from extend(ops, mask | bit)
                 ops.pop()
-            ops.append(op_del(x))
+            ops.append(Operation(OpKind.DEL, x))
             yield from extend(ops, mask & ~bit)
             ops.pop()
-            ops.append(op_query(x))
+            ops.append(Operation(OpKind.QUERY, x))
             yield from extend(ops, mask)
             ops.pop()
 
-    yield from extend([op_init()], 0)
+    yield from extend([Operation(OpKind.INIT)], 0)

@@ -173,25 +173,25 @@ class TestBinomScaling:
 
 class TestSpaceLowerBound:
     def test_static_frozen(self):
-        bound = space_lower_bound(BoundKind.N_STATIC, 16, 4, Fraction(0))
+        bound = space_lower_bound(16, 4, Fraction(0), kind=BoundKind.N_STATIC)
         assert bound["leading_bits"] == pytest.approx(0.75 * math.log2(1820))
         assert bound["leading_bits"] == pytest.approx(8.122292051314544)
         assert bound["constant_bits"] == pytest.approx(12.770780163555854)
         assert bound["bits"] == pytest.approx(bound["leading_bits"] - bound["constant_bits"])
 
     def test_dynamic_is_half(self):
-        static = space_lower_bound("nstatic", 16, 4, Fraction(0))
-        dynamic = space_lower_bound("dynamic", 16, 4, Fraction(0))
+        static = space_lower_bound(16, 4, Fraction(0), kind="nstatic")
+        dynamic = space_lower_bound(16, 4, Fraction(0), kind="dynamic")
         assert dynamic["leading_bits"] == pytest.approx(static["leading_bits"] / 2)
         assert dynamic["constant_bits"] == pytest.approx(static["constant_bits"] / 2)
 
     def test_eps_quarter_frozen(self):
-        bound = space_lower_bound("nstatic", 16, 4, Fraction(1, 4))
+        bound = space_lower_bound(16, 4, Fraction(1, 4))
         assert bound["leading_bits"] == pytest.approx(5.414861367543029)
 
     def test_leading_monotone(self):
         # smaller error budget and bigger universe both cost more space
-        lead = lambda u, eps: space_lower_bound("nstatic", u, 4, eps)["leading_bits"]
+        lead = lambda u, eps: space_lower_bound(u, 4, eps)["leading_bits"]
         assert lead(32, Fraction(0)) > lead(32, Fraction(1, 4)) > lead(
             32, Fraction(1, 2)
         )
@@ -200,26 +200,26 @@ class TestSpaceLowerBound:
     def test_half_error_at_minimal_universe(self):
         # at u = 2n and eps = 1/2 the prefactor is 1/2 - 1/n, so the
         # leading term crosses zero between n = 2 and n = 3
-        assert space_lower_bound("nstatic", 4, 2, Fraction(1, 2))["leading_bits"] == 0
+        assert space_lower_bound(4, 2, Fraction(1, 2))["leading_bits"] == 0
         for n in (3, 4, 5):
-            bound = space_lower_bound("nstatic", 2 * n, n, Fraction(1, 2))
+            bound = space_lower_bound(2 * n, n, Fraction(1, 2))
             assert bound["leading_bits"] > 0
 
     def test_leading_term_grows_like_n_log_u_over_n(self):
         # at eps = 0 the leading term passes (1 - 1/n) * log2 C(u, n)
-        bound = space_lower_bound("nstatic", 1 << 16, 16, Fraction(0))
+        bound = space_lower_bound(1 << 16, 16, Fraction(0))
         assert bound["leading_bits"] == pytest.approx(
             (1 - 1 / 16) * math.log2(math.comb(1 << 16, 16))
         )
 
     def test_regime_guards(self):
         with pytest.raises(ParamsOutOfRange):
-            space_lower_bound("nstatic", 16, 4, Fraction(7, 8))  # > 1 - 1/n
+            space_lower_bound(16, 4, Fraction(7, 8))  # > 1 - 1/n
         with pytest.raises(ParamsOutOfRange):
-            space_lower_bound("nstatic", 6, 4, Fraction(0))  # u < 2n
+            space_lower_bound(6, 4, Fraction(0))  # u < 2n
 
     def test_json_dict(self):
-        blob = space_lower_bound("dynamic", 16, 4, Fraction(0))
+        blob = space_lower_bound(16, 4, Fraction(0), kind="dynamic")
         assert blob["name"] == "space_lower_bound"
         assert blob["params"]["kind"] == "dynamic"
         assert blob["constant_is_estimate"] is True
@@ -247,7 +247,7 @@ class TestExactCostLimit:
         [
             lambda: check_binom_scaling(10**6, 10**6, Fraction(1, 2)),
             lambda: check_binom_scaling(10**20, 10**20, Fraction(1, 2)),
-            lambda: space_lower_bound("nstatic", 2 * 10**6, 10**6, Fraction(0)),
+            lambda: space_lower_bound(2 * 10**6, 10**6, Fraction(0)),
             lambda: check_counting_bound(3, BoundsParams(u=2 * 10**6, n=10**6)),
             # 10**4 + 1 binomials of up to 47,000 bits each in the lhs sum
             lambda: check_counting_bound(

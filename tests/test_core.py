@@ -19,10 +19,6 @@ from filterbounds.sequences import (
     dataset_trace,
     enumerate_sequences,
     format_sequence,
-    op_del,
-    op_init,
-    op_ins,
-    op_query,
     parse_sequence,
     rewrite_del_to_dup,
     rewrite_dup_to_del,
@@ -50,7 +46,7 @@ def oracle_trace(seq: OpSequence) -> list[frozenset[int]]:
 @st.composite
 def valid_sequences(draw, u=5, n=2, max_extra=7):
     """Build a valid sequence constructively: init first, card bound kept."""
-    ops = [op_init()]
+    ops = [Operation(OpKind.INIT)]
     mask = 0
     for _ in range(draw(st.integers(0, max_extra))):
         x = draw(st.integers(0, u - 1))
@@ -76,10 +72,10 @@ class TestOperations:
             Operation(OpKind.INS)
 
     def test_factories(self):
-        assert op_init().kind is OpKind.INIT
-        assert op_ins(3) == Operation(OpKind.INS, 3)
-        assert op_del(0).arg == 0
-        assert op_query(7).kind is OpKind.QUERY
+        assert Operation(OpKind.INIT).kind is OpKind.INIT
+        assert Operation(OpKind.INS, 3) == Operation(OpKind.INS, 3)
+        assert Operation(OpKind.DEL, 0).arg == 0
+        assert Operation(OpKind.QUERY, 7).kind is OpKind.QUERY
 
 
 class TestValidation:
@@ -89,33 +85,48 @@ class TestValidation:
 
     def test_first_op_must_be_init(self):
         with pytest.raises(FirstOpNotInit) as err:
-            validate_sequence([op_ins(1)], P82)
+            validate_sequence([Operation(OpKind.INS, 1)], P82)
         assert err.value.t == 0
 
     def test_arg_out_of_universe_reports_index(self):
         with pytest.raises(ArgOutOfUniverse) as err:
-            validate_sequence([op_init(), op_ins(1), op_query(8)], P82)
+            validate_sequence([
+                Operation(OpKind.INIT), Operation(OpKind.INS, 1),
+                Operation(OpKind.QUERY, 8),
+            ], P82)
         assert err.value.t == 2
 
     def test_cardinality_exceeded_reports_index(self):
-        ops = [op_init(), op_ins(0), op_ins(1), op_ins(2)]
+        ops = [
+            Operation(OpKind.INIT), Operation(OpKind.INS, 0), Operation(OpKind.INS, 1),
+            Operation(OpKind.INS, 2),
+        ]
         with pytest.raises(CardinalityExceeded) as err:
             validate_sequence(ops, P82)
         assert err.value.t == 3
 
     def test_earliest_violation_wins(self):
         # cardinality breaks at t=3 before the bad argument at t=4
-        ops = [op_init(), op_ins(0), op_ins(1), op_ins(2), op_ins(9)]
+        ops = [
+            Operation(OpKind.INIT), Operation(OpKind.INS, 0), Operation(OpKind.INS, 1),
+            Operation(OpKind.INS, 2), Operation(OpKind.INS, 9),
+        ]
         with pytest.raises(CardinalityExceeded):
             validate_sequence(ops, P82)
 
     def test_duplicates_and_nonelement_deletes_are_valid(self):
-        ops = [op_init(), op_ins(3), op_ins(3), op_del(5), op_query(3)]
+        ops = [
+            Operation(OpKind.INIT), Operation(OpKind.INS, 3), Operation(OpKind.INS, 3),
+            Operation(OpKind.DEL, 5), Operation(OpKind.QUERY, 3),
+        ]
         seq = validate_sequence(ops, P82)
         assert len(seq) == 5
 
     def test_mid_sequence_init_resets(self):
-        ops = [op_init(), op_ins(0), op_ins(1), op_init(), op_ins(2)]
+        ops = [
+            Operation(OpKind.INIT), Operation(OpKind.INS, 0), Operation(OpKind.INS, 1),
+            Operation(OpKind.INIT), Operation(OpKind.INS, 2),
+        ]
         seq = validate_sequence(ops, P82)
         assert dataset_trace(seq).set_at(3) == frozenset()
         assert dataset_trace(seq).set_at(4) == {2}
@@ -123,16 +134,21 @@ class TestValidation:
 
 class TestTrace:
     def test_duplicate_insert_leaves_set(self):
-        seq = validate_sequence([op_init(), op_ins(3), op_ins(3)], P82)
+        seq = validate_sequence([
+            Operation(OpKind.INIT), Operation(OpKind.INS, 3), Operation(OpKind.INS, 3),
+        ], P82)
         assert dataset_trace(seq).sets() == (frozenset(), {3}, {3})
 
     def test_delete_of_nonelement_leaves_set(self):
-        seq = validate_sequence([op_init(), op_del(7)], P82)
+        seq = validate_sequence([Operation(OpKind.INIT), Operation(OpKind.DEL, 7)], P82)
         assert dataset_trace(seq).sets() == (frozenset(), frozenset())
 
     def test_query_leaves_set(self):
         seq = validate_sequence(
-            [op_init(), op_ins(1), op_query(1), op_query(5)], P82
+            [
+                Operation(OpKind.INIT), Operation(OpKind.INS, 1),
+                Operation(OpKind.QUERY, 1), Operation(OpKind.QUERY, 5),
+            ], P82
         )
         trace = dataset_trace(seq)
         assert trace.set_at(2) == {1} == trace.set_at(3)
@@ -151,7 +167,11 @@ class TestTrace:
 class TestClassify:
     def test_example_labels(self):
         seq = validate_sequence(
-            [op_init(), op_ins(3), op_ins(3), op_del(3), op_del(3), op_query(0)],
+            [
+                Operation(OpKind.INIT), Operation(OpKind.INS, 3),
+                Operation(OpKind.INS, 3), Operation(OpKind.DEL, 3),
+                Operation(OpKind.DEL, 3), Operation(OpKind.QUERY, 0),
+            ],
             P82,
         )
         assert classify_ops(seq) == (
@@ -175,7 +195,9 @@ class TestClassify:
 
 class TestRewriters:
     def test_dup_to_del_frozen_example(self):
-        seq = validate_sequence([op_init(), op_ins(3), op_ins(3)], P82)
+        seq = validate_sequence([
+            Operation(OpKind.INIT), Operation(OpKind.INS, 3), Operation(OpKind.INS, 3),
+        ], P82)
         out = rewrite_dup_to_del(seq)
         assert [
             (op.kind.value, op.arg) for op in out.seq.ops
@@ -184,7 +206,7 @@ class TestRewriters:
         assert out.seq.params == P82
 
     def test_del_to_dup_frozen_example(self):
-        seq = validate_sequence([op_init(), op_del(7)], P82)
+        seq = validate_sequence([Operation(OpKind.INIT), Operation(OpKind.DEL, 7)], P82)
         out = rewrite_del_to_dup(seq)
         assert [
             (op.kind.value, op.arg) for op in out.seq.ops
@@ -193,7 +215,9 @@ class TestRewriters:
         assert out.seq.params.n == P82.n + 1
 
     def test_del_to_dup_regular_delete(self):
-        seq = validate_sequence([op_init(), op_ins(1), op_del(1)], P82)
+        seq = validate_sequence([
+            Operation(OpKind.INIT), Operation(OpKind.INS, 1), Operation(OpKind.DEL, 1),
+        ], P82)
         out = rewrite_del_to_dup(seq)
         assert [
             (op.kind.value, op.arg) for op in out.seq.ops
@@ -253,7 +277,10 @@ class TestTextFormat:
     def test_parse_example(self):
         seq = parse_sequence("u=8 n=2\ninit\nins 3\nquery 3\n")
         assert seq.params == P82
-        assert seq.ops == (op_init(), op_ins(3), op_query(3))
+        assert seq.ops == (
+            Operation(OpKind.INIT), Operation(OpKind.INS, 3),
+            Operation(OpKind.QUERY, 3),
+        )
 
     def test_comments_and_blanks_skip(self):
         seq = parse_sequence("# fixture\n\nu=4 n=1\ninit\n# mid comment\nins 0\n")

@@ -8,6 +8,12 @@ its yes-set.  So the fewest states it can have is T(u, n, n - k): the fewest
 number).  check_counting_bound is a valid lower bound only if it holds at
 ceil(log2 T) bits whenever its fn_limit is k; a bound made too strong, say
 by an fn_limit one too small, demands more.
+
+A filter that fails with probability p_fail and meets its error budgets only
+on average needs a good state for just a 1 - 1/alpha - p_fail share of the
+datasets, the share the bound's rhs counts.  The partial version takes the
+fewest (n - k)-subsets that lie in at least that many n-subsets, and the
+bound must hold at its ceil(log2) bits too.
 """
 
 from fractions import Fraction
@@ -19,15 +25,21 @@ import pytest
 from filterbounds.bounds import BoundsParams, check_counting_bound
 
 
-def fewest_covering_sets(u: int, n: int, r: int) -> int:
-    """T(u, n, r) by branch and bound: the fewest r-subsets of range(u)
-    such that every n-subset of range(u) contains at least one of them."""
+def cover_masks(u: int, n: int, r: int) -> tuple[list, dict[tuple[int, ...], int]]:
+    """The n-subsets of range(u), and for each r-subset c the n-sets
+    containing it, as a bitmask over that list."""
     targets = list(combinations(range(u), n))
-    # covers[c]: the n-sets containing the r-set c, as a bitmask over targets
     covers: dict[tuple[int, ...], int] = {}
     for i, target in enumerate(targets):
         for c in combinations(target, r):
             covers[c] = covers.get(c, 0) | 1 << i
+    return targets, covers
+
+
+def fewest_covering_sets(u: int, n: int, r: int) -> int:
+    """T(u, n, r) by branch and bound: the fewest r-subsets of range(u)
+    such that every n-subset of range(u) contains at least one of them."""
+    targets, covers = cover_masks(u, n, r)
     everything = (1 << len(targets)) - 1
     per_set = comb(u - r, n - r)
     best = len(covers)  # every r-set together covers every n-set
@@ -50,6 +62,37 @@ def fewest_covering_sets(u: int, n: int, r: int) -> int:
             search(covered | covers[c], used + 1)
 
     search(0, 0)
+    return best
+
+
+def fewest_sets_covering(u: int, n: int, r: int, need: int) -> int:
+    """The fewest r-subsets of range(u) that together lie in at least need
+    n-subsets, by branch and bound over the r-sets in a fixed order."""
+    if need <= 0:
+        return 0
+    covers = list(cover_masks(u, n, r)[1].values())
+    per_set = comb(u - r, n - r)
+    best = len(covers)  # every r-set together lies in every n-set
+
+    def search(covered: int, used: int, start: int) -> None:
+        nonlocal best
+        count = covered.bit_count()
+        if count >= need:
+            best = used
+            return
+        # each r-set adds at most per_set n-sets, and the room more sets left
+        # to beat best add at most their room largest single gains
+        room = best - 1 - used
+        if -(-(need - count) // per_set) > room:
+            return
+        gains = sorted(((m & ~covered).bit_count() for m in covers[start:]), reverse=True)
+        if count + sum(gains[:room]) < need:
+            return
+        for i in range(start, len(covers)):
+            search(covered | covers[i], used + 1, i + 1)
+
+    # a permutation of range(u) maps any optimum to one holding the first r-set
+    search(covers[0], 1, 1)
     return best
 
 
@@ -81,4 +124,28 @@ def test_counting_bound_admits_the_exact_optimum(u, n, k, alpha):
     # fn_limit is floor(alpha * n * eps_minus), which is k here
     params = BoundsParams(u, n, eps_minus=Fraction(k) / (alpha * n), alpha=alpha)
     optimum_bits = (fewest_covering_sets(u, n, n - k) - 1).bit_length()
+    assert check_counting_bound(optimum_bits, params)["holds"]
+
+
+def test_partial_optimum_of_the_hand_checked_row():
+    # u=5, n=2, k=1 at alpha 2 and p_fail 0 must code 5 of the 10 pairs: one
+    # singleton lies in 4 pairs and two in 7
+    assert fewest_sets_covering(5, 2, 1, 5) == 2
+
+
+@pytest.mark.parametrize("u, n, k", OPTIMA, ids=ROW_IDS)
+def test_partial_search_covering_every_set_is_the_full_optimum(u, n, k):
+    assert fewest_sets_covering(u, n, n - k, comb(u, n)) == OPTIMA[u, n, k]
+
+
+@pytest.mark.parametrize("p_fail", [Fraction(0), Fraction(1, 4)], ids=lambda p: f"p_fail{p}")
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(4)], ids=lambda a: f"alpha{a}")
+@pytest.mark.parametrize("u, n, k", OPTIMA, ids=ROW_IDS)
+def test_counting_bound_admits_the_partial_optimum(u, n, k, alpha, p_fail):
+    # a filter that fails with probability p_fail need only code, at the
+    # best seed, the 1 - 1/alpha - p_fail share of datasets that the
+    # counting bound's rhs counts
+    need = -(-(1 - 1 / alpha - p_fail) * comb(u, n) // 1)
+    params = BoundsParams(u, n, eps_minus=Fraction(k) / (alpha * n), p_fail=p_fail, alpha=alpha)
+    optimum_bits = (fewest_sets_covering(u, n, n - k, need) - 1).bit_length()
     assert check_counting_bound(optimum_bits, params)["holds"]

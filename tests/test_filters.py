@@ -25,7 +25,6 @@ from filterbounds.filters import (
     NoisyExactModel,
     Seed,
     _hash_batch,
-    draw_seed,
     fingerprint,
     hash_params,
     seed_space,
@@ -33,12 +32,10 @@ from filterbounds.filters import (
 )
 from filterbounds.harness import _MODEL_FIELDS, ModelSpec
 from filterbounds.sequences import (
+    Operation,
+    OpKind,
     dataset_trace,
     enumerate_sequences,
-    op_del,
-    op_init,
-    op_ins,
-    op_query,
     run_sequence,
     step,
     validate_sequence,
@@ -93,9 +90,6 @@ class TestSeeds:
             Seed(-1, 4)
         with pytest.raises(ValueError):
             Seed(0, -1)
-
-    def test_draw_seed_is_reproducible(self):
-        assert draw_seed(random.Random(7)) == draw_seed(random.Random(7))
 
     def test_seed_word_streams_differ(self):
         seed = Seed(123, 8)
@@ -241,11 +235,11 @@ class TestExactModelsAreComplete:
                     state = model.encode_set(elems)
                     for x in range(8):
                         if len(cur) < 2 or x in cur:
-                            nxt, _ = step(model, seed, state, op_ins(x))
+                            nxt, _ = step(model, seed, state, Operation(OpKind.INS, x))
                             assert nxt == model.encode_set(sorted(cur | {x}))
-                        nxt, _ = step(model, seed, state, op_del(x))
+                        nxt, _ = step(model, seed, state, Operation(OpKind.DEL, x))
                         assert nxt == model.encode_set(sorted(cur - {x}))
-                    nxt, _ = step(model, seed, state, op_init())
+                    nxt, _ = step(model, seed, state, Operation(OpKind.INIT))
                     assert nxt == model.encode_set(())
 
     def test_members_answer_yes_under_every_seed(self):
@@ -379,7 +373,11 @@ class TestFingerprintMultiset:
         # ins x, ins x, del x leaves a count, so the empty set answers yes
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
         seq = validate_sequence(
-            [op_init(), op_ins(3), op_ins(3), op_del(3), op_query(3)], P82
+            [
+                Operation(OpKind.INIT), Operation(OpKind.INS, 3),
+                Operation(OpKind.INS, 3), Operation(OpKind.DEL, 3),
+                Operation(OpKind.QUERY, 3),
+            ], P82
         )
         _, answers = run_sequence(model, S0, seq)
         assert answers[-1] == 1
@@ -392,22 +390,25 @@ class TestFingerprintMultiset:
         assert not state.fail
         assert model.insert_state(S0, state, 2) is FAIL_STATE
         assert model.state_for_elements(S0, [0, 1, 2]) is FAIL_STATE
-        ops = [op_init(), op_ins(0), op_ins(1), op_ins(2)]
+        ops = [
+            Operation(OpKind.INIT), Operation(OpKind.INS, 0), Operation(OpKind.INS, 1),
+            Operation(OpKind.INS, 2),
+        ]
         states, _ = run_sequence(model, S0, validate_sequence(ops, UniverseParams(8, 3)))
         assert [s.nbits for s in states[:3]] == [0, 3, 6] and states[-1].fail
 
     def test_fail_is_a_sink_and_answers_yes(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
-        state, answer = step(model, S0, FAIL_STATE, op_query(0))
+        state, answer = step(model, S0, FAIL_STATE, Operation(OpKind.QUERY, 0))
         assert state is FAIL_STATE and answer == 1
-        state, _ = step(model, S0, FAIL_STATE, op_ins(1))
+        state, _ = step(model, S0, FAIL_STATE, Operation(OpKind.INS, 1))
         assert state.fail
-        state, _ = step(model, S0, FAIL_STATE, op_del(1))
+        state, _ = step(model, S0, FAIL_STATE, Operation(OpKind.DEL, 1))
         assert state.fail
 
     def test_init_resets_fail(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
-        state, _ = step(model, S0, FAIL_STATE, op_init())
+        state, _ = step(model, S0, FAIL_STATE, Operation(OpKind.INIT))
         assert not state.fail and state.nbits == 0
 
     def test_bulk_equals_sequential(self, seeds8):
@@ -425,7 +426,7 @@ class TestFingerprintMultiset:
     def test_step_rejects_out_of_universe(self):
         model = FingerprintMultisetModel(P82, Fraction(1, 2))
         with pytest.raises(ValueError):
-            step(model, S0, model.fresh_state(S0), op_ins(8))
+            step(model, S0, model.fresh_state(S0), Operation(OpKind.INS, 8))
 
 
 @st.composite
@@ -469,7 +470,7 @@ class TestFingerprintProperties:
         elems = element_lists(model, data.draw)
         state = model.fresh_state(seed)
         for x in elems:
-            state, _ = step(model, seed, state, op_ins(x))
+            state, _ = step(model, seed, state, Operation(OpKind.INS, x))
         assert model.state_for_elements(seed, elems) == state
 
     @settings(deadline=None)
@@ -481,7 +482,8 @@ class TestFingerprintProperties:
         )
         state = model.fresh_state(seed)
         for insert, x in ops:
-            state, _ = step(model, seed, state, op_ins(x) if insert else op_del(x))
+            kind = OpKind.INS if insert else OpKind.DEL
+            state, _ = step(model, seed, state, Operation(kind, x))
             if state.fail:
                 break
             slots = decode_slots(model, state)

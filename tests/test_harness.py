@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import runpy
 import subprocess
@@ -264,6 +265,27 @@ class TestWilson:
             wilson_interval(0, 0)
 
 
+def exact_fp_rate(u, dataset, ell):
+    """The false-positive rate of fp-rate's trials under the ideal hash family.
+
+    Each trial stores dataset and queries a uniform nonmember, under
+    h(x) = ((a*x + c) mod p) mod 2**ell with p the smallest prime above u,
+    a uniform in [1, p) and c uniform in [0, p).  The sum runs over every
+    (a, c) and every nonmember.  fp-rate draws (a, c) as 64-bit seed words
+    mod p, whose slight bias from uniform this oracle leaves out.
+    """
+    p = next(q for q in range(u + 1, 2 * u + 2) if all(q % d for d in range(2, q)))
+    mask = (1 << ell) - 1
+    members = set(dataset)
+    nonmembers = [x for x in range(u) if x not in members]
+    hits = 0
+    for a in range(1, p):
+        for c in range(p):
+            stored = {(a * y + c) % p & mask for y in dataset}
+            hits += sum((a * x + c) % p & mask in stored for x in nonmembers)
+    return Fraction(hits, (p - 1) * p * len(nonmembers))
+
+
 @pytest.fixture()
 def fp_config_small():
     return config_from_dict({"trials": 500}, default_fp_config())
@@ -315,6 +337,25 @@ class TestFpExperiment:
         report = run_fp_experiment(fp_config_small)
         assert report["fp_hits"] == 56
         assert len(calls) == 2 * fp_config_small.trials
+
+    @pytest.mark.parametrize(
+        "u, n, eps_plus, exact",
+        [
+            (16, 2, Fraction(1, 2), Fraction(719, 1904)),
+            (64, 4, Fraction(1, 4), Fraction(24523, 132660)),
+            (100, 3, Fraction(1, 8), Fraction(31883, 489850)),
+        ],
+        ids=["u16_n2", "u64_n4", "u100_n3"],
+    )
+    def test_rate_matches_the_exact_oracle(self, u, n, eps_plus, exact):
+        spec = {"kind": "fingerprint_multiset", "u": u, "n": n, "eps_plus": str(eps_plus)}
+        cfg = config_from_dict({"models": [spec], "trials": 20_000}, default_fp_config())
+        report = run_fp_experiment(cfg)
+        dataset = random.Random(f"fp-workload:{cfg.seed}").sample(range(u), n)
+        rate = exact_fp_rate(u, dataset, report["ell"])
+        assert rate == exact
+        assert rate <= eps_plus
+        assert report["ci95_low"] <= rate <= report["ci95_high"]
 
     def test_rate_within_cushion(self, fp_config_small):
         report = run_fp_experiment(fp_config_small)
@@ -990,9 +1031,6 @@ class TestCli:
             {"models": [{"kind": "exact_set", "u": u, "n": 1}], "seed_bits": 0}
         ))
 
-        def one_gib():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         for argv in (["verify"], ["encode", "--elements", "0"]):
             start = time.perf_counter()
             done = subprocess.run(
@@ -1005,6 +1043,37 @@ class TestCli:
             assert done.stderr.startswith("error:") and "mask bits" in done.stderr
             assert len(done.stderr.splitlines()) == 1
             assert elapsed < 1, (argv, elapsed)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # 2 * 10**6 cells in a 3 KB config: it ran 24 s and then ran out
+            # of a 1 GiB address space with a MemoryError traceback
+            {"u": list(range(100, 200)), "n": list(range(1, 101)),
+             "beta": [f"{k}/200" for k in range(1, 201)]},
+            # 1,000 cells of about 2**17 bits each, 0.11 to 0.17 s apiece
+            {"u": list(range(65536, 65546)), "n": list(range(32768, 32778)),
+             "beta": [f"{k}/10" for k in range(1, 11)]},
+        ],
+        ids=["cells", "bits"],
+    )
+    def test_scaling_grid_past_the_budget_exits_two_at_once(self, grid, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"models": [{"kind": "exact_set", "u": 6, "n": 2}], "seed_bits": 2, "grid": grid}
+        ))
+
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "filterbounds", "verify", "--config", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=10,
+            preexec_fn=one_gib,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2, done.stderr[-500:]
+        assert done.stderr.startswith("error:") and "binom_scaling grid" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert elapsed < 1, elapsed
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):
         # one pass per seed class makes the widest admitted seed space cheap
@@ -1267,6 +1336,11 @@ def child_env():
     src = os.path.dirname(os.path.dirname(filters.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def one_gib():
+    """Limit a child's address space to 1 GiB (a preexec_fn)."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 # -- exit-code fuzz: argv and config JSON of the wrong type or range

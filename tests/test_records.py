@@ -352,12 +352,6 @@ KEPT_UNRUN = {
         "the exchange of duplicate insertions for deletes that acceptance test 8 checks",
     "sequences.rewrite_del_to_dup":
         "the exchange of nonelement deletes for inserts that acceptance test 8 checks",
-    "sequences.op_ins":
-        "builds an insert; the rewriters, enumerate_sequences and the tests call it",
-    "sequences.op_del":
-        "builds a delete; the rewriters, enumerate_sequences and the tests call it",
-    "sequences.op_query":
-        "builds a query; enumerate_sequences and the sequence tests call it",
     "sequences.DatasetTrace.set_at":
         "reads the traced set at one index, as the sequence tests do",
     "sequences.DatasetTrace.card_at":

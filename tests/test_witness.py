@@ -14,7 +14,7 @@ from filterbounds.filters import (
     FingerprintMultisetModel,
     Seed,
 )
-from filterbounds.sequences import op_del, op_ins, op_init, run_sequence, validate_sequence
+from filterbounds.sequences import Operation, OpKind, run_sequence, validate_sequence
 from filterbounds.witness import (
     EnumerationTooLarge,
     WitnessModel,
@@ -54,7 +54,11 @@ class TestStateAfter:
     def test_matches_replayed_sequence(self, noisy62, seeds8):
         params = UniverseParams(6, 2)
         seq = validate_sequence(
-            [op_init(), op_ins(1), op_ins(4), op_del(1), op_del(4)], params
+            [
+                Operation(OpKind.INIT), Operation(OpKind.INS, 1),
+                Operation(OpKind.INS, 4), Operation(OpKind.DEL, 1),
+                Operation(OpKind.DEL, 4),
+            ], params
         )
         for seed in seeds8[:8]:
             states, _ = run_sequence(noisy62, seed, seq)
