@@ -23,10 +23,10 @@ separately.  Each of the three returns the dict that verify and bounds
 report for it.
 
 All three evaluate exact binomials, whose cost grows faster than their bit
-length.  Each first estimates the bits of every exact integer it would
-build and raises ParamsOutOfRange when the total passes MAX_EXACT_BITS.
-check_binom_grid, verify's scaling grid, prices all its cells at once
-against GRID_CELL_BUDGET and GRID_BIT_BUDGET before it checks the first.
+length.  Each first calls its price_* function, which refuses what the check
+refuses and raises ParamsOutOfRange when its estimate of the bits of the
+check's exact integers passes MAX_EXACT_BITS.  check_list_cost prices a list
+(verify's scaling grid, a bounds config) against GRID_CELL_BUDGET and GRID_BIT_BUDGET.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .combinat import (
     bounded_subset_count,
@@ -43,7 +44,7 @@ from .combinat import (
     frac_str,
     iter_subsets_of_size,
 )
-from .core import _mask_elems, _Record, _set
+from .core import ConfigError, _mask_elems, _Record, _set
 from .filters import Seed
 from .witness import check_enumeration_budget
 
@@ -51,16 +52,16 @@ if TYPE_CHECKING:  # reduction imports this module
     from .reduction import PairedStaticFilter
 
 
-class ParamsOutOfRange(ValueError):
+class ParamsOutOfRange(ConfigError):
     """Parameters outside the regime the bounds are stated for."""
 
 
-class NotGoodPair(ValueError):
+class NotGoodPair(ConfigError):
     """The (seed, dataset) pair is not encodable: failed, too many false
     negatives, or polluted by false positives."""
 
 
-class InvalidCode(ValueError):
+class InvalidCode(ConfigError):
     """A dataset code that no dataset produces."""
 
 
@@ -68,7 +69,7 @@ class InvalidCode(ValueError):
 # host and C(10**6, 5 * 10**5) takes 10 s; an entry under this budget
 # finishes in well under a second
 MAX_EXACT_BITS = 1 << 17
-# verify's scaling grid as a whole, on the same host: 10**4 cells at u < 200
+# a list of checks as a whole, on the same host: 10**4 cells at u < 200
 # take 0.1 s, and one at MAX_EXACT_BITS (u=65536, n=32768) 0.12 s
 GRID_CELL_BUDGET = 10**4
 GRID_BIT_BUDGET = 1 << 19
@@ -80,9 +81,17 @@ def _binom_bits(u: int, k: int) -> int:
     return min(u, k * u.bit_length()) if k > 0 else 1
 
 
-def _check_exact_cost(check: str, bits: int, budget: int = MAX_EXACT_BITS) -> None:
+def _check_exact_cost(check: str, bits: int, budget: int = MAX_EXACT_BITS) -> int:
     if bits > budget:
         raise ParamsOutOfRange(f"{check} needs exact integers past the budget of {budget} bits")
+    return bits
+
+
+def check_list_cost(what: str, count: int, bits: Iterable[int], unit: str = "entries") -> None:
+    """Refuse count checks past GRID_CELL_BUDGET, then their bits, summed, past GRID_BIT_BUDGET."""
+    if count > GRID_CELL_BUDGET:
+        raise ParamsOutOfRange(f"{what} of {count} {unit} exceeds budget {GRID_CELL_BUDGET}")
+    _check_exact_cost(what, sum(bits), GRID_BIT_BUDGET)
 
 
 class BoundsParams(_Record):
@@ -140,15 +149,8 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> dict:
     the comparison done on cleared denominators.  A nonpositive rhs holds
     vacuously.
     """
-    if fspace_bits < 0:
-        raise ParamsOutOfRange("fspace_bits must be nonnegative")
-    u, limit = params.u, params.fn_limit
-    top = min(limit, u)
-    _check_exact_cost(
-        "counting",
-        fspace_bits + (top + 1) * _binom_bits(u, min(top, u // 2)) + _binom_bits(u, params.n),
-    )
-    lhs = (1 << fspace_bits) * bounded_subset_count(u, limit)
+    price_counting_bound(fspace_bits, params)
+    lhs = (1 << fspace_bits) * bounded_subset_count(params.u, params.fn_limit)
     share = 1 - 1 / params.alpha - params.p_fail
     rhs = share * math.comb(params.u, params.n)
     return {
@@ -167,6 +169,17 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> dict:
     }
 
 
+def price_counting_bound(fspace_bits: int, params: BoundsParams) -> int:
+    """Refuse what check_counting_bound refuses up front; return its estimated bits."""
+    if fspace_bits < 0:
+        raise ParamsOutOfRange("fspace_bits must be nonnegative")
+    u, top = params.u, min(params.fn_limit, params.u)
+    return _check_exact_cost(
+        "counting",
+        fspace_bits + (top + 1) * _binom_bits(u, min(top, u // 2)) + _binom_bits(u, params.n),
+    )
+
+
 LOG_TOLERANCE = 1e-9
 
 
@@ -176,12 +189,8 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
     Binomials are exact integers; only the final log comparison is
     floating point, guarded by LOG_TOLERANCE.  beta = 0 uses 0**0 = 1.
     """
-    if u < 1 or n < 1 or n > u:
-        raise ParamsOutOfRange(f"need 1 <= n <= u, got u={u}, n={n}")
     beta = Fraction(beta)
-    if not 0 <= beta <= 1:
-        raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
-    _check_exact_cost("binom_scaling", _scaling_bits(u, n, beta))
+    price_binom_scaling(u, n, beta)
     k = math.floor(beta * n)
     lhs = math.log2(math.comb(u, k))
     try:
@@ -198,6 +207,15 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
     }
 
 
+def price_binom_scaling(u: int, n: int, beta: Fraction) -> int:
+    """Refuse what check_binom_scaling refuses up front; return its estimated bits."""
+    if u < 1 or n < 1 or n > u:
+        raise ParamsOutOfRange(f"need 1 <= n <= u, got u={u}, n={n}")
+    if not 0 <= beta <= 1:
+        raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
+    return _check_exact_cost("binom_scaling", _scaling_bits(u, n, beta))
+
+
 def _scaling_bits(u: int, n: int, beta: Fraction) -> int:
     return _binom_bits(u, math.floor(beta * n)) + _binom_bits(u, n)
 
@@ -210,14 +228,9 @@ def check_binom_grid(
     exact-integer bits, before its first cell is checked.
     """
     cells = len(us) * len(ns) * len(betas)
-    if cells > GRID_CELL_BUDGET:
-        raise ParamsOutOfRange(
-            f"binom_scaling grid of {cells} cells exceeds budget {GRID_CELL_BUDGET}"
-        )
-    grid = [(u, n, beta) for u in us for n in ns for beta in betas]
-    bits = sum(_scaling_bits(*cell) for cell in grid)
-    _check_exact_cost("binom_scaling grid", bits, GRID_BIT_BUDGET)
-    results = (check_binom_scaling(*cell) for cell in grid)
+    bits = (_scaling_bits(*cell) for cell in product(us, ns, betas))
+    check_list_cost("binom_scaling grid", cells, bits, "cells")
+    results = (check_binom_scaling(*cell) for cell in product(us, ns, betas))
     return {"cells": cells, "failures": [r for r in results if not r["holds"]]}
 
 
@@ -244,13 +257,7 @@ def space_lower_bound(
     """
     kind = BoundKind(kind)
     eps = Fraction(eps)
-    if u < 1 or n < 1:
-        raise ParamsOutOfRange("u and n must be positive")
-    if not 0 <= eps <= 1 - Fraction(1, n):
-        raise ParamsOutOfRange(f"eps={eps} outside [0, 1 - 1/n]")
-    if u < 2 * n:
-        raise ParamsOutOfRange(f"u={u} below 2n={2 * n}")
-    _check_exact_cost("space", _binom_bits(u, n))
+    price_space_bound(u, n, eps, kind)
     leading = float(1 - eps - Fraction(1, n)) * math.log2(math.comb(u, n))
     beta = eps + Fraction(1, n)
     slack = math.log2(math.e) - float(beta) * math.log2(beta)
@@ -266,6 +273,20 @@ def space_lower_bound(
         "constant_is_estimate": True,
         "bits": leading - constant,
     }
+
+
+def price_space_bound(
+    u: int, n: int, eps: Fraction = Fraction(0), kind: BoundKind | str = BoundKind.N_STATIC
+) -> int:
+    """Refuse what space_lower_bound refuses up front; return its estimated bits."""
+    BoundKind(kind)
+    if u < 1 or n < 1:
+        raise ParamsOutOfRange("u and n must be positive")
+    if not 0 <= eps <= 1 - Fraction(1, n):
+        raise ParamsOutOfRange(f"eps={eps} outside [0, 1 - 1/n]")
+    if u < 2 * n:
+        raise ParamsOutOfRange(f"u={u} below 2n={2 * n}")
+    return _check_exact_cost("space", _binom_bits(u, n))
 
 
 def is_good_pair(

@@ -1,7 +1,7 @@
-"""Command line front end.
+"""Command line front end: each command is one runner call; _report prints what it returns.
 
 Exit codes: 0 when every requested check passed, 1 when a check failed,
-2 for configuration or enumeration errors.
+2 for a ConfigError, the one class of refused input, printed on one line.
 """
 
 from __future__ import annotations
@@ -14,21 +14,19 @@ import os
 import sys
 from typing import Callable, NoReturn, Sequence
 
-from .bounds import InvalidCode, NotGoodPair, ParamsOutOfRange
+from .core import ConfigError
 from .harness import (
-    ConfigError,
     ExperimentConfig,
-    bounds_checks_from_dict,
     config_from_dict,
     default_fp_config,
     default_verify_config,
     fp_report_csv,
+    run_bounds,
     run_decode,
     run_encode,
     run_fp_experiment,
     run_verification_suite,
 )
-from .witness import EnumerationTooLarge
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -90,66 +88,31 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+def _report(report: dict, args: argparse.Namespace) -> int:
+    """Print a report (warnings on stderr, CSV or JSON to --out or stdout); return its exit code."""
+    for text in report.get("warnings", ()):
+        print(f"warning: {text}", file=sys.stderr)
+    csv = args.format == "csv"
+    _emit(fp_report_csv(report) if csv else json.dumps(report, sort_keys=True, indent=2), args.out)
+    checks = report.get("checks", ())
+    failed = report.get("passed") is False or any(c.get("holds") is False for c in checks)
+    return EXIT_CHECK_FAILED if failed else EXIT_PASS
 
 
-def _cmd_fp_rate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, default_fp_config())
-    report = run_fp_experiment(cfg)
-    text = fp_report_csv(report) if args.format == "csv" else _report_json(report)
-    _emit(text, args.out)
-    return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _cmd_demo(args: argparse.Namespace) -> dict:
     # only this command runs the demo and the sequence algebra under it
     from .demo import default_demo_config, run_violation_demo
 
-    cfg = _load_config(args, default_demo_config())
-    report = run_violation_demo(cfg)
-    _emit(_report_json(report), args.out)
-    return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
+    return run_violation_demo(_load_config(args, default_demo_config()))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, default_verify_config())
-    report = run_verification_suite(cfg)
-    for text in report["warnings"]:
-        print(f"warning: {text}", file=sys.stderr)
-    _emit(_report_json(report), args.out)
-    return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    checks = []
-    for check, fields in bounds_checks_from_dict(_read_config(args.config) if args.config else {}):
-        try:
-            # a number past Python's int-to-str digit limit makes the check
-            # raise, before any entry is printed
-            checks.append(check(**fields))
-        except ValueError as exc:
-            raise ConfigError(f"bad bounds check entry {fields}: {exc}") from exc
-    _emit(_report_json({"checks": checks}), args.out)
-    return EXIT_CHECK_FAILED if any(c.get("holds") is False for c in checks) else EXIT_PASS
-
-
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: argparse.Namespace) -> dict:
     cfg = _load_config(args, default_verify_config())
     try:
         elements = [int(part) for part in args.elements.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad element list {args.elements!r}") from exc
-    report = run_encode(cfg, elements)
-    _emit(_report_json(report), args.out)
-    return EXIT_PASS
-
-
-def _cmd_decode(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, default_verify_config())
-    report = run_decode(cfg, args.state, args.index)
-    _emit(_report_json(report), args.out)
-    return EXIT_PASS
+    return run_encode(cfg, elements)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,22 +131,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report here")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def add(
-        name: str, summary: str, func: Callable[[argparse.Namespace], int]
-    ) -> argparse.ArgumentParser:
+    def add(name: str, summary: str, func: Callable[..., dict]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, parents=[common])
         p.set_defaults(func=func)
         return p
 
-    add("fp-rate", "Monte-Carlo false-positive rate", _cmd_fp_rate)
+    add("fp-rate", "Monte-Carlo false-positive rate",
+        lambda args: run_fp_experiment(_load_config(args, default_fp_config())))
     add("demo-violations", "deterministic failure demos", _cmd_demo)
-    add("verify", "run the exhaustive verification suite", _cmd_verify)
-    add("bounds", "evaluate bound checks from a config", _cmd_bounds)
+    add("verify", "run the exhaustive verification suite",
+        lambda args: run_verification_suite(_load_config(args, default_verify_config())))
+    add("bounds", "evaluate bound checks from a config",
+        lambda args: run_bounds(_read_config(args.config) if args.config else {}))
 
     p = add("encode", "code a dataset as (state, index)", _cmd_encode)
     p.add_argument("--elements", required=True, help="comma separated elements")
 
-    p = add("decode", "recover a dataset from (state, index)", _cmd_decode)
+    p = add("decode", "recover a dataset from (state, index)", lambda args: run_decode(
+        _load_config(args, default_verify_config()), args.state, args.index))
     p.add_argument("--state", required=True, help="serialized paired state")
     p.add_argument("--index", required=True, type=int)
 
@@ -204,14 +169,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--format csv is only for fp-rate")
         if args.out:
             _check_out(args.out)
-        return args.func(args)
-    except (
-        ConfigError,
-        EnumerationTooLarge,
-        ParamsOutOfRange,
-        NotGoodPair,
-        InvalidCode,
-    ) as exc:
+        return _report(args.func(args), args)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -1,8 +1,8 @@
-"""The record base, the universe parameters and the bitmask helper.
+"""ConfigError, the record base, the universe parameters and the bitmask helper.
 
-What the other modules share: _Record and its field writer _set;
-UniverseParams, a universe size u and a dataset cardinality bound n; and
-the set bits of a mask, _mask_elems.
+What the other modules share: ConfigError; _Record and its field writer
+_set; UniverseParams, a universe size u and a dataset cardinality bound
+n; and the set bits of a mask, _mask_elems.
 
 The package's value types are plain records built on _Record.  A record
 lists its fields once, in __slots__, and the defaults of its trailing
@@ -27,6 +27,10 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import Iterator
+
+
+class ConfigError(ValueError):
+    """An input the commands refuse; the CLI prints it on one line and exits 2."""
 
 
 class _Record:

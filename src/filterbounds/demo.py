@@ -10,13 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinat import frac_str
+from .core import ConfigError
 from .filters import (
     FilterModel,
     FingerprintMultisetModel,
     seed_classes,
     seed_space,
 )
-from .harness import ConfigError, ExperimentConfig, ModelSpec
+from .harness import ExperimentConfig, ModelSpec
 from .sequences import OpSequence, format_sequence, parse_sequence, run_sequence
 
 

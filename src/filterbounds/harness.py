@@ -11,9 +11,9 @@ seeds, so the adversary stays oblivious.  Exhaustive runs enumerate a
 small seed space in full and use rational arithmetic throughout.
 
 Every command imports this module, so it holds only what they share and
-the runners of fp-rate, verify, encode and decode.  The demo-violations
-runner and its default config are in filterbounds.demo, which cli imports
-only for that command.
+the runners of fp-rate, verify, bounds, encode and decode.  The
+demo-violations runner and its default config are in filterbounds.demo,
+which cli imports only for that command.
 """
 
 from __future__ import annotations
@@ -36,13 +36,17 @@ from .bounds import (
     check_binom_grid,
     check_binom_scaling,
     check_counting_bound,
+    check_list_cost,
     decode_dataset,
     encode_dataset,
     find_best_seed,  # unused here; perfbench's tracer test looks it up on this module
+    price_binom_scaling,
+    price_counting_bound,
+    price_space_bound,
     space_lower_bound,
 )
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
-from .core import UniverseParams, _Record
+from .core import ConfigError, UniverseParams, _Record
 from .filters import (
     ExactSetModel,
     FilterModel,
@@ -70,10 +74,6 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10 and 3.11
     except ImportError:
         from hashlib import sha256
-
-
-class ConfigError(ValueError):
-    """A config file or flag combination the harness cannot run."""
 
 
 # a decimal exponent in the syntax Fraction accepts
@@ -271,33 +271,46 @@ _COUNTING = (
 )
 
 
-def _counting_bound(fspace_bits: int, **params: Any) -> dict:
-    return check_counting_bound(fspace_bits, BoundsParams(**params))
+def _counting(function: Callable) -> Callable:
+    # function(fspace_bits, params), called with a counting entry's fields
+    return lambda fspace_bits, **params: function(fspace_bits, BoundsParams(**params))
 
 
-# check name: (function, its parsers, required keys)
+# check name: (function, its price, its parsers, required keys)
 _BOUNDS_CHECKS = {
-    "counting": (_counting_bound, *_COUNTING),
+    "counting": (_counting(check_counting_bound), _counting(price_counting_bound), *_COUNTING),
     "binom_scaling": (
         check_binom_scaling,
+        price_binom_scaling,
         {"u": _integer, "n": _integer, "beta": parse_fraction},
         ("u", "n", "beta"),
     ),
     "space": (
         space_lower_bound,
+        price_space_bound,
         {"kind": BoundKind, "u": _integer, "n": _integer, "eps": parse_fraction},
         ("u", "n"),
     ),
 }
 
 
-def bounds_checks_from_dict(data: Mapping[str, Any]) -> list:
-    """The (check, its keyword arguments) pairs of a bounds config's entries."""
+def run_bounds(data: Any) -> dict:
+    """The report bounds prints: data's bounds_checks, each read, then priced
+    alone and as a list (bounds.check_list_cost), then checked, in order."""
     entry = _list_of(lambda obj: _kind_fields(obj, "bounds check", "check", _BOUNDS_CHECKS))
     entries = _read_fields(data, "bounds config", {"bounds_checks": entry}).get("bounds_checks")
     if not entries:
         raise ConfigError("bounds needs a config with a bounds_checks list")
-    return [(_BOUNDS_CHECKS[fields.pop("check")][0], fields) for fields in entries]
+    calls = [(*_BOUNDS_CHECKS[fields.pop("check")][:2], fields) for fields in entries]
+    check_list_cost("bounds config", len(calls), (_entry(price, f) for _, price, f in calls))
+    return {"checks": [_entry(check, fields) for check, _, fields in calls]}
+
+
+def _entry(function: Callable, fields: dict) -> Any:
+    try:  # any refusal, an unprintable report number included, names its entry
+        return function(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"bad bounds check entry {fields}: {exc}") from exc
 
 
 def _grid(value: Any) -> GridSpec:
@@ -577,7 +590,8 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
 def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
     probe = None
     if cfg.negative_probe is not None:
-        probe = _counting_bound(**_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
+        fields = _read_fields(cfg.negative_probe, "negative_probe", *_COUNTING)
+        probe = _counting(check_counting_bound)(**fields)
     grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
     bases = [spec.build() for spec in cfg.models]
     for alpha in (cfg.best_seed_alpha, *cfg.alphas):

@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .combinat import iter_subsets_of_size
-from .core import _mask_elems
+from .core import ConfigError, _mask_elems
 from .filters import FailStateError, FilterModel, FilterState, Seed
 
 
-class EnumerationTooLarge(Exception):
+class EnumerationTooLarge(ConfigError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 

@@ -22,13 +22,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterbounds import cli, filters, harness
-from filterbounds.bounds import BoundsParams, find_best_seed
+from filterbounds.bounds import (
+    BoundsParams,
+    DatasetCode,
+    InvalidCode,
+    NotGoodPair,
+    ParamsOutOfRange,
+    check_counting_bound,
+    decode_dataset,
+    encode_dataset,
+    find_best_seed,
+)
 from filterbounds.cli import main
-from filterbounds.combinat import iter_subsets_of_size
+from filterbounds.combinat import iter_subsets_of_size, next_prime
+from filterbounds.core import ConfigError
 from filterbounds.demo import default_demo_config, run_violation_demo
-from filterbounds.filters import ExactSetModel, FailStateError, seed_space
+from filterbounds.filters import ExactSetModel, FailStateError, Seed, seed_space
 from filterbounds.harness import (
-    ConfigError,
     DEFAULT_NEGATIVE_PROBE,
     ExperimentConfig,
     GridSpec,
@@ -40,6 +50,7 @@ from filterbounds.harness import (
     model_spec_from_dict,
     negative_control_config,
     parse_fraction,
+    run_bounds,
     run_decode,
     run_encode,
     run_fp_experiment,
@@ -47,7 +58,12 @@ from filterbounds.harness import (
     wilson_interval,
 )
 from filterbounds.reduction import PairedStaticFilter
-from filterbounds.witness import check_sticky, witness_transform
+from filterbounds.witness import (
+    EnumerationTooLarge,
+    check_enumeration_budget,
+    check_sticky,
+    witness_transform,
+)
 
 
 class TestParseFraction:
@@ -286,6 +302,97 @@ def exact_fp_rate(u, dataset, ell):
     return Fraction(hits, (p - 1) * p * len(nonmembers))
 
 
+# (u, n, eps_plus) of a fingerprint model fp-rate runs, and the exact rate
+# of its trials under the ideal hash family
+FP_ORACLE_CASES = pytest.mark.parametrize(
+    "u, n, eps_plus, exact",
+    [
+        (16, 2, Fraction(1, 2), Fraction(719, 1904)),
+        (64, 4, Fraction(1, 4), Fraction(24523, 132660)),
+        (100, 3, Fraction(1, 8), Fraction(31883, 489850)),
+    ],
+    ids=["u16_n2", "u64_n4", "u100_n3"],
+)
+
+
+def pair_collision_rate(p, ell):
+    """The chance that x != s share a fingerprint under the ideal hash family.
+
+    With p > u, a(x - s) mod p is uniform on [1, p) and independent of
+    y = (a*s + c) mod p, which is uniform on [0, p).  So the two hash
+    values are a uniform pair of distinct residues mod p, and they collide
+    when they agree mod 2**ell: q = sum of c_r (c_r - 1) over
+    p (p - 1), where c_r counts the y in [0, p) with y = r mod 2**ell.
+    O(p), where a sum over every (a, c) is O(p**2).
+    """
+    counts = [0] * (1 << ell)
+    for y in range(p):
+        counts[y & ((1 << ell) - 1)] += 1
+    return Fraction(sum(c * (c - 1) for c in counts), p * (p - 1))
+
+
+def brute_pair_collision_rate(u, p, ell):
+    """The share of (a, c, x, s), over every a in [1, p), c in [0, p) and
+    x != s in [0, u), whose fingerprints agree."""
+    mask = (1 << ell) - 1
+    hits = 0
+    for a in range(1, p):
+        for c in range(p):
+            values = [(a * x + c) % p & mask for x in range(u)]
+            hits += sum(k * (k - 1) for k in map(values.count, set(values)))
+    return Fraction(hits, (p - 1) * p * u * (u - 1))
+
+
+def fingerprint_shape(spec):
+    """(n, eps_plus, p, ell) of a fingerprint_multiset model spec."""
+    model = spec.build()
+    return model.params.n, model.eps_plus, next_prime(model.params.u), model.fp_bits
+
+
+def oracle_spec(u, n, eps_plus):
+    return model_spec_from_dict(
+        {"kind": "fingerprint_multiset", "u": u, "n": n, "eps_plus": str(eps_plus)}
+    )
+
+
+class TestPairCollisionRate:
+    """n * q bounds the fp-rate of a dataset of n under the ideal family."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [oracle_spec(16, 2, Fraction(1, 2)), oracle_spec(64, 4, Fraction(1, 4)),
+         oracle_spec(100, 3, Fraction(1, 8)), negative_control_config().models[2]],
+        ids=["u16", "u64", "u100", "negative_control"],
+    )
+    def test_matches_brute_force(self, spec):
+        _, _, p, ell = fingerprint_shape(spec)
+        assert p <= 101
+        assert pair_collision_rate(p, ell) == brute_pair_collision_rate(spec.u, p, ell)
+
+    @pytest.mark.parametrize(
+        "spec, q",
+        [
+            (default_fp_config().models[0], Fraction(32705, 4194368)),
+            (negative_control_config().models[2], Fraction(1, 7)),
+        ],
+        ids=["fp_rate_default", "negative_control"],
+    )
+    def test_shipped_hash_configs_meet_their_eps_plus(self, spec, q):
+        # default_demo_config is left out: its collision table forces a
+        # collision, so its model is outside the ideal family
+        n, eps_plus, p, ell = fingerprint_shape(spec)
+        assert pair_collision_rate(p, ell) == q
+        assert n * q <= eps_plus
+
+    @FP_ORACLE_CASES
+    def test_pinned_exact_rates_lie_under_n_times_q(self, u, n, eps_plus, exact):
+        _, _, p, ell = fingerprint_shape(oracle_spec(u, n, eps_plus))
+        bound = n * pair_collision_rate(p, ell)
+        assert bound == {16: Fraction(7, 17), 64: Fraction(144, 737),
+                         100: Fraction(333, 5050)}[u]
+        assert exact <= bound <= eps_plus
+
+
 @pytest.fixture()
 def fp_config_small():
     return config_from_dict({"trials": 500}, default_fp_config())
@@ -338,15 +445,7 @@ class TestFpExperiment:
         assert report["fp_hits"] == 56
         assert len(calls) == 2 * fp_config_small.trials
 
-    @pytest.mark.parametrize(
-        "u, n, eps_plus, exact",
-        [
-            (16, 2, Fraction(1, 2), Fraction(719, 1904)),
-            (64, 4, Fraction(1, 4), Fraction(24523, 132660)),
-            (100, 3, Fraction(1, 8), Fraction(31883, 489850)),
-        ],
-        ids=["u16_n2", "u64_n4", "u100_n3"],
-    )
+    @FP_ORACLE_CASES
     def test_rate_matches_the_exact_oracle(self, u, n, eps_plus, exact):
         spec = {"kind": "fingerprint_multiset", "u": u, "n": n, "eps_plus": str(eps_plus)}
         cfg = config_from_dict({"models": [spec], "trials": 20_000}, default_fp_config())
@@ -542,11 +641,6 @@ class TestVerificationSuite:
         blob = json.loads(json.dumps(report))
         assert blob["check_count"] == len(blob["checks"])
 
-    def test_runner_returns_the_report_verify_prints(self, capsys):
-        assert main(["verify", "--seed-bits", "7"]) == 0
-        cfg = config_from_dict({"seed_bits": 7}, default_verify_config())
-        assert json.loads(capsys.readouterr().out) == run_verification_suite(cfg)
-
 
 class TestEncodeDecode:
     def test_round_trip_through_reports(self):
@@ -587,7 +681,79 @@ LATE_DATASET_ZOO = [
 ]
 
 
+# a bounds config with one entry of each check
+MIXED_BOUNDS = {
+    "bounds_checks": [
+        {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5},
+        {"check": "binom_scaling", "u": 16, "n": 4, "beta": "1/2"},
+        {"check": "space", "kind": "dynamic", "u": 16, "n": 4},
+    ]
+}
+
+
+def encode_a_polluted_pair():
+    # 2-bit fingerprints answer yes on 2 as well as on the stored 0 and 1
+    spec = {"kind": "fingerprint_multiset", "u": 6, "n": 2, "eps_plus": "1/2",
+            "fingerprint_bits": 2}
+    static = PairedStaticFilter(model_spec_from_dict(spec).build())
+    encode_dataset(static, BoundsParams(6, 2), Seed(0, 8), (0, 1))
+
+
+def decode_an_index_out_of_range():
+    static = PairedStaticFilter(witness_transform(ModelSpec("exact_set", 6, 2, Fraction(0)).build()))
+    params, seed = BoundsParams(6, 2), Seed(0, 8)
+    good = encode_dataset(static, params, seed, (1, 2))
+    decode_dataset(static, params, seed, DatasetCode(good.state, 99))
+
+
+class TestRefusals:
+    """Every input the commands refuse is a ConfigError, so a ValueError."""
+
+    @pytest.mark.parametrize(
+        "refuse, error",
+        [
+            (lambda: check_enumeration_budget(40, 20), EnumerationTooLarge),
+            (lambda: check_counting_bound(-1, BoundsParams(8, 2)), ParamsOutOfRange),
+            (encode_a_polluted_pair, NotGoodPair),
+            (decode_an_index_out_of_range, InvalidCode),
+            (lambda: config_from_dict({"sed_bits": 3}, default_verify_config()), ConfigError),
+        ],
+        ids=["enumeration_budget", "counting_bound", "encode", "decode", "config"],
+    )
+    def test_a_library_caller_catches_every_refusal_as_config_error(self, refuse, error):
+        for caught in (error, ConfigError, ValueError):
+            with pytest.raises(caught):
+                refuse()
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv, config, run",
+        [
+            (["fp-rate", "--trials", "500"], None, lambda: run_fp_experiment(
+                config_from_dict({"trials": 500}, default_fp_config()))),
+            (["demo-violations", "--seed-bits", "4"], None, lambda: run_violation_demo(
+                config_from_dict({"seed_bits": 4}, default_demo_config()))),
+            (["verify", "--seed-bits", "7"], None, lambda: run_verification_suite(
+                config_from_dict({"seed_bits": 7}, default_verify_config()))),
+            (["bounds"], MIXED_BOUNDS, lambda: run_bounds(MIXED_BOUNDS)),
+            (["encode", "--elements", "1,3"], None,
+             lambda: run_encode(default_verify_config(), [1, 3])),
+            (["decode", "--state", "5:01011/5:00000", "--index", "0"], None,
+             lambda: run_decode(default_verify_config(), "5:01011/5:00000", 0)),
+        ],
+        ids=["fp_rate", "demo", "verify", "bounds", "encode", "decode"],
+    )
+    def test_runner_returns_the_report_its_command_prints(
+        self, argv, config, run, tmp_path, capsys
+    ):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == run()
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         blob = json.loads(capsys.readouterr().out)
@@ -1074,6 +1240,61 @@ class TestCli:
         assert done.stderr.startswith("error:") and "binom_scaling grid" in done.stderr
         assert len(done.stderr.splitlines()) == 1
         assert elapsed < 1, elapsed
+
+    def test_bounds_list_past_the_budget_exits_two_at_once(self, tmp_path):
+        # 1,000 entries of about 2**17 bits each, every one within
+        # MAX_EXACT_BITS, in a 66 KB config: checked one by one they would
+        # run for minutes
+        entry = {"check": "binom_scaling", "u": 65536, "n": 32768, "beta": "1"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bounds_checks": [entry] * 1000}))
+
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "filterbounds", "bounds", "--config", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=10,
+            preexec_fn=one_gib,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2, done.stderr[-500:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: bounds config needs exact integers past")
+        assert len(done.stderr.splitlines()) == 1
+        assert elapsed < 1, elapsed
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            # four entries of 2**17 bits fill the list budget; a fifth passes it
+            ([{"check": "binom_scaling", "u": 65536, "n": 32768, "beta": "1"}] * 5,
+             "bounds config needs exact integers past the budget of 524288 bits"),
+            ([{"check": "space", "u": 2, "n": 1}] * 10001,
+             "bounds config of 10001 entries exceeds budget 10000"),
+            # an entry over its own budget, or one the check refuses, keeps
+            # its own error line, although the list is over budget as well
+            ([{"check": "space", "u": 16, "n": 4}] * 10
+             + [{"check": "space", "u": 2 * 10**6, "n": 10**6}] * 10,
+             "bad bounds check entry {'u': 2000000, 'n': 1000000}: space needs exact "
+             "integers past the budget of 131072 bits"),
+            ([{"check": "space", "u": 3, "n": 2}]
+             + [{"check": "binom_scaling", "u": 65536, "n": 32768, "beta": "1"}] * 5,
+             "bad bounds check entry {'u': 3, 'n': 2}: u=3 below 2n=4"),
+        ],
+        ids=["bits", "entries", "entry_over_its_budget", "refused_entry"],
+    )
+    def test_bounds_list_is_priced_before_its_first_check(
+        self, entries, error, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("an entry was checked before the list was priced")
+
+        for row in ("binom_scaling", "space"):
+            monkeypatch.setitem(
+                harness._BOUNDS_CHECKS, row, (never, *harness._BOUNDS_CHECKS[row][1:])
+            )
+        with pytest.raises(ConfigError) as refused:
+            run_bounds({"bounds_checks": entries})
+        assert str(refused.value) == error
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):
         # one pass per seed class makes the widest admitted seed space cheap
