@@ -32,7 +32,6 @@ check's exact integers passes MAX_EXACT_BITS.  check_list_cost prices a list
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -94,11 +93,23 @@ def check_list_cost(what: str, count: int, bits: Iterable[int], unit: str = "ent
     _check_exact_cost(what, sum(bits), GRID_BIT_BUDGET)
 
 
+def _refuse_unparsed(ints: Iterable[tuple], rationals: Iterable[tuple] = ()) -> None:
+    """Refuse each (name, value) of ints that is no int, and of rationals that
+    is no int or Fraction, before any arithmetic; a bool is neither."""
+    for name, value in ints:
+        if type(value) is not int:
+            raise ParamsOutOfRange(f"{name} must be an int, got {value!r}")
+    for name, value in rationals:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ParamsOutOfRange(f"{name} must be an int or a Fraction, got {value!r}")
+
+
 class BoundsParams(_Record):
     """Parameter bundle shared by the bound evaluators.
 
     eps_minus is the false-negative probability bound, p_fail the failure
-    probability and alpha the Markov slack (> 1).
+    probability and alpha the Markov slack (> 1); each is kept as a Fraction,
+    so that 1 / alpha stays exact when an int is passed.
     """
 
     __slots__ = ("u", "n", "eps_minus", "p_fail", "alpha")
@@ -111,11 +122,13 @@ class BoundsParams(_Record):
         p_fail: Fraction = Fraction(0),
         alpha: Fraction = Fraction(2),
     ) -> None:
+        rationals = [("eps_minus", eps_minus), ("p_fail", p_fail), ("alpha", alpha)]
+        _refuse_unparsed([("u", u), ("n", n)], rationals)
         _set(self, "u", u)
         _set(self, "n", n)
-        _set(self, "eps_minus", eps_minus)
-        _set(self, "p_fail", p_fail)
-        _set(self, "alpha", alpha)
+        _set(self, "eps_minus", Fraction(eps_minus))
+        _set(self, "p_fail", Fraction(p_fail))
+        _set(self, "alpha", Fraction(alpha))
         if not 1 <= self.n <= self.u:
             raise ParamsOutOfRange(f"need 1 <= n <= u, got u={self.u}, n={self.n}")
         for name in ("eps_minus", "p_fail"):
@@ -171,6 +184,7 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> dict:
 
 def price_counting_bound(fspace_bits: int, params: BoundsParams) -> int:
     """Refuse what check_counting_bound refuses up front; return its estimated bits."""
+    _refuse_unparsed([("fspace_bits", fspace_bits)])
     if fspace_bits < 0:
         raise ParamsOutOfRange("fspace_bits must be nonnegative")
     u, top = params.u, min(params.fn_limit, params.u)
@@ -189,7 +203,6 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
     Binomials are exact integers; only the final log comparison is
     floating point, guarded by LOG_TOLERANCE.  beta = 0 uses 0**0 = 1.
     """
-    beta = Fraction(beta)
     price_binom_scaling(u, n, beta)
     k = math.floor(beta * n)
     lhs = math.log2(math.comb(u, k))
@@ -209,14 +222,16 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
 
 def price_binom_scaling(u: int, n: int, beta: Fraction) -> int:
     """Refuse what check_binom_scaling refuses up front; return its estimated bits."""
+    bits = _scaling_bits(u, n, beta)
     if u < 1 or n < 1 or n > u:
         raise ParamsOutOfRange(f"need 1 <= n <= u, got u={u}, n={n}")
     if not 0 <= beta <= 1:
         raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
-    return _check_exact_cost("binom_scaling", _scaling_bits(u, n, beta))
+    return _check_exact_cost("binom_scaling", bits)
 
 
 def _scaling_bits(u: int, n: int, beta: Fraction) -> int:
+    _refuse_unparsed([("u", u), ("n", n)], [("beta", beta)])
     return _binom_bits(u, math.floor(beta * n)) + _binom_bits(u, n)
 
 
@@ -224,8 +239,8 @@ def check_binom_grid(
     us: Sequence[int], ns: Sequence[int], betas: Sequence[Fraction]
 ) -> dict:
     """check_binom_scaling at every cell of us x ns x betas: the cell count and
-    the failing cells.  The whole grid is priced, by its cells and by their
-    exact-integer bits, before its first cell is checked.
+    the failing cells.  The grid is priced, by its cells and their bits, before
+    its first cell is checked; checking a cell refuses its range and budget.
     """
     cells = len(us) * len(ns) * len(betas)
     bits = (_scaling_bits(*cell) for cell in product(us, ns, betas))
@@ -234,14 +249,7 @@ def check_binom_grid(
     return {"cells": cells, "failures": [r for r in results if not r["holds"]]}
 
 
-class BoundKind(Enum):
-    N_STATIC = "nstatic"
-    DYNAMIC = "dynamic"
-
-
-def space_lower_bound(
-    u: int, n: int, eps: Fraction = Fraction(0), kind: BoundKind | str = BoundKind.N_STATIC
-) -> dict:
+def space_lower_bound(u: int, n: int, eps: Fraction = Fraction(0), kind: str = "nstatic") -> dict:
     """Headline space bound for a filter with error budget eps, reported as
     leading_bits - constant_bits.
 
@@ -255,19 +263,17 @@ def space_lower_bound(
 
     Requires eps <= 1 - 1/n and u >= 2n.
     """
-    kind = BoundKind(kind)
-    eps = Fraction(eps)
     price_space_bound(u, n, eps, kind)
     leading = float(1 - eps - Fraction(1, n)) * math.log2(math.comb(u, n))
     beta = eps + Fraction(1, n)
     slack = math.log2(math.e) - float(beta) * math.log2(beta)
     constant = n * slack + math.log2(float(n * eps) + 2) + n
-    if kind is BoundKind.DYNAMIC:
+    if kind == "dynamic":
         leading /= 2
         constant /= 2
     return {
         "name": "space_lower_bound",
-        "params": {"kind": kind.value, "u": u, "n": n, "eps": frac_str(eps)},
+        "params": {"kind": kind, "u": u, "n": n, "eps": frac_str(eps)},
         "leading_bits": leading,
         "constant_bits": constant,
         "constant_is_estimate": True,
@@ -275,11 +281,11 @@ def space_lower_bound(
     }
 
 
-def price_space_bound(
-    u: int, n: int, eps: Fraction = Fraction(0), kind: BoundKind | str = BoundKind.N_STATIC
-) -> int:
+def price_space_bound(u: int, n: int, eps: Fraction = Fraction(0), kind: str = "nstatic") -> int:
     """Refuse what space_lower_bound refuses up front; return its estimated bits."""
-    BoundKind(kind)
+    if kind not in ("nstatic", "dynamic"):
+        raise ParamsOutOfRange(f"kind must be one of ['nstatic', 'dynamic'], got {kind!r}")
+    _refuse_unparsed([("u", u), ("n", n)], [("eps", eps)])
     if u < 1 or n < 1:
         raise ParamsOutOfRange("u and n must be positive")
     if not 0 <= eps <= 1 - Fraction(1, n):
@@ -333,7 +339,7 @@ def find_best_seed(
     seeds: Sequence[Seed],
 ) -> BestSeed:
     """pick_best_seed over good-pair counts taken with is_good_pair."""
-    u, n = static_filter.params.u, static_filter.params.n
+    u, n = static_filter.model.params.u, static_filter.model.params.n
     dataset_count = check_enumeration_budget(u, n, len(seeds))
     if not seeds:
         raise ValueError("need at least one seed")
@@ -383,7 +389,7 @@ def encode_dataset(
         raise NotGoodPair(f"{misses.bit_count()} false negatives exceed limit {limit}")
     # a miss x sits at position x - |yes below x| of the complement of yes
     miss_positions = tuple(x - (yes & ((1 << x) - 1)).bit_count() for x in _mask_elems(misses))
-    u = static_filter.params.u
+    u = static_filter.model.params.u
     index = bounded_subset_index(miss_positions, u - yes.bit_count(), limit)
     return DatasetCode(state, index)
 
@@ -403,7 +409,7 @@ def decode_dataset(
     """
     if code.state.is_fail:
         raise InvalidCode("cannot decode from a failed state")
-    u = static_filter.params.u
+    u = static_filter.model.params.u
     yes = static_filter.yes_mask(seed, code.state)
     ambient = u - yes.bit_count()
     limit = params.fn_limit

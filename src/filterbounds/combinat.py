@@ -114,14 +114,6 @@ def width_for_count(count: int) -> int:
     return (count - 1).bit_length()
 
 
-def ceil_log2_frac(num: int, den: int) -> int:
-    """Smallest w >= 0 with 2**w >= num/den, computed exactly."""
-    if num <= 0 or den <= 0:
-        raise ValueError("ratio must be positive")
-    q = -(-num // den)
-    return (q - 1).bit_length()
-
-
 def frac_str(value: Fraction) -> str:
     """Exact 'p/q' text of a rational, denominator always shown ('1/1')."""
     return f"{value.numerator}/{value.denominator}"

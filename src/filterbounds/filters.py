@@ -54,6 +54,7 @@ every element, so a subclass that overrides query_bit is still honoured.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -62,7 +63,6 @@ from .combinat import (
     bounded_subset_count,
     bounded_subset_index,
     bounded_subset_unindex,
-    ceil_log2_frac,
     next_prime,
     width_for_count,
 )
@@ -406,9 +406,7 @@ class FingerprintMultisetModel(FilterModel):
         self.eps_plus = Fraction(eps_plus)
         if fingerprint_bits is None:
             # smallest width >= 1 with 2**width >= n / eps_plus; n = 1 at eps_plus = 1 gives 0
-            fingerprint_bits = max(1, ceil_log2_frac(
-                params.n * self.eps_plus.denominator, self.eps_plus.numerator
-            ))
+            fingerprint_bits = max(1, width_for_count(math.ceil(params.n / self.eps_plus)))
         if not 1 <= fingerprint_bits <= MAX_FINGERPRINT_BITS:
             raise InvalidParams(
                 f"fingerprint width {fingerprint_bits} outside [1, {MAX_FINGERPRINT_BITS}] bits"

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .bounds import (
-    BoundKind,
     BoundsParams,
     DatasetCode,
     InvalidCode,
@@ -288,7 +287,8 @@ _BOUNDS_CHECKS = {
     "space": (
         space_lower_bound,
         price_space_bound,
-        {"kind": BoundKind, "u": _integer, "n": _integer, "eps": parse_fraction},
+        # price_space_bound refuses a kind other than nstatic and dynamic
+        {"kind": lambda kind: kind, "u": _integer, "n": _integer, "eps": parse_fraction},
         ("u", "n"),
     ),
 }
@@ -653,7 +653,7 @@ def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
     """Code a dataset under the deterministic best seed of the config zoo."""
     static, params, best = _coding_context(cfg)
     dataset = sorted(elements)
-    u, n = static.params.u, static.params.n
+    u, n = static.model.params.u, static.model.params.n
     if len(set(dataset)) != n or not all(0 <= x < u for x in dataset):
         raise ConfigError(
             f"encode needs {n} distinct elements of [0, {u}), got {dataset}"
@@ -678,7 +678,7 @@ def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
     # decoding reads any state, so a code counts only if encoding what it
     # decodes to prints it back
     try:
-        valid = len(dataset) == static.params.n and (
+        valid = len(dataset) == static.model.params.n and (
             encode_dataset(static, params, best.seed, dataset) == code
         )
     except NotGoodPair:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
 from .combinat import frac_str, iter_subsets_of_size
-from .core import UniverseParams, _mask_elems, _Record
+from .core import _mask_elems, _Record
 from .filters import FilterModel, FilterState, Seed
 from .witness import (
     WitnessModel,
@@ -60,11 +60,11 @@ def parse_paired_state(text: str) -> PairedState:
         left, right = text.split("/")
         parts = []
         for piece in (left, right):
-            nbits_str, bits = piece.split(":")
-            nbits = int(nbits_str)
-            if len(bits) != nbits:
+            nbits, bits = piece.split(":")
+            # serialize prints the width in canonical decimal and the bits as 0s and 1s
+            if nbits != str(len(bits)) or not set(bits) <= {"0", "1"}:
                 raise ValueError
-            parts.append(FilterState(int(bits, 2) if nbits else 0, nbits))
+            parts.append(FilterState(int(bits, 2) if bits else 0, len(bits)))
     except ValueError:
         raise InvalidCode(f"bad paired state literal {text!r}") from None
     return PairedState(parts[0], parts[1])
@@ -89,10 +89,6 @@ class PairedStaticFilter:
 
     def __init__(self, model: FilterModel):
         self.model = model
-
-    @property
-    def params(self) -> UniverseParams:
-        return self.model.params
 
     def init_state(self, seed: Seed, dataset: Sequence[int]) -> PairedState:
         return pair_init(self.model, seed, dataset)

@@ -10,13 +10,13 @@ import pytest
 from filterbounds.bounds import (
     MAX_EXACT_BITS,
     BestSeed,
-    BoundKind,
     BoundsParams,
     DatasetCode,
     InvalidCode,
     NotGoodPair,
     ParamsOutOfRange,
     _binom_bits,
+    check_binom_grid,
     check_binom_scaling,
     check_counting_bound,
     decode_dataset,
@@ -32,7 +32,7 @@ from filterbounds.combinat import (
     bounded_subset_unindex,
     iter_subsets_of_size,
 )
-from filterbounds.core import UniverseParams
+from filterbounds.core import ConfigError, UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
     ExactSetModel,
@@ -68,6 +68,12 @@ class TestBoundsParams:
         )
         assert wide.fn_limit == 1  # floor(4 * 2 * 43/256)
         assert BoundsParams(u=6, n=2).fn_limit == 0
+
+    def test_an_int_rational_counts_as_its_fraction(self):
+        # an int alpha of 2 must not turn 1 / alpha, and the rhs, into floats
+        exact = check_counting_bound(5, BoundsParams(u=8, n=2, alpha=Fraction(2)))
+        assert check_counting_bound(5, BoundsParams(u=8, n=2, alpha=2)) == exact
+        assert exact["rhs"] == "14/1"
 
 
 def oracle_counting_holds(fspace, params):
@@ -173,7 +179,7 @@ class TestBinomScaling:
 
 class TestSpaceLowerBound:
     def test_static_frozen(self):
-        bound = space_lower_bound(16, 4, Fraction(0), kind=BoundKind.N_STATIC)
+        bound = space_lower_bound(16, 4, Fraction(0), kind="nstatic")
         assert bound["leading_bits"] == pytest.approx(0.75 * math.log2(1820))
         assert bound["leading_bits"] == pytest.approx(8.122292051314544)
         assert bound["constant_bits"] == pytest.approx(12.770780163555854)
@@ -266,6 +272,31 @@ class TestExactCostLimit:
         assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: space_lower_bound(16, 4, kind="x"),
+        lambda: space_lower_bound(16, 4, eps="x"),
+        lambda: check_binom_scaling(16, 4, "x"),
+        lambda: BoundsParams(8, 2, alpha="x"),
+        lambda: BoundsParams(8, 2, eps_minus="x"),
+        lambda: BoundsParams(8, 2, p_fail=None),
+        lambda: check_counting_bound("3", BoundsParams(8, 2)),
+        lambda: check_binom_grid([16], [4], ["x"]),
+        # a second rational parser would build 10**1000000 first
+        lambda: check_binom_scaling(16, 4, "1e1000000"),
+    ],
+    ids=["space_kind", "space_eps", "scaling_beta", "params_alpha", "params_eps_minus",
+         "params_p_fail", "counting_fspace_bits", "grid_beta", "scaling_huge_exponent"],
+)
+def test_an_unparsed_argument_is_a_config_error_at_once(call):
+    # the bounds take parsed values; library callers catch ConfigError
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        call()
+    assert time.perf_counter() - start < 0.05
+
+
 def false_negative_set(static_filter, seed, dataset):
     """Members of the dataset a live pair wrongly answers 0 on."""
     state = static_filter.init_state(seed, dataset)
@@ -351,7 +382,7 @@ def reference_encode(static, params, seed, dataset):
     state = static.init_state(seed, dataset)
     if state.is_fail:
         raise NotGoodPair("filter failed on this pair")
-    u = static.params.u
+    u = static.model.params.u
     yes = frozenset(x for x in range(u) if static.query(seed, state, x))
     if not yes <= members:
         raise NotGoodPair(f"false positives {sorted(yes - members)} spoil the code")
@@ -368,7 +399,7 @@ def reference_encode(static, params, seed, dataset):
 def reference_decode(static, params, seed, code):
     if code.state.is_fail:
         raise InvalidCode("cannot decode from a failed state")
-    u = static.params.u
+    u = static.model.params.u
     yes = frozenset(x for x in range(u) if static.query(seed, code.state, x))
     ambient = sorted(set(range(u)) - yes)
     limit = params.fn_limit

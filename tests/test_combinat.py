@@ -14,7 +14,6 @@ from filterbounds.combinat import (
     bounded_subset_count,
     bounded_subset_index,
     bounded_subset_unindex,
-    ceil_log2_frac,
     next_prime,
     subset_rank,
     subset_unrank,
@@ -151,24 +150,6 @@ def test_width_for_count():
     assert width_for_count(37) == 6
     with pytest.raises(ValueError):
         width_for_count(0)
-
-
-def test_ceil_log2_frac():
-    assert ceil_log2_frac(4096, 1) == 12
-    assert ceil_log2_frac(128, 1) == 7
-    assert ceil_log2_frac(1, 1) == 0
-    assert ceil_log2_frac(3, 2) == 1
-    assert ceil_log2_frac(5, 4) == 1
-    with pytest.raises(ValueError):
-        ceil_log2_frac(0, 1)
-
-
-@given(st.integers(1, 10**6), st.integers(1, 10**6))
-def test_ceil_log2_frac_is_tight(num, den):
-    w = ceil_log2_frac(num, den)
-    assert (1 << w) * den >= num
-    if w > 0:
-        assert (1 << (w - 1)) * den < num
 
 
 def test_next_prime():

@@ -330,6 +330,17 @@ class TestFingerprintMultiset:
             model = FingerprintMultisetModel(UniverseParams(u, n), eps)
             assert model.fp_bits == want
 
+    def test_default_width_is_the_tightest(self):
+        # the smallest width of at least one bit with 2**width * p >= n * q,
+        # for eps_plus = p/q
+        rates = {Fraction(p, q) for q in range(1, 65) for p in range(1, q + 1)}
+        for n in range(1, 65):
+            for eps in rates:
+                width = FingerprintMultisetModel(UniverseParams(64, n), eps).fp_bits
+                p, q = eps.numerator, eps.denominator
+                assert width >= 1 and (1 << width) * p >= n * q
+                assert width == 1 or (1 << (width - 1)) * p < n * q
+
     @pytest.mark.parametrize("width", [0, -3])
     def test_explicit_width_below_one_bit_is_refused(self, width):
         # only the width derived from eps_plus is raised to one bit

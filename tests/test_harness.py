@@ -1018,6 +1018,14 @@ class TestCli:
              ["demo-violations"]),
             ({"models": [dict(FP62, n=1100, collision_table=[[1, 0], [2, 0]])]},
              ["demo-violations"]),
+            # a space kind other than nstatic and dynamic
+            ({"bounds_checks": [{"check": "space", "kind": "x", "u": 16, "n": 4}]},
+             ["bounds"]),
+            # encode --elements 1,3 prints 5:01011/5:00000; int() reads each of
+            # these states the same, but encode never prints them
+            *[(None, ["decode", "--seed-bits", "6", "--state", state, "--index", "0"])
+              for state in ["5:+1011/5:00000", "5: 1011/5:00000", "5:01011/5:0_000",
+                            "5:01011/5:-0000", "05:01011/5:00000", "5:01011/+5:00000"]],
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(

@@ -144,7 +144,6 @@ class TestPairQuery:
 class TestPairedStaticFilter:
     def test_delegates_and_describes(self, noisy62):
         static = PairedStaticFilter(noisy62)
-        assert static.params == noisy62.params
         state = static.init_state(S0, (1, 4))
         assert state == pair_init(noisy62, S0, (1, 4))
         yes = static.yes_mask(S0, state)
