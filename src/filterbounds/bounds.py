@@ -340,9 +340,9 @@ def find_best_seed(
 ) -> BestSeed:
     """pick_best_seed over good-pair counts taken with is_good_pair."""
     u, n = static_filter.model.params.u, static_filter.model.params.n
-    dataset_count = check_enumeration_budget(u, n, len(seeds))
+    dataset_count = check_enumeration_budget(u, n, len(seeds), len(seeds))  # a class per seed
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
     good_counts = [
         sum(
             1

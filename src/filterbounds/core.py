@@ -100,9 +100,9 @@ class UniverseParams(_Record):
 
     def __init__(self, u: int, n: int) -> None:
         if u < 1:
-            raise ValueError(f"universe size must be >= 1, got {u}")
+            raise ConfigError(f"universe size must be >= 1, got {u}")
         if n < 1:
-            raise ValueError(f"cardinality bound must be >= 1, got {n}")
+            raise ConfigError(f"cardinality bound must be >= 1, got {n}")
         _set(self, "u", u)
         _set(self, "n", n)
 

@@ -66,10 +66,10 @@ from .combinat import (
     next_prime,
     width_for_count,
 )
-from .core import UniverseParams, _mask_elems, _Record, _set
+from .core import ConfigError, UniverseParams, _mask_elems, _Record, _set
 
 
-class InvalidParams(ValueError):
+class InvalidParams(ConfigError):
     """Model parameters that fail a construction-time sanity check."""
 
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .bounds import (
+    BestSeed,
     BoundsParams,
     DatasetCode,
     InvalidCode,
@@ -445,8 +446,6 @@ def run_fp_experiment(cfg: ExperimentConfig) -> dict:
             nonmember = workload_rng.randrange(u)
         seed = Seed(seed_rng.getrandbits(64), 64)
         state = model.state_for_elements(seed, dataset)
-        if state.fail:
-            continue  # cannot happen for a plain insert run of n elements
         fp_hits += model.query_bit(seed, state, nonmember)
         member_hits += model.query_bit(seed, state, dataset[t % n])
     eps = float(model.eps_plus)
@@ -516,12 +515,8 @@ def _measured_params(report: ReductionReport, alpha: Fraction) -> BoundsParams:
     )
 
 
-def _coding_check(
-    model: FilterModel, params: BoundsParams, report: ReductionReport
-) -> dict:
-    static = PairedStaticFilter(model)
-    best = report.best_seed(params)
-    u, n = model.params.u, model.params.n
+def _coding_check(static: PairedStaticFilter, params: BoundsParams, best: BestSeed) -> dict:
+    u, n = static.model.params.u, static.model.params.n
     codes: set[tuple[Any, int]] = set()
     roundtrip_failures = 0
     index_bound = bounded_subset_count(u, params.fn_limit)
@@ -530,7 +525,7 @@ def _coding_check(
     for dataset in iter_subsets_of_size(u, n):
         try:
             code = encode_dataset(static, params, best.seed, dataset)
-        except ValueError:
+        except NotGoodPair:
             continue
         good += 1
         codes.add((code.state, code.index))
@@ -547,7 +542,7 @@ def _coding_check(
         and index_ok
     )
     return {
-        "name": f"dataset_coding[{model.describe()}]",
+        "name": f"dataset_coding[{static.model.describe()}]",
         "passed": passed,
         "details": {
             "best_seed": best.seed.value,
@@ -557,6 +552,38 @@ def _coding_check(
             "roundtrip_failures": roundtrip_failures,
         },
     }
+
+
+def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence = ()) -> list:
+    """Each (witness model, its seed classes) to sweep, with every spec built,
+    each alpha of alphas checked on every model, each sweep grouped and priced
+    and best_seed_alpha refused at or below 1 before the first sweep."""
+    if not specs:
+        raise ConfigError("encode/decode need a model spec")  # verify reports an empty zoo
+    bases = [spec.build() for spec in specs]
+    for alpha in alphas:
+        for base in bases:
+            # refuses an alpha <= 1 and one whose counting rhs or best seed's
+            # required count, (1 - 1/alpha) * C(u, n) with no failed pairs,
+            # no report can print
+            check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
+    seeds = list(seed_space(cfg.seed_bits))
+    sweeps = []
+    for base in bases:
+        model = witness_transform(base)
+        classes = seed_classes(model, seeds)
+        check_enumeration_budget(base.params.u, base.params.n, len(seeds), len(classes))
+        BoundsParams(base.params.u, base.params.n, alpha=cfg.best_seed_alpha)  # refuses alpha <= 1
+        sweeps.append((model, classes))
+    return sweeps
+
+
+def _sweep(cfg: ExperimentConfig, model: FilterModel, classes: list) -> tuple:
+    """check_reduction on a _presweep pair, and its coder: the paired filter,
+    the measured parameters at best_seed_alpha and the best seed under them."""
+    report = check_reduction(model, classes)
+    params = _measured_params(report, cfg.best_seed_alpha)
+    return report, (PairedStaticFilter(model), params, report.best_seed(params))
 
 
 def run_verification_suite(cfg: ExperimentConfig) -> dict:
@@ -593,23 +620,9 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
         fields = _read_fields(cfg.negative_probe, "negative_probe", *_COUNTING)
         probe = _counting(check_counting_bound)(**fields)
     grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
-    bases = [spec.build() for spec in cfg.models]
-    for alpha in (cfg.best_seed_alpha, *cfg.alphas):
-        for base in bases:
-            # refuses, before any sweep, an alpha <= 1 and one whose counting
-            # rhs or best seed's required count, (1 - 1/alpha) * C(u, n) with
-            # no failed pairs, no report can print
-            check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
-    seeds = list(seed_space(cfg.seed_bits))
-    sweeps = []
-    for base in bases:
-        model = witness_transform(base)
-        classes = seed_classes(model, seeds)
-        check_enumeration_budget(base.params.u, base.params.n, len(seeds), len(classes))
-        sweeps.append((model, classes))
     checks = []
-    for model, classes in sweeps:
-        report = check_reduction(model, classes)
+    for model, classes in _presweep(cfg, cfg.models, (cfg.best_seed_alpha, *cfg.alphas)):
+        report, coder = _sweep(cfg, model, classes)
         checks.append(_sticky_check(model, report))
         reduction_ok = (
             report.false_positive_count == 0
@@ -624,8 +637,7 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
             "passed": reduction_ok,
             "details": report.to_json_dict(),
         })
-        measured = _measured_params(report, cfg.best_seed_alpha)
-        checks.append(_coding_check(model, measured, report))
+        checks.append(_coding_check(*coder))
         counting = [
             check_counting_bound(report.space_pair_bits, _measured_params(report, alpha))
             for alpha in cfg.alphas
@@ -650,14 +662,13 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
-    """Code a dataset under the deterministic best seed of the config zoo."""
-    static, params, best = _coding_context(cfg)
+    """Code a dataset under the best seed of the zoo's first model; input is checked first."""
+    [(model, classes)] = _presweep(cfg, cfg.models[:1])
     dataset = sorted(elements)
-    u, n = static.model.params.u, static.model.params.n
+    u, n = model.params.u, model.params.n
     if len(set(dataset)) != n or not all(0 <= x < u for x in dataset):
-        raise ConfigError(
-            f"encode needs {n} distinct elements of [0, {u}), got {dataset}"
-        )
+        raise ConfigError(f"encode needs {n} distinct elements of [0, {u}), got {dataset}")
+    _, (static, params, best) = _sweep(cfg, model, classes)
     code = encode_dataset(static, params, best.seed, dataset)
     return {
         "command": "encode",
@@ -671,9 +682,10 @@ def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
 
 
 def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
-    """Invert run_encode from its printed state and index."""
-    static, params, best = _coding_context(cfg)
+    """Invert run_encode from its printed state and index; the state is checked first."""
+    [(model, classes)] = _presweep(cfg, cfg.models[:1])
     code = DatasetCode(parse_paired_state(state_text), index)
+    _, (static, params, best) = _sweep(cfg, model, classes)
     dataset = sorted(decode_dataset(static, params, best.seed, code))
     # decoding reads any state, so a code counts only if encoding what it
     # decodes to prints it back
@@ -694,15 +706,3 @@ def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
         "dataset": dataset,
         "config_hash": cfg.config_hash(),
     }
-
-
-def _coding_context(
-    cfg: ExperimentConfig,
-) -> tuple[PairedStaticFilter, BoundsParams, Any]:
-    if not cfg.models:
-        raise ConfigError("encode/decode need a model spec")
-    model = witness_transform(cfg.models[0].build())
-    static = PairedStaticFilter(model)
-    report = check_reduction(model, seed_classes(model, seed_space(cfg.seed_bits)))
-    params = _measured_params(report, cfg.best_seed_alpha)
-    return static, params, report.best_seed(params)

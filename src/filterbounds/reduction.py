@@ -211,10 +211,8 @@ def check_reduction(
         if stepper is not model:
             model.fill_table(seed, member_masks, snapshots)
         for i, after_insert in enumerate(snapshots):
-            if after_insert.fail:
-                fail_count += weight
-                continue
             ds = datasets[i]
+            # delete_run passes a failed insert snapshot through unchanged
             after_delete = delete_run(stepper, seed, after_insert, ds)
             if after_delete.fail:
                 fail_count += weight

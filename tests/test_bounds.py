@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from filterbounds import bounds, witness
 from filterbounds.bounds import (
     MAX_EXACT_BITS,
     BestSeed,
@@ -374,6 +375,21 @@ class TestFindBestSeed:
         too_many = [S0] * ((1 << 16) + 1)
         with pytest.raises(EnumerationTooLarge):
             find_best_seed(paired_noisy, BoundsParams(u=6, n=2), too_many)
+
+    def test_steps_are_priced_before_the_first_pair(self, paired_noisy, seeds8, monkeypatch):
+        # 16 seeds x C(6, 2) datasets x 2 steps = 480 estimated model steps;
+        # every seed is swept on its own, so each counts as a class
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return True
+
+        monkeypatch.setattr(witness, "STEP_BUDGET", 100)
+        monkeypatch.setattr(bounds, "is_good_pair", counted)
+        with pytest.raises(EnumerationTooLarge, match="480 model steps"):
+            find_best_seed(paired_noisy, BoundsParams(u=6, n=2), seeds8[:16])
+        assert calls == []
 
 
 def reference_encode(static, params, seed, dataset):

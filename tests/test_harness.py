@@ -35,9 +35,16 @@ from filterbounds.bounds import (
 )
 from filterbounds.cli import main
 from filterbounds.combinat import iter_subsets_of_size, next_prime
-from filterbounds.core import ConfigError
+from filterbounds.core import ConfigError, UniverseParams
 from filterbounds.demo import default_demo_config, run_violation_demo
-from filterbounds.filters import ExactSetModel, FailStateError, Seed, seed_space
+from filterbounds.filters import (
+    ExactSetModel,
+    FailStateError,
+    FingerprintMultisetModel,
+    InvalidParams,
+    Seed,
+    seed_space,
+)
 from filterbounds.harness import (
     DEFAULT_NEGATIVE_PROBE,
     ExperimentConfig,
@@ -717,8 +724,14 @@ class TestRefusals:
             (encode_a_polluted_pair, NotGoodPair),
             (decode_an_index_out_of_range, InvalidCode),
             (lambda: config_from_dict({"sed_bits": 3}, default_verify_config()), ConfigError),
+            (lambda: UniverseParams(0, 1), ConfigError),
+            (lambda: FingerprintMultisetModel(UniverseParams(8, 2), Fraction(0)), InvalidParams),
+            (lambda: ExactSetModel(UniverseParams(8, 2), Fraction(2)), InvalidParams),
+            (lambda: find_best_seed(PairedStaticFilter(ExactSetModel(UniverseParams(6, 2))),
+                                    BoundsParams(6, 2), []), ConfigError),
         ],
-        ids=["enumeration_budget", "counting_bound", "encode", "decode", "config"],
+        ids=["enumeration_budget", "counting_bound", "encode", "decode", "config",
+             "universe_params", "fingerprint_params", "exact_set_params", "no_seeds"],
     )
     def test_a_library_caller_catches_every_refusal_as_config_error(self, refuse, error):
         for caught in (error, ConfigError, ValueError):
@@ -1160,6 +1173,33 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"models": ZOO16, **change}))
         assert main(["verify", "--seed-bits", "16", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, change",
+        [
+            (["encode", "--elements", "1"], {}),
+            (["encode", "--elements", "1,9"], {}),
+            (["decode", "--state", "garbage", "--index", "0"], {}),
+            (["decode", "--state", "05:01011/5:00000", "--index", "0"], {}),
+            (["encode", "--elements", "1,3"], {"best_seed_alpha": "1"}),
+            (["decode", "--state", "5:01011/5:00000", "--index", "0"], {"best_seed_alpha": "1"}),
+        ],
+        ids=["encode_too_few", "encode_out_of_range", "decode_garbage",
+             "decode_leading_zero", "encode_best_seed_alpha", "decode_best_seed_alpha"],
+    )
+    def test_coding_input_is_refused_before_the_sweep(
+        self, argv, change, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a sweep ran before the input was checked")
+
+        monkeypatch.setattr(harness, "check_reduction", never)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(change))
+        assert main([*argv, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1

@@ -1,0 +1,162 @@
+"""Compare what two checkouts print, command by command.
+
+    python3 tools/outputs.py PARENT CHANGE
+
+PARENT and CHANGE are two checkouts of filterbounds, for example two
+`git archive` exports.  One fixed list of CLI invocations runs in each
+checkout, as `python3 -m filterbounds ...` with PYTHONPATH=src,
+PYTHONDONTWRITEBYTECODE=1 and COLUMNS=80; every config a case needs is
+written into one temporary directory that both sides read.  The list covers
+every command: verify at 7 and 16 seed bits and the negative control (its
+config written by PARENT's `perfbench/launch.py --setup certify`), fp-rate
+as JSON and CSV, encode of all 15 datasets of the default zoo at 6 bits and
+decode of what PARENT printed for each, demo-violations, a bounds config
+with one entry of each check, the seven help texts, and the refusals of
+encode and decode.
+
+Each case whose stdout, stderr or exit code differs is printed, then the
+count.  Standard library only.  Exit 0 when no case differs, 1 when one
+does, 2 for a bad checkout (see pairs.check_checkout).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import combinations
+from pathlib import Path
+
+from pairs import Refused, check_checkout
+
+# one entry of each bounds check
+MIXED_BOUNDS = {
+    "bounds_checks": [
+        {"check": "counting", "u": 8, "n": 2, "fspace_bits": 5},
+        {"check": "binom_scaling", "u": 16, "n": 4, "beta": "1/2"},
+        {"check": "space", "kind": "dynamic", "u": 16, "n": 4},
+    ]
+}
+# a model whose sweep at 16 seed bits takes seconds: 20 seed classes x
+# C(20, 5) datasets x 5 steps
+NOISY20 = {"models": [{"kind": "noisy_exact", "u": 20, "n": 5, "eps_plus": "1/20", "noise_m": 1}]}
+# C(2**62, 2**61) datasets, past every budget
+FP62 = {"models": [{"kind": "fingerprint_multiset", "u": 1 << 62, "n": 1 << 61, "eps_plus": "1/2"}]}
+ALPHA1 = {"best_seed_alpha": "1"}
+STATE13 = ["--state", "5:01011/5:00000", "--index", "0"]
+
+
+def run(root: Path, argv: list[str]) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of the CLI in checkout root."""
+    check_checkout(root)
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "COLUMNS": "80"}
+    done = subprocess.run([sys.executable, "-m", "filterbounds", *argv], cwd=root, env=env,
+                          capture_output=True, text=True)
+    return done.stdout, done.stderr, done.returncode
+
+
+def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every case but the encodes and decodes of the 15 datasets."""
+    def config(name: str, data: dict) -> list[str]:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return ["--config", str(path)]
+
+    setup = [sys.executable, "perfbench/launch.py", "--setup", "certify", str(tmp)]
+    env = {**os.environ, "PYTHONPATH": str(parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    if subprocess.run(setup, cwd=parent, env=env).returncode != 0:
+        raise Refused(f"{parent}: perfbench/launch.py --setup certify failed")
+    listed = [
+        ("verify 7 bits", ["verify", "--seed-bits", "7"]),
+        ("verify 16 bits", ["verify", "--seed-bits", "16"]),
+        ("negative control", ["verify", "--seed-bits", "7", "--config",
+                              str(tmp / "negative_control.json")]),
+        ("fp-rate json", ["fp-rate", "--trials", "10000"]),
+        ("fp-rate csv", ["fp-rate", "--trials", "10000", "--format", "csv"]),
+        ("demo 8 bits", ["demo-violations", "--seed-bits", "8"]),
+        ("demo 16 bits", ["demo-violations", "--seed-bits", "16"]),
+        ("bounds", ["bounds", *config("bounds", MIXED_BOUNDS)]),
+        ("help", ["--help"]),
+    ]
+    for command in ("fp-rate", "demo-violations", "verify", "bounds", "encode", "decode"):
+        listed.append((f"help {command}", [command, "--help"]))
+    listed += [
+        ("encode one element", ["encode", "--elements", "1"]),
+        ("encode out of range", ["encode", "--elements", "1,9"]),
+        ("decode garbage", ["decode", "--state", "garbage", "--index", "0"]),
+        ("decode leading zero", ["decode", "--state", "05:01011/5:00000", "--index", "0"]),
+        ("encode alpha 1", ["encode", "--elements", "1,3", *config("alpha1", ALPHA1)]),
+        ("decode alpha 1", ["decode", *STATE13, *config("alpha1", ALPHA1)]),
+    ]
+    noisy20 = ["--seed-bits", "16", *config("noisy20", NOISY20)]
+    noisy20_alpha1 = ["--seed-bits", "16", *config("noisy20_alpha1", {**NOISY20, **ALPHA1})]
+    listed += [
+        ("u=20 encode too few", ["encode", "--elements", "0,1", *noisy20]),
+        ("u=20 decode garbage", ["decode", "--state", "garbage", "--index", "0", *noisy20]),
+        ("u=20 encode alpha 1", ["encode", "--elements", "0,1,2,3,4", *noisy20_alpha1]),
+        ("u=20 decode alpha 1", ["decode", *STATE13, *noisy20_alpha1]),
+        ("u=20 encode", ["encode", "--elements", "0,1,2,3,4", *noisy20]),
+        ("u=2^62 encode", ["encode", "--elements", "0,1", "--seed-bits", "1",
+                           *config("fp62", FP62)]),
+        ("u=2^62 decode", ["decode", "--state", "0:/0:", "--index", "0", "--seed-bits", "1",
+                           *config("fp62", FP62)]),
+    ]
+    return listed
+
+
+def compare(parent: Path, change: Path, name: str, argv: list[str]) -> tuple[bool, str]:
+    """Whether the case differs, printing it if so, and PARENT's stdout."""
+    before, after = run(parent, argv), run(change, argv)
+    if before != after:
+        print(f"differs: {name}: filterbounds {' '.join(argv)}")
+        for label, old, new in zip(("stdout", "stderr", "exit"), before, after):
+            if old != new:
+                print(f"  {label}: parent {str(old)[-300:]!r}")
+                print(f"  {label}: change {str(new)[-300:]!r}")
+    return before != after, before[0]
+
+
+def printed_code(stdout: str) -> list[str]:
+    """The state and index an encode printed; FAIL and 0 if it printed none."""
+    try:
+        report = json.loads(stdout)
+        return ["--state", report["state"], "--index", report["index"]]
+    except (ValueError, KeyError, TypeError):
+        return ["--state", "FAIL", "--index", "0"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    differ = count = 0
+    try:
+        for root in (parent, change):
+            check_checkout(root)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, case in cases(parent, Path(tmp)):
+                differ += compare(parent, change, name, case)[0]
+                count += 1
+        # each of the 15 datasets of the default zoo, encoded, then decoded
+        for dataset in combinations(range(6), 2):
+            elements = ",".join(map(str, dataset))
+            encode = ["encode", "--seed-bits", "6", "--elements", elements]
+            changed, printed = compare(parent, change, f"encode {elements}", encode)
+            decode = ["decode", "--seed-bits", "6", *printed_code(printed)]
+            differ += changed + compare(parent, change, f"decode {elements}", decode)[0]
+            count += 2
+    except Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{differ} of {count} cases differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
