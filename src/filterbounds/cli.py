@@ -1,20 +1,26 @@
 """Command line front end: each command is one runner call; _report prints what it returns.
 
+Each command's options are declared once, in _COMMON and _COMMANDS.  A line
+of the plain form COMMAND (--flag value)* is read by _quick_args from that
+table; every other line (help, --flag=value, abbreviations, every error) goes
+to the argparse parser that _build_parser makes from the same table, so
+argparse is imported only when a line needs it.
+
 Exit codes: 0 when every requested check passed, 1 when a check failed,
 2 for a ConfigError, the one class of refused input, printed on one line.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
 import os
 import sys
-from typing import Callable, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .core import ConfigError
+from .core import ConfigError, _Record
 from .harness import (
     ExperimentConfig,
     config_from_dict,
@@ -27,6 +33,9 @@ from .harness import (
     run_fp_experiment,
     run_verification_suite,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -56,12 +65,16 @@ def _read_config(path: str) -> object:
             data = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to read") from exc
     return data
 
 
-def _load_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
+def _load_config(args: SimpleNamespace, defaults: ExperimentConfig) -> ExperimentConfig:
     cfg = config_from_dict(_read_config(args.config) if args.config else {}, defaults)
     flags = {"seed_bits": args.seed_bits, "trials": args.trials}
     return config_from_dict({k: v for k, v in flags.items() if v is not None}, cfg)
@@ -88,7 +101,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _report(report: dict, args: argparse.Namespace) -> int:
+def _report(report: dict, args: SimpleNamespace) -> int:
     """Print a report (warnings on stderr, CSV or JSON to --out or stdout); return its exit code."""
     for text in report.get("warnings", ()):
         print(f"warning: {text}", file=sys.stderr)
@@ -99,14 +112,26 @@ def _report(report: dict, args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_PASS
 
 
-def _cmd_demo(args: argparse.Namespace) -> dict:
+def _cmd_fp_rate(args: SimpleNamespace) -> dict:
+    return run_fp_experiment(_load_config(args, default_fp_config()))
+
+
+def _cmd_demo(args: SimpleNamespace) -> dict:
     # only this command runs the demo and the sequence algebra under it
     from .demo import default_demo_config, run_violation_demo
 
     return run_violation_demo(_load_config(args, default_demo_config()))
 
 
-def _cmd_encode(args: argparse.Namespace) -> dict:
+def _cmd_verify(args: SimpleNamespace) -> dict:
+    return run_verification_suite(_load_config(args, default_verify_config()))
+
+
+def _cmd_bounds(args: SimpleNamespace) -> dict:
+    return run_bounds(_read_config(args.config) if args.config else {})
+
+
+def _cmd_encode(args: SimpleNamespace) -> dict:
     cfg = _load_config(args, default_verify_config())
     try:
         elements = [int(part) for part in args.elements.split(",") if part.strip()]
@@ -115,7 +140,87 @@ def _cmd_encode(args: argparse.Namespace) -> dict:
     return run_encode(cfg, elements)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _cmd_decode(args: SimpleNamespace) -> dict:
+    return run_decode(_load_config(args, default_verify_config()), args.state, args.index)
+
+
+class _Option(_Record, defaults={"type": None, "default": None, "choices": None,
+                                 "required": False, "help": None}):
+    """One option, as add_argument takes it and _quick_args reads it."""
+
+    __slots__ = ("flag", "dest", "type", "default", "choices", "required", "help")
+
+
+class _Command(_Record):
+    """One subcommand: its help line, its runner and its own options."""
+
+    __slots__ = ("summary", "func", "options")
+
+
+# the options every command takes, in the order the help text lists them
+_COMMON = (
+    _Option("--config", "config", help="JSON config file"),
+    _Option("--seed-bits", "seed_bits", type=int),
+    _Option("--trials", "trials", type=int),
+    _Option("--out", "out", help="write the report here"),
+    _Option("--format", "format", default="json", choices=("json", "csv")),
+)
+
+_COMMANDS = {
+    "fp-rate": _Command("Monte-Carlo false-positive rate", _cmd_fp_rate, ()),
+    "demo-violations": _Command("deterministic failure demos", _cmd_demo, ()),
+    "verify": _Command("run the exhaustive verification suite", _cmd_verify, ()),
+    "bounds": _Command("evaluate bound checks from a config", _cmd_bounds, ()),
+    "encode": _Command("code a dataset as (state, index)", _cmd_encode, (
+        _Option("--elements", "elements", required=True, help="comma separated elements"),
+    )),
+    "decode": _Command("recover a dataset from (state, index)", _cmd_decode, (
+        _Option("--state", "state", required=True, help="serialized paired state"),
+        _Option("--index", "index", type=int, required=True),
+    )),
+}
+
+
+def _quick_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for a plain line, COMMAND (--flag value)*;
+    None for every other line.
+
+    A plain line names each of its command's options at most once, by its
+    exact flag, with no value that starts with "-".  A value argparse would
+    refuse (a failed int conversion, a --format outside its choices) or a
+    required option left out also gives None, so that argparse prints its
+    error as ever."""
+    command = _COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if command is None:
+        return None
+    options = {opt.flag: opt for opt in (*_COMMON, *command.options)}
+    args = SimpleNamespace(command=argv[0], func=command.func,
+                           **{opt.dest: opt.default for opt in options.values()})
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        opt = options.pop(flag, None)  # a repeated flag is not found again
+        if opt is None or text.startswith("-"):
+            return None
+        if opt.type is not None:
+            try:
+                text = opt.type(text)
+            except ValueError:
+                return None
+        if opt.choices is not None and text not in opt.choices:
+            return None
+        setattr(args, opt.dest, text)
+    if any(opt.required for opt in options.values()):
+        return None
+    return args
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    def add_options(parser: argparse.ArgumentParser, options: tuple[_Option, ...]) -> None:
+        for opt in options:
+            parser.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
+                                choices=opt.choices, required=opt.required, help=opt.help)
+
     parser = argparse.ArgumentParser(
         prog="filterbounds",
         description="Membership filter experiments and bound verification",
@@ -125,33 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     # each add_argument builds a help formatter, which asks for the terminal
     # size; the subcommands copy these actions from one parent instead
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed-bits", type=int, default=None, dest="seed_bits")
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--out", default=None, help="write the report here")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-
-    def add(name: str, summary: str, func: Callable[..., dict]) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, parents=[common])
-        p.set_defaults(func=func)
-        return p
-
-    add("fp-rate", "Monte-Carlo false-positive rate",
-        lambda args: run_fp_experiment(_load_config(args, default_fp_config())))
-    add("demo-violations", "deterministic failure demos", _cmd_demo)
-    add("verify", "run the exhaustive verification suite",
-        lambda args: run_verification_suite(_load_config(args, default_verify_config())))
-    add("bounds", "evaluate bound checks from a config",
-        lambda args: run_bounds(_read_config(args.config) if args.config else {}))
-
-    p = add("encode", "code a dataset as (state, index)", _cmd_encode)
-    p.add_argument("--elements", required=True, help="comma separated elements")
-
-    p = add("decode", "recover a dataset from (state, index)", lambda args: run_decode(
-        _load_config(args, default_verify_config()), args.state, args.index))
-    p.add_argument("--state", required=True, help="serialized paired state")
-    p.add_argument("--index", required=True, type=int)
-
+    add_options(common, _COMMON)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.summary, parents=[common])
+        p.set_defaults(func=command.func)
+        add_options(p, command.options)
     return parser
 
 
@@ -163,7 +246,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # live heap unfrozen until it exits. Unregistering first keeps one entry.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse reads into the same kind of namespace as _quick_args
+    args = _quick_args(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     try:
         if args.format == "csv" and args.command != "fp-rate":
             raise ConfigError("--format csv is only for fp-rate")

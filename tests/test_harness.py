@@ -871,6 +871,34 @@ class TestCli:
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["verify", "--help"],
+            ["verify", "--seed-bits", "7", "-h"],
+            ["verify", "--seed-bits=7"],
+            ["verify", "--seed", "7"],
+            ["ver", "--seed-bits", "7"],
+            ["--seed-bits", "7", "verify"],
+            ["verify", "--seed-bits"],
+            ["verify", "--seed-bits", "7", "--seed-bits", "8"],
+            ["verify", "--unknown", "1"],
+            ["verify", "--elements", "1"],
+            ["verify", "--config", "-"],
+            ["verify", "--", "--seed-bits", "7"],
+            ["decode", "--state", "5:01011/5:00000", "--index", "-1"],
+            ["fp-rate", "--trials", "1e3"],
+            ["fp-rate", "--trials", ""],
+            ["verify", "--format", "xml"],
+            ["encode"],
+            ["decode", "--state", "5:01011/5:00000"],
+        ],
+    )
+    def test_quick_reader_leaves_other_lines_to_argparse(self, argv):
+        assert cli._quick_args(argv) is None
+
     def test_seed_bits_flag_out_of_range_exits_two(self):
         assert main(["verify", "--seed-bits", "30"]) == 2
 
@@ -1102,6 +1130,23 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "5000 digits" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    @pytest.mark.parametrize(
+        "data, words",
+        [(b"\xff\xfe{}", "is not UTF-8 text"), (b"[" * 100_000, "nests too deeply")],
+        ids=["not_utf8", "too_deep"],
+    )
+    def test_undecodable_or_too_deep_config_exits_two(
+        self, command, data, words, tmp_path, capsys
+    ):
+        # neither file can be written by json.dump, so the raw bytes are
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and words in err
         assert len(err.splitlines()) == 1
 
     def test_unprintable_bounds_entry_refused_before_any_output(
@@ -1521,9 +1566,9 @@ DEFAULT_CONFIGS = [
 
 
 class TestStartup:
-    """What a command's process loads: never OpenSSL, the operation
-    language and the demo only for demo-violations, and nothing new while
-    verify runs."""
+    """What a command's process loads: never OpenSSL, argparse not for a
+    plain line, the operation language and the demo only for
+    demo-violations, and nothing new while verify runs."""
 
     def test_no_command_loads_openssl(self, tmp_path):
         checks = [{"check": "counting", "u": 8, "n": 2, "fspace_bits": 5}]
@@ -1552,6 +1597,7 @@ class TestStartup:
                               timeout=60, check=True)
         before_demo, loaded = json.loads(done.stdout)
         assert "_hashlib" not in loaded and "hashlib" not in loaded
+        assert "argparse" not in loaded
         assert "filterbounds.sequences" not in before_demo
         assert "filterbounds.demo" not in before_demo
         assert "filterbounds.demo" in loaded
@@ -1714,3 +1760,39 @@ def test_cli_exit_code_contract_under_fuzzed_input(call):
     if code == 2:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
+
+
+# the words a command line is drawn from: every command and flag, and the
+# spellings and values that only argparse reads or refuses
+COMMANDS = ["fp-rate", "demo-violations", "verify", "bounds", "encode", "decode"]
+COMMON_FLAGS = ["--config", "--seed-bits", "--trials", "--out", "--format"]
+OWN_FLAGS = {"encode": ["--elements"], "decode": ["--state", "--index"]}
+ARGV_VALUES = ["--seed-bits=7", "--seed", "-h", "--help", "--", "-1", "1e3", "+5", "1_0",
+               "xml", "", "7", "json", "csv", "1,3", "5:01011/5:00000"]
+ARGV_WORDS = [*COMMANDS, *COMMON_FLAGS, *sum(OWN_FLAGS.values(), []), *ARGV_VALUES]
+
+
+@st.composite
+def argv_lines(draw):
+    """Any words at all, or a command followed by some of its own flags,
+    each with a value that is three times in four one argparse accepts."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=7))
+    command = draw(st.sampled_from(COMMANDS))
+    flags = draw(st.permutations([*COMMON_FLAGS, *OWN_FLAGS.get(command, [])]))
+    argv = [command]
+    for flag in flags[:draw(st.integers(0, len(flags)))]:
+        readable = ["json", "csv"] if flag == "--format" else ["7", "+5", "1_0", " 7 "]
+        values = ARGV_VALUES if draw(st.integers(0, 3)) == 0 else readable
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(argv_lines())
+def test_quick_reader_builds_the_namespace_argparse_builds(argv):
+    quick = cli._quick_args(argv)
+    if quick is not None:
+        parsed = cli._build_parser().parse_args(argv)  # exits on a line it refuses
+        assert vars(parsed) == vars(quick)
+        assert parsed.func is quick.func

@@ -273,7 +273,8 @@ def test_record_construction_checks_still_raise(build, error):
 def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     # every command is one short process, so the modules its import drags
     # in are paid on every run; dataclasses and inspect cost several
-    # milliseconds, hashlib loads OpenSSL, and only demo-violations runs the
+    # milliseconds, hashlib loads OpenSSL, argparse is loaded only for a line
+    # the quick reader leaves to it, and only demo-violations runs the
     # sequence algebra and the demo
     probe = (
         "import sys\n"
@@ -287,7 +288,7 @@ def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     )
     added = out.stdout.split()
     assert "filterbounds.cli" in added
-    for name in ("dataclasses", "inspect", "hashlib", "_hashlib",
+    for name in ("dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
                  "filterbounds.sequences", "filterbounds.demo"):
         assert name not in added
 

@@ -11,8 +11,11 @@ every command: verify at 7 and 16 seed bits and the negative control (its
 config written by PARENT's `perfbench/launch.py --setup certify`), fp-rate
 as JSON and CSV, encode of all 15 datasets of the default zoo at 6 bits and
 decode of what PARENT printed for each, demo-violations, a bounds config
-with one entry of each check, the seven help texts, and the refusals of
-encode and decode.
+with one entry of each check, the seven help texts, the refusals of encode
+and decode, the lines that only argparse reads (other spellings, repeated
+and unknown flags, values it refuses, help after a flag), and two config
+files json cannot read: bytes that are not UTF-8, and nesting past the
+recursion limit.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -61,9 +64,9 @@ def run(root: Path, argv: list[str]) -> tuple[str, str, int]:
 
 def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every case but the encodes and decodes of the 15 datasets."""
-    def config(name: str, data: dict) -> list[str]:
+    def config(name: str, data: dict | bytes) -> list[str]:
         path = tmp / f"{name}.json"
-        path.write_text(json.dumps(data))
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
         return ["--config", str(path)]
 
     setup = [sys.executable, "perfbench/launch.py", "--setup", "certify", str(tmp)]
@@ -91,6 +94,19 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
         ("decode leading zero", ["decode", "--state", "05:01011/5:00000", "--index", "0"]),
         ("encode alpha 1", ["encode", "--elements", "1,3", *config("alpha1", ALPHA1)]),
         ("decode alpha 1", ["decode", *STATE13, *config("alpha1", ALPHA1)]),
+    ]
+    listed += [
+        ("verify --seed-bits=7", ["verify", "--seed-bits=7"]),
+        ("verify --seed 7", ["verify", "--seed", "7"]),
+        ("repeated flag", ["verify", "--seed-bits", "3", "--seed-bits", "7"]),
+        ("decode index -1", ["decode", *STATE13[:3], "-1"]),
+        ("fp-rate trials 1e3", ["fp-rate", "--trials", "1e3"]),
+        ("verify format xml", ["verify", "--format", "xml"]),
+        ("encode no elements", ["encode"]),
+        ("help after a flag", ["verify", "--seed-bits", "7", "-h"]),
+        ("unknown flag", ["verify", "--unknown", "1"]),
+        ("config not UTF-8", ["verify", *config("not_utf8", b"\xff\xfe{}")]),
+        ("config too deep", ["bounds", *config("too_deep", b"[" * 100_000)]),
     ]
     noisy20 = ["--seed-bits", "16", *config("noisy20", NOISY20)]
     noisy20_alpha1 = ["--seed-bits", "16", *config("noisy20_alpha1", {**NOISY20, **ALPHA1})]
