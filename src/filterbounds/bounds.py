@@ -26,7 +26,8 @@ All three evaluate exact binomials, whose cost grows faster than their bit
 length.  Each first calls its price_* function, which refuses what the check
 refuses and raises ParamsOutOfRange when its estimate of the bits of the
 check's exact integers passes MAX_EXACT_BITS.  check_list_cost prices a list
-(verify's scaling grid, a bounds config) against GRID_CELL_BUDGET and GRID_BIT_BUDGET.
+(verify's scaling grid, a bounds config) against GRID_CELL_BUDGET, then entry
+by entry, in order, until the running sum of their bits passes GRID_BIT_BUDGET.
 """
 
 from __future__ import annotations
@@ -87,10 +88,13 @@ def _check_exact_cost(check: str, bits: int, budget: int = MAX_EXACT_BITS) -> in
 
 
 def check_list_cost(what: str, count: int, bits: Iterable[int], unit: str = "entries") -> None:
-    """Refuse count checks past GRID_CELL_BUDGET, then their bits, summed, past GRID_BIT_BUDGET."""
+    """Refuse count checks past GRID_CELL_BUDGET; then, taking bits in order,
+    refuse at the first that takes their running sum past GRID_BIT_BUDGET."""
     if count > GRID_CELL_BUDGET:
         raise ParamsOutOfRange(f"{what} of {count} {unit} exceeds budget {GRID_CELL_BUDGET}")
-    _check_exact_cost(what, sum(bits), GRID_BIT_BUDGET)
+    total = 0
+    for cost in bits:
+        total = _check_exact_cost(what, total + cost, GRID_BIT_BUDGET)
 
 
 def _refuse_unparsed(ints: Iterable[tuple], rationals: Iterable[tuple] = ()) -> None:
@@ -222,28 +226,24 @@ def check_binom_scaling(u: int, n: int, beta: Fraction) -> dict:
 
 def price_binom_scaling(u: int, n: int, beta: Fraction) -> int:
     """Refuse what check_binom_scaling refuses up front; return its estimated bits."""
-    bits = _scaling_bits(u, n, beta)
+    _refuse_unparsed([("u", u), ("n", n)], [("beta", beta)])
     if u < 1 or n < 1 or n > u:
         raise ParamsOutOfRange(f"need 1 <= n <= u, got u={u}, n={n}")
     if not 0 <= beta <= 1:
         raise ParamsOutOfRange(f"beta={beta} outside [0, 1]")
+    bits = _binom_bits(u, math.floor(beta * n)) + _binom_bits(u, n)
     return _check_exact_cost("binom_scaling", bits)
-
-
-def _scaling_bits(u: int, n: int, beta: Fraction) -> int:
-    _refuse_unparsed([("u", u), ("n", n)], [("beta", beta)])
-    return _binom_bits(u, math.floor(beta * n)) + _binom_bits(u, n)
 
 
 def check_binom_grid(
     us: Sequence[int], ns: Sequence[int], betas: Sequence[Fraction]
 ) -> dict:
     """check_binom_scaling at every cell of us x ns x betas: the cell count and
-    the failing cells.  The grid is priced, by its cells and their bits, before
-    its first cell is checked; checking a cell refuses its range and budget.
+    the failing cells.  Like a bounds config, the grid is priced by its cells,
+    then cell by cell with price_binom_scaling, before its first cell is checked.
     """
     cells = len(us) * len(ns) * len(betas)
-    bits = (_scaling_bits(*cell) for cell in product(us, ns, betas))
+    bits = (price_binom_scaling(*cell) for cell in product(us, ns, betas))
     check_list_cost("binom_scaling grid", cells, bits, "cells")
     results = (check_binom_scaling(*cell) for cell in product(us, ns, betas))
     return {"cells": cells, "failures": [r for r in results if not r["holds"]]}

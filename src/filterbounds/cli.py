@@ -216,25 +216,17 @@ def _quick_args(argv: Sequence[str]) -> SimpleNamespace | None:
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    def add_options(parser: argparse.ArgumentParser, options: tuple[_Option, ...]) -> None:
-        for opt in options:
-            parser.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
-                                choices=opt.choices, required=opt.required, help=opt.help)
-
     parser = argparse.ArgumentParser(
         prog="filterbounds",
         description="Membership filter experiments and bound verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each add_argument builds a help formatter, which asks for the terminal
-    # size; the subcommands copy these actions from one parent instead
-    common = argparse.ArgumentParser(add_help=False)
-    add_options(common, _COMMON)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.summary, parents=[common])
+        p = sub.add_parser(name, help=command.summary)
         p.set_defaults(func=command.func)
-        add_options(p, command.options)
+        for opt in (*_COMMON, *command.options):
+            p.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
+                           choices=opt.choices, required=opt.required, help=opt.help)
     return parser
 
 

@@ -297,7 +297,7 @@ _BOUNDS_CHECKS = {
 
 def run_bounds(data: Any) -> dict:
     """The report bounds prints: data's bounds_checks, each read, then priced
-    alone and as a list (bounds.check_list_cost), then checked, in order."""
+    in order, alone and by running sum (bounds.check_list_cost), then checked."""
     entry = _list_of(lambda obj: _kind_fields(obj, "bounds check", "check", _BOUNDS_CHECKS))
     entries = _read_fields(data, "bounds config", {"bounds_checks": entry}).get("bounds_checks")
     if not entries:
@@ -355,11 +355,22 @@ def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> Experim
     """Overlay a parsed config file onto a command's defaults."""
     fields = _read_fields(data, "config", {key: p for key, (p, _) in _CONFIG_FIELDS.items()})
     cfg = ExperimentConfig(**{**_config_kwargs(base), **fields})
-    if not 0 <= cfg.seed_bits <= MAX_SEED_BITS:
-        raise ConfigError(f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be at least 1")
+    _refuse_sizes(cfg.seed_bits, cfg.trials)
     return cfg
+
+
+def _refuse_sizes(seed_bits: int = 0, trials: int = 1) -> None:
+    # the runners call this too, for a config built in code, not read
+    if not 0 <= seed_bits <= MAX_SEED_BITS:
+        raise ConfigError(f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
+
+
+def seed_list(bits: int) -> list[Seed]:
+    """Every seed of seed_space(bits), built once bits lies in [0, MAX_SEED_BITS]."""
+    _refuse_sizes(seed_bits=bits)
+    return list(seed_space(bits))
 
 
 def _config_kwargs(cfg: ExperimentConfig) -> dict:
@@ -419,6 +430,7 @@ def run_fp_experiment(cfg: ExperimentConfig) -> dict:
     requires the measured rate to sit within three binomial standard
     deviations above eps_plus and the member queries to all answer 1.
     """
+    _refuse_sizes(trials=cfg.trials)
     if not cfg.models:
         raise ConfigError("fp experiment needs a model spec")
     model = cfg.models[0].build()
@@ -567,7 +579,7 @@ def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequenc
             # required count, (1 - 1/alpha) * C(u, n) with no failed pairs,
             # no report can print
             check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
-    seeds = list(seed_space(cfg.seed_bits))
+    seeds = seed_list(cfg.seed_bits)
     sweeps = []
     for base in bases:
         model = witness_transform(base)

@@ -179,8 +179,9 @@ def check_reduction(
     false-negative seed fraction over (dataset, member) cells, the widest
     pair against twice the widest component state, and the failed-pair
     fraction.  The false-negative events are cross-checked against the
-    base model's wrong yeses at the delete snapshot, which they must equal
-    cell by cell when the seed space is fully enumerated.
+    model's own wrong yeses at the delete snapshot (for a witness model, the
+    witness answers, not its base's), which they must equal cell by cell
+    when the seed space is fully enumerated.
     """
     u, n = model.params.u, model.params.n
     seed_count = sum(weight for _, weight in classes)

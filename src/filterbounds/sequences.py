@@ -208,6 +208,20 @@ class RewriteResult(_Record):
     __slots__ = ("seq", "index_map")
 
 
+def _prefix_each(
+    seq: OpSequence, kind: OpKind, prefix: OpKind, params: UniverseParams
+) -> RewriteResult:
+    # each op of kind, on x, becomes prefix(x); op(x), validated against params
+    new_ops: list[Operation] = []
+    index_map = []
+    for op in seq.ops:
+        if op.kind is kind:
+            new_ops.append(Operation(prefix, op.arg))
+        new_ops.append(op)
+        index_map.append(len(new_ops) - 1)
+    return RewriteResult(validate_sequence(new_ops, params), tuple(index_map))
+
+
 def rewrite_dup_to_del(seq: OpSequence) -> RewriteResult:
     """Replace potential duplicate insertions by delete-then-insert pairs.
 
@@ -217,16 +231,7 @@ def rewrite_dup_to_del(seq: OpSequence) -> RewriteResult:
     The output is valid for the same (u, n) and its trace agrees with the
     original at every image index.
     """
-    new_ops: list[Operation] = []
-    index_map = []
-    for op in seq.ops:
-        if op.kind is OpKind.INS:
-            new_ops.append(Operation(OpKind.DEL, op.arg))
-        new_ops.append(op)
-        index_map.append(len(new_ops) - 1)
-    return RewriteResult(
-        validate_sequence(new_ops, seq.params), tuple(index_map)
-    )
+    return _prefix_each(seq, OpKind.INS, OpKind.DEL, seq.params)
 
 
 def rewrite_del_to_dup(seq: OpSequence) -> RewriteResult:
@@ -238,15 +243,8 @@ def rewrite_del_to_dup(seq: OpSequence) -> RewriteResult:
     extra element for a moment, so the output is validated against bound
     n + 1 and carries that bound in its params.
     """
-    new_ops: list[Operation] = []
-    index_map = []
-    for op in seq.ops:
-        if op.kind is OpKind.DEL:
-            new_ops.append(Operation(OpKind.INS, op.arg))
-        new_ops.append(op)
-        index_map.append(len(new_ops) - 1)
     relaxed = UniverseParams(seq.params.u, seq.params.n + 1)
-    return RewriteResult(validate_sequence(new_ops, relaxed), tuple(index_map))
+    return _prefix_each(seq, OpKind.DEL, OpKind.INS, relaxed)
 
 
 _HEADER_RE = re.compile(r"^u=(\d+)\s+n=(\d+)$")

@@ -84,11 +84,7 @@ def state_after(
 
     May return the fail state if the model overflows along the way.
     """
-    state = model.fresh_state(seed)
-    for x in sorted(insert_elems):
-        if state.fail:
-            return state
-        state = model.insert_state(seed, state, x)
+    [state] = insert_snapshots(model, seed, [tuple(sorted(insert_elems))])
     return delete_run(model, seed, state, sorted(delete_elems))
 
 
@@ -107,7 +103,7 @@ def delete_run(
 def insert_snapshots(
     model: FilterModel, seed: Seed, datasets: Sequence[tuple[int, ...]]
 ) -> list[FilterState]:
-    """state_after(model, seed, ds) for each ascending tuple ds, in order.
+    """The state after init and inserting each ascending tuple ds, in order.
 
     A walk over ascending subsets: a dataset steps only past the prefix it
     shares with the one before, so in combinations order each subset of
@@ -220,7 +216,7 @@ def check_sticky(
             f"dataset size {len(elems)} != capacity {model.params.n}"
         )
     full = state_after(model, seed, elems)
-    emptied = state_after(model, seed, elems, elems)
+    emptied = delete_run(model, seed, full, elems)
     if full.fail or emptied.fail:
         raise FailStateError("run reached the fail state")
     surplus = yes_set(model, seed, full) - set(elems)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterbounds import cli, filters, harness
+from filterbounds import bounds, cli, filters, harness
 from filterbounds.bounds import (
     BoundsParams,
     DatasetCode,
@@ -713,6 +713,28 @@ def decode_an_index_out_of_range():
     decode_dataset(static, params, seed, DatasetCode(good.state, 99))
 
 
+SEED_BITS = "seed_bits must lie in [0, 16] for exhaustive commands"
+# a library caller that builds its config in code and runs one runner on it
+RUNNER_CHILD = """
+import sys
+from filterbounds.core import ConfigError
+from filterbounds.demo import default_demo_config, run_violation_demo
+from filterbounds.harness import (
+    ExperimentConfig, _config_kwargs, default_fp_config, default_verify_config,
+    run_decode, run_encode, run_fp_experiment, run_verification_suite,
+)
+
+def built(cfg, **change):
+    return ExperimentConfig(**{{**_config_kwargs(cfg), **change}})
+
+try:
+    {call}
+except ConfigError as exc:
+    print(exc)
+    sys.exit(2)
+"""
+
+
 class TestRefusals:
     """Every input the commands refuse is a ConfigError, so a ValueError."""
 
@@ -737,6 +759,31 @@ class TestRefusals:
         for caught in (error, ConfigError, ValueError):
             with pytest.raises(caught):
                 refuse()
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            ("run_verification_suite(built(default_verify_config(), seed_bits=40))", SEED_BITS),
+            ("run_violation_demo(built(default_demo_config(), seed_bits=40))", SEED_BITS),
+            ("run_encode(built(default_verify_config(), seed_bits=40), [1, 3])", SEED_BITS),
+            ("run_decode(built(default_verify_config(), seed_bits=40), '5:01011/5:00000', 0)",
+             SEED_BITS),
+            ("run_verification_suite(built(default_verify_config(), seed_bits=-1))", SEED_BITS),
+            ("run_fp_experiment(built(default_fp_config(), trials=0))",
+             "trials must be at least 1"),
+        ],
+        ids=["verify", "demo", "encode", "decode", "negative_seed_bits", "no_trials"],
+    )
+    def test_a_runner_refuses_a_config_built_in_code_at_once(self, call, error):
+        # config_from_dict is not the only way in: 2**40 seeds would fill any
+        # memory, and 0 trials divided by zero
+        script = RUNNER_CHILD.format(call=call)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=10, preexec_fn=one_gib)
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stdout) == (2, error + "\n"), done.stderr[-500:]
+        assert elapsed < 1, elapsed
 
 
 class TestCli:
@@ -1372,8 +1419,14 @@ class TestCli:
             ([{"check": "space", "u": 3, "n": 2}]
              + [{"check": "binom_scaling", "u": 65536, "n": 32768, "beta": "1"}] * 5,
              "bad bounds check entry {'u': 3, 'n': 2}: u=3 below 2n=4"),
+            # entries are priced in order: the fifth passes the running sum
+            # before the refused entry after it is read
+            ([{"check": "binom_scaling", "u": 65536, "n": 32768, "beta": "1"}] * 5
+             + [{"check": "space", "u": 3, "n": 2}],
+             "bounds config needs exact integers past the budget of 524288 bits"),
         ],
-        ids=["bits", "entries", "entry_over_its_budget", "refused_entry"],
+        ids=["bits", "entries", "entry_over_its_budget", "refused_entry",
+             "running_sum_before_a_refused_entry"],
     )
     def test_bounds_list_is_priced_before_its_first_check(
         self, entries, error, monkeypatch
@@ -1388,6 +1441,23 @@ class TestCli:
         with pytest.raises(ConfigError) as refused:
             run_bounds({"bounds_checks": entries})
         assert str(refused.value) == error
+
+    def test_scaling_grid_is_priced_cell_by_cell(self, tmp_path, monkeypatch, capsys):
+        # the grid follows the bounds rule: its second cell is refused alone,
+        # within the running sum's budget, before any cell is checked
+        def never(*args):
+            raise AssertionError("a cell was checked or a model swept before the grid was priced")
+
+        monkeypatch.setattr(bounds, "check_binom_scaling", never)
+        monkeypatch.setattr(harness, "check_reduction", never)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"grid": {"u": [65536, 1000000], "n": [32768], "beta": ["1"]}}
+        ))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: binom_scaling needs exact integers past the budget of 131072 bits\n"
+        )
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):
         # one pass per seed class makes the widest admitted seed space cheap

@@ -11,7 +11,8 @@ every command: verify at 7 and 16 seed bits and the negative control (its
 config written by PARENT's `perfbench/launch.py --setup certify`), fp-rate
 as JSON and CSV, encode of all 15 datasets of the default zoo at 6 bits and
 decode of what PARENT printed for each, demo-violations, a bounds config
-with one entry of each check, the seven help texts, the refusals of encode
+with one entry of each check, a bounds list and a verify grid priced past
+their bit budgets, the seven help texts, the refusals of encode
 and decode, the lines that only argparse reads (other spellings, repeated
 and unknown flags, values it refuses, help after a flag), and two config
 files json cannot read: bytes that are not UTF-8, and nesting past the
@@ -43,6 +44,14 @@ MIXED_BOUNDS = {
         {"check": "space", "kind": "dynamic", "u": 16, "n": 4},
     ]
 }
+# the fifth entry takes the running sum past the list's bit budget, before
+# the refused entry after it is read
+BOUNDS_PAST_THE_SUM = {
+    "bounds_checks": [{"check": "binom_scaling", "u": 65536, "n": 32768, "beta": "1"}] * 5
+    + [{"check": "space", "u": 3, "n": 2}]
+}
+# the second cell is over its own bit budget, and the grid's sum would be too
+GRID_CELL_PAST_BUDGET = {"grid": {"u": [65536, 1000000], "n": [32768], "beta": ["1"]}}
 # a model whose sweep at 16 seed bits takes seconds: 20 seed classes x
 # C(20, 5) datasets x 5 steps
 NOISY20 = {"models": [{"kind": "noisy_exact", "u": 20, "n": 5, "eps_plus": "1/20", "noise_m": 1}]}
@@ -83,6 +92,8 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
         ("demo 8 bits", ["demo-violations", "--seed-bits", "8"]),
         ("demo 16 bits", ["demo-violations", "--seed-bits", "16"]),
         ("bounds", ["bounds", *config("bounds", MIXED_BOUNDS)]),
+        ("bounds past the sum", ["bounds", *config("bounds_sum", BOUNDS_PAST_THE_SUM)]),
+        ("grid cell past its budget", ["verify", *config("grid", GRID_CELL_PAST_BUDGET)]),
         ("help", ["--help"]),
     ]
     for command in ("fp-rate", "demo-violations", "verify", "bounds", "encode", "decode"):
