@@ -10,8 +10,9 @@ injective dataset coding in bounds, the experiment harness in harness, the
 violation demo in demo, and the CLI in cli.
 
 Importing the package loads none of these modules and re-exports nothing:
-each name is imported from the module that defines it, so a command that
-imports only filterbounds.cli compiles only the modules it runs.
+each name is imported from the module that defines it.  Every command
+imports harness, and so compiles witness, reduction and bounds when no
+bytecode is cached, though fp-rate runs none of them.
 """
 
 __version__ = "0.1.0"

@@ -8,17 +8,18 @@ The package's value types are plain records built on _Record.  A record
 lists its fields once, in __slots__, and the defaults of its trailing
 fields once, in the class keyword defaults={name: value}; every record
 shares a default, so each is an immutable value.  The base's __init__
-binds positional and then keyword arguments to the fields in order and
-raises TypeError for a missing, unknown, repeated or surplus argument;
-records that validate their arguments keep an explicit __init__ of their
-own.  The base derives ==, hash and repr from __slots__ in the dataclass
-manner: equality holds only between records of one class with equal
-fields, the hash is that of the tuple of fields, and repr reads
-Name(field=value, ...); copy and pickle rebuild a record through its
-__init__.  Every record is frozen, its fields written once by __init__;
-hidden= names fields that repr leaves out.  Records are built this way
-rather than with dataclasses, and the binder is a plain loop with no
-exec, code generation or inspect, because every command is one short
+binds positional and then keyword arguments to the fields in order, raises
+TypeError for a missing, unknown, repeated or surplus argument, then calls
+the record's _check, if it has one, which refuses a bad field or rewrites
+it as its parsed value; other records that validate their arguments keep an
+explicit __init__ of their own.  The base derives ==, hash and repr from
+__slots__ in the dataclass manner: equality holds only between records of
+one class with equal fields, the hash is that of the tuple of fields, and
+repr reads Name(field=value, ...); copy and pickle rebuild a record
+through its __init__.  Every record is frozen, its fields written only by
+__init__; hidden= names fields that repr leaves out.  Records are built
+this way rather than with dataclasses, and the binder is a plain loop with
+no exec, code generation or inspect, because every command is one short
 process, and importing dataclasses and generating its methods would cost
 each command more start-up than most of them spend on work.
 """
@@ -37,6 +38,7 @@ class _Record:
     """Base of the package's records; see the module docstring."""
 
     __slots__ = ()
+    _check = None
 
     def __init_subclass__(cls, hidden: tuple[str, ...] = (), defaults: dict | None = None) -> None:
         super().__init_subclass__()
@@ -64,6 +66,8 @@ class _Record:
             else:
                 raise TypeError(f"{title}() missing required argument {name!r}")
             _set(self, name, value)
+        if self._check is not None:
+            self._check()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -99,10 +103,11 @@ class UniverseParams(_Record):
     __slots__ = ("u", "n")
 
     def __init__(self, u: int, n: int) -> None:
-        if u < 1:
-            raise ConfigError(f"universe size must be >= 1, got {u}")
-        if n < 1:
-            raise ConfigError(f"cardinality bound must be >= 1, got {n}")
+        for what, value in (("universe size", u), ("cardinality bound", n)):
+            if type(value) is not int:  # a bool is an int to Python
+                raise ConfigError(f"{what} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{what} must be >= 1, got {value}")
         _set(self, "u", u)
         _set(self, "n", n)
 

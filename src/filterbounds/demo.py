@@ -11,12 +11,8 @@ from fractions import Fraction
 
 from .combinat import frac_str
 from .core import ConfigError
-from .filters import (
-    FilterModel,
-    FingerprintMultisetModel,
-    seed_classes,
-)
-from .harness import ExperimentConfig, ModelSpec, seed_list
+from .filters import FilterModel, FingerprintMultisetModel, seed_classes, seed_space
+from .harness import ExperimentConfig, ModelSpec
 from .sequences import OpSequence, format_sequence, parse_sequence, run_sequence
 
 
@@ -67,7 +63,7 @@ def run_violation_demo(cfg: ExperimentConfig) -> dict:
         raise ConfigError("the first two collision table entries must collide")
     seqs = _demo_sequences(model.params.u, model.params.n, x, y)
     control = ModelSpec("exact_set", spec.u, spec.n, Fraction(0)).build()
-    seeds = seed_list(cfg.seed_bits)
+    seeds = list(seed_space(cfg.seed_bits))
 
     def events(m: FilterModel) -> tuple[int, int]:
         # seeds whose false-negative run ends in 0 and false-positive run in 1

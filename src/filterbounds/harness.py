@@ -46,7 +46,7 @@ from .bounds import (
     space_lower_bound,
 )
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
-from .core import ConfigError, UniverseParams, _Record
+from .core import ConfigError, UniverseParams, _Record, _set
 from .filters import (
     ExactSetModel,
     FilterModel,
@@ -172,6 +172,12 @@ def _kind_fields(obj: Any, what: str, tag: str, tables: Mapping[str, tuple]) -> 
     return _read_fields(obj, f"{kind} {what}", {tag: str, **parsers}, required)
 
 
+def _reread(record: _Record, names: Sequence[str], read: Callable, *how: Any) -> None:
+    # a record's _check: its named fields, read as JSON is, keep what read returns
+    for key, value in read({key: getattr(record, key) for key in names}, *how).items():
+        _set(record, key, value)
+
+
 def _config_json(value: Any) -> Any:
     """The JSON form of a config value, the one writer of every config object.
 
@@ -229,6 +235,11 @@ class ModelSpec(_Record, defaults=_OWN_DEFAULTS):
     __slots__ = ("kind", *_SHAPE, *_OWN_DEFAULTS)
     _omitted = tuple(_OWN_DEFAULTS)
 
+    def _check(self) -> None:
+        # the kind, its shape and its own keys; build ignores other kinds' keys
+        own = _MODEL_PARSERS[self.kind][0] if self.kind in list(_MODEL_PARSERS) else ()
+        _reread(self, ("kind", *own), _kind_fields, "model spec", "kind", _MODEL_PARSERS)
+
     def build(self) -> FilterModel:
         if self.n > self.u:
             raise ConfigError(f"bad model spec: n={self.n} exceeds u={self.u}")
@@ -242,7 +253,9 @@ class ModelSpec(_Record, defaults=_OWN_DEFAULTS):
     to_dict = _config_json
 
 
-def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
+def model_spec_from_dict(data: Mapping[str, Any] | ModelSpec) -> ModelSpec:
+    if isinstance(data, ModelSpec):
+        return data  # checked when it was built
     fields = _kind_fields(data, "model spec", "kind", _MODEL_PARSERS)
     return ModelSpec(**{"eps_plus": Fraction(0), **fields})
 
@@ -253,12 +266,11 @@ _GRID_FIELDS = {"u": _list_of(_integer), "n": _list_of(_integer), "beta": _list_
 class GridSpec(_Record):
     __slots__ = tuple(_GRID_FIELDS)
 
+    def _check(self) -> None:
+        _reread(self, self.__slots__, _read_fields, "config grid", _GRID_FIELDS)
 
-DEFAULT_GRID = GridSpec(
-    (16, 32, 64, 128),
-    (4, 8, 16),
-    (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)),
-)
+
+DEFAULT_GRID = GridSpec((16, 32, 64, 128), (4, 8, 16), ("1/4", "1/2", "3/4", "1"))
 
 # a capacity-3-bit toy instance that must violate the counting bound
 DEFAULT_NEGATIVE_PROBE = {"fspace_bits": 3, "u": 8, "n": 2, "alpha": "2"}
@@ -315,6 +327,8 @@ def _entry(function: Callable, fields: dict) -> Any:
 
 
 def _grid(value: Any) -> GridSpec:
+    if isinstance(value, GridSpec):
+        return value  # checked when it was built
     return GridSpec(**_read_fields(value, "", _GRID_FIELDS, GridSpec.__slots__))
 
 
@@ -334,11 +348,22 @@ _CONFIG_FIELDS = {
     "grid": (_grid, DEFAULT_GRID),
     "negative_probe": (_optional(_probe), None),
 }
+_CONFIG_PARSERS = {key: parse for key, (parse, _) in _CONFIG_FIELDS.items()}
+# the widest seed space check_enumeration_budget admits
+MAX_SEED_BITS = SEED_BUDGET.bit_length() - 1
 
 
 class ExperimentConfig(_Record, defaults={key: d for key, (_, d) in _CONFIG_FIELDS.items()}):
     __slots__ = tuple(_CONFIG_FIELDS)
     _omitted = ("negative_probe",)
+
+    def _check(self) -> None:
+        _reread(self, self.__slots__, _read_fields, "config", _CONFIG_PARSERS)
+        if not 0 <= self.seed_bits <= MAX_SEED_BITS:
+            raise ConfigError(
+                f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1")
 
     resolved_dict = _config_json
 
@@ -347,30 +372,10 @@ class ExperimentConfig(_Record, defaults={key: d for key, (_, d) in _CONFIG_FIEL
         return sha256(canonical.encode()).hexdigest()[:16]
 
 
-# the widest seed space check_enumeration_budget admits
-MAX_SEED_BITS = SEED_BUDGET.bit_length() - 1
-
-
 def config_from_dict(data: Mapping[str, Any], base: ExperimentConfig) -> ExperimentConfig:
     """Overlay a parsed config file onto a command's defaults."""
-    fields = _read_fields(data, "config", {key: p for key, (p, _) in _CONFIG_FIELDS.items()})
-    cfg = ExperimentConfig(**{**_config_kwargs(base), **fields})
-    _refuse_sizes(cfg.seed_bits, cfg.trials)
-    return cfg
-
-
-def _refuse_sizes(seed_bits: int = 0, trials: int = 1) -> None:
-    # the runners call this too, for a config built in code, not read
-    if not 0 <= seed_bits <= MAX_SEED_BITS:
-        raise ConfigError(f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-
-
-def seed_list(bits: int) -> list[Seed]:
-    """Every seed of seed_space(bits), built once bits lies in [0, MAX_SEED_BITS]."""
-    _refuse_sizes(seed_bits=bits)
-    return list(seed_space(bits))
+    fields = _read_fields(data, "config", _CONFIG_PARSERS)
+    return ExperimentConfig(**{**_config_kwargs(base), **fields})
 
 
 def _config_kwargs(cfg: ExperimentConfig) -> dict:
@@ -391,20 +396,13 @@ def default_verify_config() -> ExperimentConfig:
 def negative_control_config() -> ExperimentConfig:
     """The broken model passed off as correct; the suite must reject it."""
     cfg = default_verify_config()
-    return ExperimentConfig(
-        **{
-            **_config_kwargs(cfg),
-            "models": cfg.models
-            + (ModelSpec("fingerprint_multiset", 6, 2, Fraction(1, 2)),),
-        }
-    )
+    broken = ModelSpec("fingerprint_multiset", 6, 2, Fraction(1, 2))
+    return ExperimentConfig(**{**_config_kwargs(cfg), "models": (*cfg.models, broken)})
 
 
 def default_fp_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        models=(ModelSpec("fingerprint_multiset", 1 << 16, 16, Fraction(1, 8)),),
-        trials=100_000,
-    )
+    model = ModelSpec("fingerprint_multiset", 1 << 16, 16, Fraction(1, 8))
+    return ExperimentConfig(models=(model,))
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -430,7 +428,6 @@ def run_fp_experiment(cfg: ExperimentConfig) -> dict:
     requires the measured rate to sit within three binomial standard
     deviations above eps_plus and the member queries to all answer 1.
     """
-    _refuse_sizes(trials=cfg.trials)
     if not cfg.models:
         raise ConfigError("fp experiment needs a model spec")
     model = cfg.models[0].build()
@@ -579,7 +576,7 @@ def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequenc
             # required count, (1 - 1/alpha) * C(u, n) with no failed pairs,
             # no report can print
             check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
-    seeds = seed_list(cfg.seed_bits)
+    seeds = list(seed_space(cfg.seed_bits))
     sweeps = []
     for base in bases:
         model = witness_transform(base)
@@ -627,10 +624,8 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
 
 
 def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
-    probe = None
-    if cfg.negative_probe is not None:
-        fields = _read_fields(cfg.negative_probe, "negative_probe", *_COUNTING)
-        probe = _counting(check_counting_bound)(**fields)
+    probe = cfg.negative_probe and _counting(check_counting_bound)(
+        **_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
     grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
     checks = []
     for model, classes in _presweep(cfg, cfg.models, (cfg.best_seed_alpha, *cfg.alphas)):

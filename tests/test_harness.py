@@ -254,6 +254,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"grid": {"u": [8]}}, default_verify_config())
 
+    def test_a_config_built_in_code_reads_its_fields_as_json_does(self):
+        # the same values, read from a JSON object or given to the records
+        data = {"seed_bits": 7, "alphas": ["3/2", 2], "best_seed_alpha": "5/2",
+                "models": [{"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6",
+                            "noise_m": 1}],
+                "grid": {"u": [16], "n": [4], "beta": ["1/2", 1]}}
+        read = config_from_dict(data, ExperimentConfig())
+        built = ExperimentConfig(**{**data, "grid": GridSpec(**data["grid"])})
+        assert built == read and built.config_hash() == read.config_hash()
+        assert built.models == (ModelSpec("noisy_exact", 6, 2, "1/6", noise_m=1),)
+        assert built.alphas == (Fraction(3, 2), Fraction(2))
+        for bad, text in [({"trials": 0}, "trials must be at least 1"),
+                          ({"grid": {"u": [2.5], "n": [4], "beta": [1]}},
+                           "config grid u[0]: must be an integer"),
+                          ({"seed_bits": "7"}, "config seed_bits: must be an integer")]:
+            for build in (lambda: config_from_dict(bad, ExperimentConfig()),
+                          lambda: ExperimentConfig(**bad)):
+                with pytest.raises(ConfigError) as caught:
+                    build()
+                assert str(caught.value).startswith(text)
+
     def test_hash_deterministic_and_sensitive(self):
         base = default_verify_config()
         assert base.config_hash() == default_verify_config().config_hash()
@@ -720,7 +741,7 @@ import sys
 from filterbounds.core import ConfigError
 from filterbounds.demo import default_demo_config, run_violation_demo
 from filterbounds.harness import (
-    ExperimentConfig, _config_kwargs, default_fp_config, default_verify_config,
+    ExperimentConfig, ModelSpec, _config_kwargs, default_fp_config, default_verify_config,
     run_decode, run_encode, run_fp_experiment, run_verification_suite,
 )
 
@@ -751,9 +772,14 @@ class TestRefusals:
             (lambda: ExactSetModel(UniverseParams(8, 2), Fraction(2)), InvalidParams),
             (lambda: find_best_seed(PairedStaticFilter(ExactSetModel(UniverseParams(6, 2))),
                                     BoundsParams(6, 2), []), ConfigError),
+            (lambda: FingerprintMultisetModel(UniverseParams(6.0, 2), Fraction(1, 2)),
+             ConfigError),
+            (lambda: ExactSetModel(UniverseParams(6, 2.5)), ConfigError),
+            (lambda: UniverseParams(6, True), ConfigError),
         ],
         ids=["enumeration_budget", "counting_bound", "encode", "decode", "config",
-             "universe_params", "fingerprint_params", "exact_set_params", "no_seeds"],
+             "universe_params", "fingerprint_params", "exact_set_params", "no_seeds",
+             "float_universe", "float_cardinality", "bool_cardinality"],
     )
     def test_a_library_caller_catches_every_refusal_as_config_error(self, refuse, error):
         for caught in (error, ConfigError, ValueError):
@@ -771,8 +797,39 @@ class TestRefusals:
             ("run_verification_suite(built(default_verify_config(), seed_bits=-1))", SEED_BITS),
             ("run_fp_experiment(built(default_fp_config(), trials=0))",
              "trials must be at least 1"),
+            ("run_verification_suite(built(default_verify_config(), seed_bits=2.5))",
+             "config seed_bits: must be an integer, got 2.5"),
+            ("run_verification_suite(built(default_verify_config(), seed_bits=True))",
+             "config seed_bits: must be an integer, got True"),
+            ("run_fp_experiment(built(default_fp_config(), trials=2.5))",
+             "config trials: must be an integer, got 2.5"),
+            ("run_fp_experiment(built(default_fp_config(), trials='10'))",
+             "config trials: must be an integer, got '10'"),
+            ("run_fp_experiment(built(default_fp_config(), trials=True))",
+             "config trials: must be an integer, got True"),
+            ("run_verification_suite(built(default_verify_config(), models=(), seed_bits=40))",
+             SEED_BITS),
+            ("run_verification_suite(built(default_verify_config(),"
+             " models=(ModelSpec('bogus', 6, 2, 0),)))",
+             "model spec kind: must be one of ['exact_set', 'noisy_exact', "
+             "'fingerprint_multiset'], got 'bogus'"),
+            ("run_encode(built(default_verify_config(),"
+             " models=(ModelSpec('exact_set', 6, 2.5, 0),)), [1, 3])",
+             "exact_set model spec n: must be an integer, got 2.5"),
+            ("run_verification_suite(built(default_verify_config(),"
+             " models=(ModelSpec('exact_set', 6, 2, 'x'),)))",
+             "exact_set model spec eps_plus: bad rational literal 'x'"),
+            ("run_verification_suite(built(default_verify_config(), grid=None))",
+             "config grid must be an object, got None"),
+            ("run_verification_suite(built(default_verify_config(),"
+             " models=({'kind': 'exact_set', 'u': 6, 'n': 2, 'noise_m': 1},)))",
+             "config models[0]: exact_set model spec takes no ['noise_m']; "
+             "its keys are ['eps_plus', 'kind', 'n', 'u']"),
         ],
-        ids=["verify", "demo", "encode", "decode", "negative_seed_bits", "no_trials"],
+        ids=["verify", "demo", "encode", "decode", "negative_seed_bits", "no_trials",
+             "float_seed_bits", "bool_seed_bits", "float_trials", "string_trials",
+             "bool_trials", "empty_zoo_wide_seeds", "unknown_kind", "float_n", "bad_eps_plus",
+             "no_grid", "model_as_a_dict"],
     )
     def test_a_runner_refuses_a_config_built_in_code_at_once(self, call, error):
         # config_from_dict is not the only way in: 2**40 seeds would fill any

@@ -16,7 +16,8 @@ their bit budgets, the seven help texts, the refusals of encode
 and decode, the lines that only argparse reads (other spellings, repeated
 and unknown flags, values it refuses, help after a flag), and two config
 files json cannot read: bytes that are not UTF-8, and nesting past the
-recursion limit.
+recursion limit; and the refusals of a config's own fields: seed_bits past
+16 or not an integer, 0 trials, both at once, and an unknown model kind.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -58,6 +59,7 @@ NOISY20 = {"models": [{"kind": "noisy_exact", "u": 20, "n": 5, "eps_plus": "1/20
 # C(2**62, 2**61) datasets, past every budget
 FP62 = {"models": [{"kind": "fingerprint_multiset", "u": 1 << 62, "n": 1 << 61, "eps_plus": "1/2"}]}
 ALPHA1 = {"best_seed_alpha": "1"}
+BOGUS_KIND = {"models": [{"kind": "bogus", "u": 6, "n": 2}]}
 STATE13 = ["--state", "5:01011/5:00000", "--index", "0"]
 
 
@@ -118,6 +120,16 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
         ("unknown flag", ["verify", "--unknown", "1"]),
         ("config not UTF-8", ["verify", *config("not_utf8", b"\xff\xfe{}")]),
         ("config too deep", ["bounds", *config("too_deep", b"[" * 100_000)]),
+    ]
+    listed += [
+        ("verify seed bits 17", ["verify", "--seed-bits", "17"]),
+        ("fp-rate seed bits 17", ["fp-rate", "--seed-bits", "17"]),
+        ("fp-rate trials 0", ["fp-rate", "--trials", "0"]),
+        ("demo trials 0", ["demo-violations", "--trials", "0"]),
+        ("config seed bits 2.5", ["verify", *config("seed_bits_float", {"seed_bits": 2.5})]),
+        ("config seed bits 40, trials 0",
+         ["verify", *config("two_sizes", {"seed_bits": 40, "trials": 0})]),
+        ("config unknown kind", ["verify", *config("bogus", BOGUS_KIND)]),
     ]
     noisy20 = ["--seed-bits", "16", *config("noisy20", NOISY20)]
     noisy20_alpha1 = ["--seed-bits", "16", *config("noisy20_alpha1", {**NOISY20, **ALPHA1})]
