@@ -108,7 +108,9 @@ def _refuse_unparsed(ints: Iterable[tuple], rationals: Iterable[tuple] = ()) -> 
             raise ParamsOutOfRange(f"{name} must be an int or a Fraction, got {value!r}")
 
 
-class BoundsParams(_Record):
+class BoundsParams(
+    _Record, defaults={"eps_minus": Fraction(0), "p_fail": Fraction(0), "alpha": Fraction(2)}
+):
     """Parameter bundle shared by the bound evaluators.
 
     eps_minus is the false-negative probability bound, p_fail the failure
@@ -118,21 +120,11 @@ class BoundsParams(_Record):
 
     __slots__ = ("u", "n", "eps_minus", "p_fail", "alpha")
 
-    def __init__(
-        self,
-        u: int,
-        n: int,
-        eps_minus: Fraction = Fraction(0),
-        p_fail: Fraction = Fraction(0),
-        alpha: Fraction = Fraction(2),
-    ) -> None:
-        rationals = [("eps_minus", eps_minus), ("p_fail", p_fail), ("alpha", alpha)]
-        _refuse_unparsed([("u", u), ("n", n)], rationals)
-        _set(self, "u", u)
-        _set(self, "n", n)
-        _set(self, "eps_minus", Fraction(eps_minus))
-        _set(self, "p_fail", Fraction(p_fail))
-        _set(self, "alpha", Fraction(alpha))
+    def _check(self) -> None:
+        u, n, *rationals = zip(self.__slots__, self._values(self))
+        _refuse_unparsed([u, n], rationals)
+        for name, value in rationals:
+            _set(self, name, Fraction(value))
         if not 1 <= self.n <= self.u:
             raise ParamsOutOfRange(f"need 1 <= n <= u, got u={self.u}, n={self.n}")
         for name in ("eps_minus", "p_fail"):

@@ -236,9 +236,12 @@ class ModelSpec(_Record, defaults=_OWN_DEFAULTS):
     _omitted = tuple(_OWN_DEFAULTS)
 
     def _check(self) -> None:
-        # the kind, its shape and its own keys; build ignores other kinds' keys
-        own = _MODEL_PARSERS[self.kind][0] if self.kind in list(_MODEL_PARSERS) else ()
-        _reread(self, ("kind", *own), _kind_fields, "model spec", "kind", _MODEL_PARSERS)
+        # the kind, its shape and its own keys, and another kind's key away
+        # from its default, which the reader refuses as it does in JSON
+        own = _MODEL_PARSERS[self.kind][0] if self.kind in list(_MODEL_PARSERS) else {}
+        other = [key for key, default in _OWN_DEFAULTS.items()
+                 if key not in own and getattr(self, key) != default]
+        _reread(self, ("kind", *own, *other), _kind_fields, "model spec", "kind", _MODEL_PARSERS)
 
     def build(self) -> FilterModel:
         if self.n > self.u:
@@ -566,7 +569,8 @@ def _coding_check(static: PairedStaticFilter, params: BoundsParams, best: BestSe
 def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence = ()) -> list:
     """Each (witness model, its seed classes) to sweep, with every spec built,
     each alpha of alphas checked on every model, each sweep grouped and priced
-    and best_seed_alpha refused at or below 1 before the first sweep."""
+    on top of those before it, and best_seed_alpha refused at or below 1, all
+    before the first sweep."""
     if not specs:
         raise ConfigError("encode/decode need a model spec")  # verify reports an empty zoo
     bases = [spec.build() for spec in specs]
@@ -577,12 +581,13 @@ def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequenc
             # no report can print
             check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
     seeds = list(seed_space(cfg.seed_bits))
-    sweeps = []
+    sweeps, steps = [], 0
     for base in bases:
         model = witness_transform(base)
         classes = seed_classes(model, seeds)
-        check_enumeration_budget(base.params.u, base.params.n, len(seeds), len(classes))
-        BoundsParams(base.params.u, base.params.n, alpha=cfg.best_seed_alpha)  # refuses alpha <= 1
+        u, n = base.params.u, base.params.n
+        steps += len(classes) * check_enumeration_budget(u, n, len(seeds), len(classes), steps) * n
+        BoundsParams(u, n, alpha=cfg.best_seed_alpha)  # refuses alpha <= 1
         sweeps.append((model, classes))
     return sweeps
 
@@ -607,7 +612,7 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
     Followed by the negative probe (a capacity the counting bound must
     reject) and the binomial scaling grid.  Both are evaluated, every model
     built, every alpha checked and every sweep grouped into seed classes and
-    priced before the first sweep, so that bad input fails fast.  An empty
+    priced, the zoo's as a whole too, before the first sweep.  An empty
     zoo yields zero checks and one warning, which verify also prints on stderr.
     """
     empty_zoo = "no models configured; verification suite has nothing to check"

@@ -25,7 +25,7 @@ import re
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .core import UniverseParams, _mask_elems, _Record, _set
+from .core import UniverseParams, _mask_elems, _Record
 from .filters import FAIL_STATE, FilterModel, FilterState, Seed
 
 
@@ -36,19 +36,17 @@ class OpKind(Enum):
     QUERY = "query"
 
 
-class Operation(_Record):
+class Operation(_Record, defaults={"arg": None}):
     """One step of a sequence.  arg is present exactly when kind is not INIT."""
 
     __slots__ = ("kind", "arg")
 
-    def __init__(self, kind: OpKind, arg: int | None = None) -> None:
-        if kind is OpKind.INIT:
-            if arg is not None:
+    def _check(self) -> None:
+        if self.kind is OpKind.INIT:
+            if self.arg is not None:
                 raise ValueError("init carries no argument")
-        elif arg is None:
-            raise ValueError(f"{kind.value} requires an argument")
-        _set(self, "kind", kind)
-        _set(self, "arg", arg)
+        elif self.arg is None:
+            raise ValueError(f"{self.kind.value} requires an argument")
 
 
 class OpSequence(_Record):

@@ -39,9 +39,10 @@ MASK_BIT_BUDGET = 1 << 32
 
 
 def check_enumeration_budget(
-    u: int, n: int, seed_count: int = 0, class_count: int = 0
+    u: int, n: int, seed_count: int = 0, class_count: int = 0, spent: int = 0
 ) -> int:
-    """Refuse, before any model step, a sweep too large; return C(u, n).
+    """Refuse, before any model step, a sweep too large alone or on top of
+    the steps spent by a zoo's earlier sweeps; return C(u, n).
 
     C(u, n) is built as a running product that stops once it passes the
     budget, since at u=2**62 the full binomial takes longer to compute than
@@ -55,10 +56,11 @@ def check_enumeration_budget(
     if seed_count > SEED_BUDGET:
         raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
     steps = class_count * dataset_count * n
-    if steps > STEP_BUDGET:
+    if spent + steps > STEP_BUDGET:
+        before = f" and the zoo's {spent} before them" if spent else ""
         raise EnumerationTooLarge(
             f"{class_count} seed classes x {dataset_count} datasets x {n} "
-            f"steps = {steps} model steps exceed budget {STEP_BUDGET}"
+            f"steps = {steps} model steps{before} exceed budget {STEP_BUDGET}"
         )
     mask_bits = dataset_count * u
     if mask_bits > MASK_BIT_BUDGET:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterbounds.combinat import bounded_subset_count, iter_subsets_of_size
-from filterbounds.core import UniverseParams
+from filterbounds.core import ConfigError, UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
     ExactSetModel,
@@ -799,17 +799,24 @@ class TestCostAndHashLimits:
 
 class TestMakeModel:
     def test_kind_dispatch(self):
-        # every optional field away from its default; each kind takes only its own
+        # each kind's own keys away from their defaults; another kind's is refused
+        own = {
+            "exact_set": {},
+            "noisy_exact": {"noise_m": 3},
+            "fingerprint_multiset": {"fingerprint_bits": 4, "collision_table": ((1, 0), (2, 0))},
+        }
         models = {}
-        for kind, (model_class, *_) in _MODEL_FIELDS.items():
-            spec = ModelSpec(
-                kind, 8, 2, Fraction(1, 2),
-                noise_m=3, fingerprint_bits=4, collision_table=((1, 0), (2, 0)),
-            )
-            model = models[kind] = spec.build()
+        for kind, (model_class, fields) in _MODEL_FIELDS.items():
+            assert set(own[kind]) == set(fields)
+            model = models[kind] = ModelSpec(kind, 8, 2, Fraction(1, 2), **own[kind]).build()
             assert type(model) is model_class
             assert model.kind == kind
             assert model.describe().startswith(f"{kind}(")
+            for other in own.values():
+                for key, value in other.items():
+                    if key not in fields:
+                        with pytest.raises(ConfigError, match=rf"takes no \['{key}'\]"):
+                            ModelSpec(kind, 8, 2, Fraction(1, 2), **{key: value})
         assert models["noisy_exact"].noise_m == 3
         assert models["fingerprint_multiset"].fp_bits == 4
         assert models["fingerprint_multiset"].collision_table == {1: 0, 2: 0}

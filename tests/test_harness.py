@@ -702,6 +702,9 @@ LATE_STEP_ZOO = [
     {"kind": "exact_set", "u": 24, "n": 6},
     {"kind": "noisy_exact", "u": 24, "n": 6, "eps_plus": "1/6", "noise_m": 1},
 ]
+# 22 seed classes x C(22, 6) datasets x 6 = 9,848,916 steps at 16 seed bits,
+# just within STEP_BUDGET; it sweeps in about 15 s on 2 vCPUs
+NOISY22 = {"kind": "noisy_exact", "u": 22, "n": 6, "eps_plus": "1/22", "noise_m": 1}
 # a small model, then one with C(40, 6) datasets; encode reads only the first
 LATE_DATASET_ZOO = [
     {"kind": "exact_set", "u": 6, "n": 2},
@@ -776,10 +779,14 @@ class TestRefusals:
              ConfigError),
             (lambda: ExactSetModel(UniverseParams(6, 2.5)), ConfigError),
             (lambda: UniverseParams(6, True), ConfigError),
+            (lambda: ModelSpec("exact_set", 6, 2, Fraction(0), noise_m="x"), ConfigError),
+            (lambda: ModelSpec("noisy_exact", 6, 2, Fraction(1, 6), fingerprint_bits=4),
+             ConfigError),
         ],
         ids=["enumeration_budget", "counting_bound", "encode", "decode", "config",
              "universe_params", "fingerprint_params", "exact_set_params", "no_seeds",
-             "float_universe", "float_cardinality", "bool_cardinality"],
+             "float_universe", "float_cardinality", "bool_cardinality",
+             "another_kinds_noise_m", "another_kinds_fingerprint_bits"],
     )
     def test_a_library_caller_catches_every_refusal_as_config_error(self, refuse, error):
         for caught in (error, ConfigError, ValueError):
@@ -1406,6 +1413,28 @@ class TestCli:
             assert done.stderr.startswith("error:") and "mask bits" in done.stderr
             assert len(done.stderr.splitlines()) == 1
             assert elapsed < 1, (argv, elapsed)
+
+    @pytest.mark.parametrize(
+        "first",
+        [NOISY22, {"kind": "exact_set", "u": 22, "n": 6}],
+        ids=["two_noisy_exact", "exact_set_then_noisy_exact"],
+    )
+    def test_a_zoo_past_the_step_budget_together_exits_two_at_once(self, first, tmp_path):
+        # each model alone is within STEP_BUDGET at 16 seed bits, but not the
+        # zoo: two noisy_exact models swept for about 30 s
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"models": [first, NOISY22], "seed_bits": 16}))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "filterbounds", "verify", "--config", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=10,
+            preexec_fn=one_gib,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2, done.stderr[-500:]
+        assert done.stderr.startswith("error:") and "before them exceed budget" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert elapsed < 1, elapsed
 
     @pytest.mark.parametrize(
         "grid",

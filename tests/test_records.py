@@ -110,10 +110,11 @@ RECORDS = [
     ),
     (
         ModelSpec,
-        ("fingerprint_multiset", 8, 2, Fraction(1, 2), 1, 3, ((1, 0), (2, 0))),
+        # another kind's key, noise_m, stays at its default
+        ("fingerprint_multiset", 8, 2, Fraction(1, 2), 0, 3, ((1, 0), (2, 0))),
         {"noise_m": 0, "fingerprint_bits": None, "collision_table": None},
         "ModelSpec(kind='fingerprint_multiset', u=8, n=2, eps_plus=Fraction(1, 2), "
-        "noise_m=1, fingerprint_bits=3, collision_table=((1, 0), (2, 0)))",
+        "noise_m=0, fingerprint_bits=3, collision_table=((1, 0), (2, 0)))",
     ),
     (
         GridSpec,
@@ -211,7 +212,9 @@ def test_record_keeps_its_dataclass_behaviour(cls, values, defaults, text):
     assert repr(record) == text
 
 
-VALIDATING = {Operation, UniverseParams, Seed, FilterState, BoundsParams}
+# the records an fp-rate trial builds, which keep a hand-written __init__
+# because the binder costs about twice as much per record
+VALIDATING = {Seed, FilterState}
 
 
 def test_only_validating_records_write_their_own_init():

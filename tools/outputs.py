@@ -16,8 +16,10 @@ their bit budgets, the seven help texts, the refusals of encode
 and decode, the lines that only argparse reads (other spellings, repeated
 and unknown flags, values it refuses, help after a flag), and two config
 files json cannot read: bytes that are not UTF-8, and nesting past the
-recursion limit; and the refusals of a config's own fields: seed_bits past
-16 or not an integer, 0 trials, both at once, and an unknown model kind.
+recursion limit; the refusals of a config's own fields: seed_bits past
+16 or not an integer, 0 trials, both at once, and an unknown model kind;
+and verify at 16 seed bits on the two-model zoo at u=16, n=4 and at u=20,
+n=5, sweeps that the zoo-wide step budget still admits.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -59,6 +61,14 @@ NOISY20 = {"models": [{"kind": "noisy_exact", "u": 20, "n": 5, "eps_plus": "1/20
 # C(2**62, 2**61) datasets, past every budget
 FP62 = {"models": [{"kind": "fingerprint_multiset", "u": 1 << 62, "n": 1 << 61, "eps_plus": "1/2"}]}
 ALPHA1 = {"best_seed_alpha": "1"}
+
+
+def zoo(u: int, n: int) -> dict:
+    """exact_set, then noisy_exact with eps_plus 1/6 and noise_m 1, at u and n."""
+    noisy = {"kind": "noisy_exact", "u": u, "n": n, "eps_plus": "1/6", "noise_m": 1}
+    return {"models": [{"kind": "exact_set", "u": u, "n": n}, noisy]}
+
+
 BOGUS_KIND = {"models": [{"kind": "bogus", "u": 6, "n": 2}]}
 STATE13 = ["--state", "5:01011/5:00000", "--index", "0"]
 
@@ -130,6 +140,8 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
         ("config seed bits 40, trials 0",
          ["verify", *config("two_sizes", {"seed_bits": 40, "trials": 0})]),
         ("config unknown kind", ["verify", *config("bogus", BOGUS_KIND)]),
+        ("zoo u=16 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo16", zoo(16, 4))]),
+        ("zoo u=20 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo20", zoo(20, 5))]),
     ]
     noisy20 = ["--seed-bits", "16", *config("noisy20", NOISY20)]
     noisy20_alpha1 = ["--seed-bits", "16", *config("noisy20_alpha1", {**NOISY20, **ALPHA1})]
