@@ -28,6 +28,11 @@ refuses and raises ParamsOutOfRange when its estimate of the bits of the
 check's exact integers passes MAX_EXACT_BITS.  check_list_cost prices a list
 (verify's scaling grid, a bounds config) against GRID_CELL_BUDGET, then entry
 by entry, in order, until the running sum of their bits passes GRID_BIT_BUDGET.
+
+Every exhaustive sweep (verify's, encode's and decode's, a witness table,
+find_best_seed) is priced by check_enumeration_budget against DATASET_BUDGET,
+SEED_BUDGET, STEP_BUDGET and MASK_BIT_BUDGET, so every cost limit of the
+package lives in this module.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .combinat import (
 )
 from .core import ConfigError, _mask_elems, _Record, _set
 from .filters import Seed
-from .witness import check_enumeration_budget
 
 if TYPE_CHECKING:  # reduction imports this module
     from .reduction import PairedStaticFilter
@@ -73,6 +77,54 @@ MAX_EXACT_BITS = 1 << 17
 # take 0.1 s, and one at MAX_EXACT_BITS (u=65536, n=32768) 0.12 s
 GRID_CELL_BUDGET = 10**4
 GRID_BIT_BUDGET = 1 << 19
+
+
+class EnumerationTooLarge(ConfigError):
+    """An exhaustive enumeration would exceed the configured budget."""
+
+
+DATASET_BUDGET = 10**6
+SEED_BUDGET = 1 << 16
+# model steps a sweep may take, estimated as seed classes x C(u, n) x n; the
+# u=20, n=5 noisy_exact model at 16 seed bits takes 1.6 million in seconds
+STEP_BUDGET = 10**7
+# bits of the 1 << x member masks a sweep and a witness table hold, estimated
+# as C(u, n) x u; exact_set at u=40,000, n=1 holds 1.6e9 in 448 MB, and at
+# u=10**5 (1e10) it ran out of a 2 GB address space
+MASK_BIT_BUDGET = 1 << 32
+
+
+def check_enumeration_budget(
+    u: int, n: int, seed_count: int = 0, class_count: int = 0, spent: int = 0
+) -> int:
+    """Refuse, before any model step, a sweep too large alone or on top of
+    the steps spent by a zoo's earlier sweeps; return C(u, n).
+
+    C(u, n) is built as a running product that stops once it passes the
+    budget, since at u=2**62 the full binomial takes longer to compute than
+    any sweep and has more digits than an error line can print.
+    """
+    dataset_count = int(0 <= n <= u)
+    for i in range(min(n, u - n)):
+        dataset_count = dataset_count * (u - i) // (i + 1)
+        if dataset_count > DATASET_BUDGET:
+            raise EnumerationTooLarge(f"C({u}, {n}) datasets exceed budget {DATASET_BUDGET}")
+    if seed_count > SEED_BUDGET:
+        raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
+    steps = class_count * dataset_count * n
+    if spent + steps > STEP_BUDGET:
+        before = f" and the zoo's {spent} before them" if spent else ""
+        raise EnumerationTooLarge(
+            f"{class_count} seed classes x {dataset_count} datasets x {n} "
+            f"steps = {steps} model steps{before} exceed budget {STEP_BUDGET}"
+        )
+    mask_bits = dataset_count * u
+    if mask_bits > MASK_BIT_BUDGET:
+        raise EnumerationTooLarge(
+            f"{dataset_count} datasets x {u}-bit masks = {mask_bits} mask bits "
+            f"exceed budget {MASK_BIT_BUDGET}"
+        )
+    return dataset_count
 
 
 def _binom_bits(u: int, k: int) -> int:

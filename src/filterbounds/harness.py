@@ -11,7 +11,10 @@ seeds, so the adversary stays oblivious.  Exhaustive runs enumerate a
 small seed space in full and use rational arithmetic throughout.
 
 Every command imports this module, so it holds only what they share and
-the runners of fp-rate, verify, bounds, encode and decode.  The
+the runners of fp-rate, verify, bounds, encode and decode.  The sweep of
+verify, encode and decode and the checks read off its report are in
+filterbounds.reduction, which those runners import when they run, so
+fp-rate and bounds load neither it nor witness.  The
 demo-violations runner and its default config are in filterbounds.demo,
 which cli imports only for that command.
 """
@@ -27,12 +30,12 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .bounds import (
-    BestSeed,
+    DATASET_BUDGET,
+    SEED_BUDGET,
     BoundsParams,
     DatasetCode,
     InvalidCode,
     NotGoodPair,
-    _printed,
     check_binom_grid,
     check_binom_scaling,
     check_counting_bound,
@@ -45,24 +48,9 @@ from .bounds import (
     price_space_bound,
     space_lower_bound,
 )
-from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
+from .combinat import frac_str
 from .core import ConfigError, UniverseParams, _Record, _set
-from .filters import (
-    ExactSetModel,
-    FilterModel,
-    FingerprintMultisetModel,
-    NoisyExactModel,
-    Seed,
-    seed_classes,
-    seed_space,
-)
-from .reduction import (
-    PairedStaticFilter,
-    ReductionReport,
-    check_reduction,
-    parse_paired_state,
-)
-from .witness import DATASET_BUDGET, SEED_BUDGET, check_enumeration_budget, witness_transform
+from .filters import ExactSetModel, FilterModel, FingerprintMultisetModel, NoisyExactModel, Seed
 
 # hashlib loads OpenSSL, which costs every command milliseconds and
 # megabytes for one short digest; the interpreter's own SHA-256 module
@@ -237,10 +225,11 @@ class ModelSpec(_Record, defaults=_OWN_DEFAULTS):
 
     def _check(self) -> None:
         # the kind, its shape and its own keys, and another kind's key away
-        # from its default, which the reader refuses as it does in JSON
+        # from its default in value or type (False is no 0), which the reader
+        # refuses as it does in JSON
         own = _MODEL_PARSERS[self.kind][0] if self.kind in list(_MODEL_PARSERS) else {}
-        other = [key for key, default in _OWN_DEFAULTS.items()
-                 if key not in own and getattr(self, key) != default]
+        other = [key for key, default in _OWN_DEFAULTS.items() if key not in own
+                 and (type(getattr(self, key)), getattr(self, key)) != (type(default), default)]
         _reread(self, ("kind", *own, *other), _kind_fields, "model spec", "kind", _MODEL_PARSERS)
 
     def build(self) -> FilterModel:
@@ -495,111 +484,6 @@ def fp_report_csv(report: Mapping[str, Any]) -> str:
     return f"{header}\n{row}\n"
 
 
-def _sticky_check(model: FilterModel, report: ReductionReport) -> dict:
-    # a false positive of a live pair is exactly a wrong yes at the full
-    # state that the emptied state drops, i.e. what check_sticky returns
-    details = {
-        "cells": report.seed_count * report.dataset_count,
-        "violations": report.false_positive_count,
-        "failed_cells": report.failed_pairs,
-    }
-    if report.first_false_positive:
-        seed, dataset, elements = report.first_false_positive
-        details["example"] = {
-            "seed": seed.value,
-            "dataset": list(dataset),
-            "elements": elements,
-        }
-    return {
-        "name": f"sticky[{model.describe()}]",
-        "passed": report.false_positive_count == 0,
-        "details": details,
-    }
-
-
-def _measured_params(report: ReductionReport, alpha: Fraction) -> BoundsParams:
-    return BoundsParams(
-        u=report.u,
-        n=report.n,
-        eps_minus=report.max_false_negative_rate,
-        p_fail=report.fail_fraction,
-        alpha=alpha,
-    )
-
-
-def _coding_check(static: PairedStaticFilter, params: BoundsParams, best: BestSeed) -> dict:
-    u, n = static.model.params.u, static.model.params.n
-    codes: set[tuple[Any, int]] = set()
-    roundtrip_failures = 0
-    index_bound = bounded_subset_count(u, params.fn_limit)
-    index_ok = True
-    good = 0
-    for dataset in iter_subsets_of_size(u, n):
-        try:
-            code = encode_dataset(static, params, best.seed, dataset)
-        except NotGoodPair:
-            continue
-        good += 1
-        codes.add((code.state, code.index))
-        if code.index >= index_bound:
-            index_ok = False
-        decoded = decode_dataset(static, params, best.seed, code)
-        if decoded != frozenset(dataset):
-            roundtrip_failures += 1
-    passed = (
-        best.meets_bound
-        and roundtrip_failures == 0
-        and len(codes) == good
-        and good == best.good_count
-        and index_ok
-    )
-    return {
-        "name": f"dataset_coding[{static.model.describe()}]",
-        "passed": passed,
-        "details": {
-            "best_seed": best.seed.value,
-            "good_count": best.good_count,
-            "required": _printed(best.required),
-            "distinct_codes": len(codes),
-            "roundtrip_failures": roundtrip_failures,
-        },
-    }
-
-
-def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence = ()) -> list:
-    """Each (witness model, its seed classes) to sweep, with every spec built,
-    each alpha of alphas checked on every model, each sweep grouped and priced
-    on top of those before it, and best_seed_alpha refused at or below 1, all
-    before the first sweep."""
-    if not specs:
-        raise ConfigError("encode/decode need a model spec")  # verify reports an empty zoo
-    bases = [spec.build() for spec in specs]
-    for alpha in alphas:
-        for base in bases:
-            # refuses an alpha <= 1 and one whose counting rhs or best seed's
-            # required count, (1 - 1/alpha) * C(u, n) with no failed pairs,
-            # no report can print
-            check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
-    seeds = list(seed_space(cfg.seed_bits))
-    sweeps, steps = [], 0
-    for base in bases:
-        model = witness_transform(base)
-        classes = seed_classes(model, seeds)
-        u, n = base.params.u, base.params.n
-        steps += len(classes) * check_enumeration_budget(u, n, len(seeds), len(classes), steps) * n
-        BoundsParams(u, n, alpha=cfg.best_seed_alpha)  # refuses alpha <= 1
-        sweeps.append((model, classes))
-    return sweeps
-
-
-def _sweep(cfg: ExperimentConfig, model: FilterModel, classes: list) -> tuple:
-    """check_reduction on a _presweep pair, and its coder: the paired filter,
-    the measured parameters at best_seed_alpha and the best seed under them."""
-    report = check_reduction(model, classes)
-    params = _measured_params(report, cfg.best_seed_alpha)
-    return report, (PairedStaticFilter(model), params, report.best_seed(params))
-
-
 def run_verification_suite(cfg: ExperimentConfig) -> dict:
     """All exhaustive checks for the configured model zoo, as the report
     verify prints: each check a {"name", "passed", "details"} dict.
@@ -629,6 +513,9 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
 
 
 def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
+    # only verify, encode and decode sweep, so only they load the sweep modules
+    from .reduction import _coding_check, _measured_params, _presweep, _sticky_check, _sweep
+
     probe = cfg.negative_probe and _counting(check_counting_bound)(
         **_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
     grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
@@ -675,6 +562,8 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
 
 def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
     """Code a dataset under the best seed of the zoo's first model; input is checked first."""
+    from .reduction import _presweep, _sweep
+
     [(model, classes)] = _presweep(cfg, cfg.models[:1])
     dataset = sorted(elements)
     u, n = model.params.u, model.params.n
@@ -695,6 +584,8 @@ def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
 
 def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
     """Invert run_encode from its printed state and index; the state is checked first."""
+    from .reduction import _presweep, _sweep, parse_paired_state
+
     [(model, classes)] = _presweep(cfg, cfg.models[:1])
     code = DatasetCode(parse_paired_state(state_text), index)
     _, (static, params, best) = _sweep(cfg, model, classes)

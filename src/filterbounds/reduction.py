@@ -12,26 +12,43 @@ false-positive probability.  Space doubles, failure probability picks up
 a factor of the 2n steps used to build the pair.
 
 check_reduction certifies all of that over an enumerable seed space with
-exact rational arithmetic.
+exact rational arithmetic.  The sweep of verify, encode and decode is built
+here too: _presweep builds, checks and prices every model before the first
+sweep, _sweep runs check_reduction and picks the best seed, and
+_sticky_check, _measured_params and _coding_check read the report it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .bounds import BestSeed, BoundsParams, InvalidCode, pick_best_seed
-from .combinat import frac_str, iter_subsets_of_size
-from .core import _mask_elems, _Record
-from .filters import FilterModel, FilterState, Seed
+from .bounds import (
+    BestSeed,
+    BoundsParams,
+    InvalidCode,
+    NotGoodPair,
+    _printed,
+    check_counting_bound,
+    check_enumeration_budget,
+    decode_dataset,
+    encode_dataset,
+    pick_best_seed,
+)
+from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
+from .core import ConfigError, _mask_elems, _Record
+from .filters import FilterModel, FilterState, Seed, seed_classes, seed_space
 from .witness import (
     WitnessModel,
-    check_enumeration_budget,
     delete_run,
     insert_snapshots,
     state_after,
+    witness_transform,
     yes_set,  # unused here; perfbench's tracer test looks it up on this module
 )
+
+if TYPE_CHECKING:  # harness imports this module inside its runners
+    from .harness import ExperimentConfig, ModelSpec
 
 
 class PairedState(_Record):
@@ -264,3 +281,108 @@ def check_reduction(
         first_false_positive=first_fp,
         misses_by_class=misses_by_class,
     )
+
+
+def _sticky_check(model: FilterModel, report: ReductionReport) -> dict:
+    # a false positive of a live pair is exactly a wrong yes at the full
+    # state that the emptied state drops, i.e. what check_sticky returns
+    details = {
+        "cells": report.seed_count * report.dataset_count,
+        "violations": report.false_positive_count,
+        "failed_cells": report.failed_pairs,
+    }
+    if report.first_false_positive:
+        seed, dataset, elements = report.first_false_positive
+        details["example"] = {
+            "seed": seed.value,
+            "dataset": list(dataset),
+            "elements": elements,
+        }
+    return {
+        "name": f"sticky[{model.describe()}]",
+        "passed": report.false_positive_count == 0,
+        "details": details,
+    }
+
+
+def _measured_params(report: ReductionReport, alpha: Fraction) -> BoundsParams:
+    return BoundsParams(
+        u=report.u,
+        n=report.n,
+        eps_minus=report.max_false_negative_rate,
+        p_fail=report.fail_fraction,
+        alpha=alpha,
+    )
+
+
+def _coding_check(static: PairedStaticFilter, params: BoundsParams, best: BestSeed) -> dict:
+    u, n = static.model.params.u, static.model.params.n
+    codes: set[tuple[Any, int]] = set()
+    roundtrip_failures = 0
+    index_bound = bounded_subset_count(u, params.fn_limit)
+    index_ok = True
+    good = 0
+    for dataset in iter_subsets_of_size(u, n):
+        try:
+            code = encode_dataset(static, params, best.seed, dataset)
+        except NotGoodPair:
+            continue
+        good += 1
+        codes.add((code.state, code.index))
+        if code.index >= index_bound:
+            index_ok = False
+        decoded = decode_dataset(static, params, best.seed, code)
+        if decoded != frozenset(dataset):
+            roundtrip_failures += 1
+    passed = (
+        best.meets_bound
+        and roundtrip_failures == 0
+        and len(codes) == good
+        and good == best.good_count
+        and index_ok
+    )
+    return {
+        "name": f"dataset_coding[{static.model.describe()}]",
+        "passed": passed,
+        "details": {
+            "best_seed": best.seed.value,
+            "good_count": best.good_count,
+            "required": _printed(best.required),
+            "distinct_codes": len(codes),
+            "roundtrip_failures": roundtrip_failures,
+        },
+    }
+
+
+def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence = ()) -> list:
+    """Each (witness model, its seed classes) to sweep, with every spec built,
+    each alpha of alphas checked on every model, each sweep grouped and priced
+    on top of those before it, and best_seed_alpha refused at or below 1, all
+    before the first sweep."""
+    if not specs:
+        raise ConfigError("encode/decode need a model spec")  # verify reports an empty zoo
+    bases = [spec.build() for spec in specs]
+    for alpha in alphas:
+        for base in bases:
+            # refuses an alpha <= 1 and one whose counting rhs or best seed's
+            # required count, (1 - 1/alpha) * C(u, n) with no failed pairs,
+            # no report can print
+            check_counting_bound(0, BoundsParams(base.params.u, base.params.n, alpha=alpha))
+    seeds = list(seed_space(cfg.seed_bits))
+    sweeps, steps = [], 0
+    for base in bases:
+        model = witness_transform(base)
+        classes = seed_classes(model, seeds)
+        u, n = base.params.u, base.params.n
+        steps += len(classes) * check_enumeration_budget(u, n, len(seeds), len(classes), steps) * n
+        BoundsParams(u, n, alpha=cfg.best_seed_alpha)  # refuses alpha <= 1
+        sweeps.append((model, classes))
+    return sweeps
+
+
+def _sweep(cfg: ExperimentConfig, model: FilterModel, classes: list) -> tuple:
+    """check_reduction on a _presweep pair, and its coder: the paired filter,
+    the measured parameters at best_seed_alpha and the best seed under them."""
+    report = check_reduction(model, classes)
+    params = _measured_params(report, cfg.best_seed_alpha)
+    return report, (PairedStaticFilter(model), params, report.best_seed(params))

@@ -12,6 +12,9 @@ inserting a dataset and then deleting it again, anything that was wrongly
 answered 1 at the full state should still be answered 1 at the emptied
 state.  A violation is evidence that a model's wrong answers are not of
 the sticky kind, which is what the fingerprint scheme exhibits.
+
+A witness table is priced, like every sweep, by
+bounds.check_enumeration_budget.
 """
 
 from __future__ import annotations
@@ -19,56 +22,9 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .combinat import iter_subsets_of_size
-from .core import ConfigError, _mask_elems
+from .bounds import check_enumeration_budget
+from .core import _mask_elems
 from .filters import FailStateError, FilterModel, FilterState, Seed
-
-
-class EnumerationTooLarge(ConfigError):
-    """An exhaustive enumeration would exceed the configured budget."""
-
-
-DATASET_BUDGET = 10**6
-SEED_BUDGET = 1 << 16
-# model steps a sweep may take, estimated as seed classes x C(u, n) x n; the
-# u=20, n=5 noisy_exact model at 16 seed bits takes 1.6 million in seconds
-STEP_BUDGET = 10**7
-# bits of the 1 << x member masks a sweep and a witness table hold, estimated
-# as C(u, n) x u; exact_set at u=40,000, n=1 holds 1.6e9 in 448 MB, and at
-# u=10**5 (1e10) it ran out of a 2 GB address space
-MASK_BIT_BUDGET = 1 << 32
-
-
-def check_enumeration_budget(
-    u: int, n: int, seed_count: int = 0, class_count: int = 0, spent: int = 0
-) -> int:
-    """Refuse, before any model step, a sweep too large alone or on top of
-    the steps spent by a zoo's earlier sweeps; return C(u, n).
-
-    C(u, n) is built as a running product that stops once it passes the
-    budget, since at u=2**62 the full binomial takes longer to compute than
-    any sweep and has more digits than an error line can print.
-    """
-    dataset_count = int(0 <= n <= u)
-    for i in range(min(n, u - n)):
-        dataset_count = dataset_count * (u - i) // (i + 1)
-        if dataset_count > DATASET_BUDGET:
-            raise EnumerationTooLarge(f"C({u}, {n}) datasets exceed budget {DATASET_BUDGET}")
-    if seed_count > SEED_BUDGET:
-        raise EnumerationTooLarge(f"{seed_count} seeds exceed budget {SEED_BUDGET}")
-    steps = class_count * dataset_count * n
-    if spent + steps > STEP_BUDGET:
-        before = f" and the zoo's {spent} before them" if spent else ""
-        raise EnumerationTooLarge(
-            f"{class_count} seed classes x {dataset_count} datasets x {n} "
-            f"steps = {steps} model steps{before} exceed budget {STEP_BUDGET}"
-        )
-    mask_bits = dataset_count * u
-    if mask_bits > MASK_BIT_BUDGET:
-        raise EnumerationTooLarge(
-            f"{dataset_count} datasets x {u}-bit masks = {mask_bits} mask bits "
-            f"exceed budget {MASK_BIT_BUDGET}"
-        )
-    return dataset_count
 
 
 def yes_set(model: FilterModel, seed: Seed, state: FilterState) -> frozenset[int]:

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from filterbounds import bounds, witness
+from filterbounds import bounds
 from filterbounds.bounds import (
     MAX_EXACT_BITS,
     BestSeed,
     BoundsParams,
     DatasetCode,
+    EnumerationTooLarge,
     InvalidCode,
     NotGoodPair,
     ParamsOutOfRange,
@@ -43,7 +44,6 @@ from filterbounds.filters import (
     seed_space,
 )
 from filterbounds.reduction import PairedState, PairedStaticFilter
-from filterbounds.witness import EnumerationTooLarge
 
 S0 = Seed(0, 8)
 
@@ -385,7 +385,7 @@ class TestFindBestSeed:
             calls.append(args)
             return True
 
-        monkeypatch.setattr(witness, "STEP_BUDGET", 100)
+        monkeypatch.setattr(bounds, "STEP_BUDGET", 100)
         monkeypatch.setattr(bounds, "is_good_pair", counted)
         with pytest.raises(EnumerationTooLarge, match="480 model steps"):
             find_best_seed(paired_noisy, BoundsParams(u=6, n=2), seeds8[:16])

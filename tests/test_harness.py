@@ -21,14 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterbounds import bounds, cli, filters, harness
+from filterbounds import bounds, cli, filters, harness, reduction
 from filterbounds.bounds import (
     BoundsParams,
     DatasetCode,
+    EnumerationTooLarge,
     InvalidCode,
     NotGoodPair,
     ParamsOutOfRange,
     check_counting_bound,
+    check_enumeration_budget,
     decode_dataset,
     encode_dataset,
     find_best_seed,
@@ -65,12 +67,7 @@ from filterbounds.harness import (
     wilson_interval,
 )
 from filterbounds.reduction import PairedStaticFilter
-from filterbounds.witness import (
-    EnumerationTooLarge,
-    check_enumeration_budget,
-    check_sticky,
-    witness_transform,
-)
+from filterbounds.witness import check_sticky, witness_transform
 
 
 class TestParseFraction:
@@ -782,11 +779,14 @@ class TestRefusals:
             (lambda: ModelSpec("exact_set", 6, 2, Fraction(0), noise_m="x"), ConfigError),
             (lambda: ModelSpec("noisy_exact", 6, 2, Fraction(1, 6), fingerprint_bits=4),
              ConfigError),
+            (lambda: ModelSpec("exact_set", 6, 2, 0, noise_m=False), ConfigError),
+            (lambda: ModelSpec("exact_set", 6, 2, 0, noise_m=0.0), ConfigError),
         ],
         ids=["enumeration_budget", "counting_bound", "encode", "decode", "config",
              "universe_params", "fingerprint_params", "exact_set_params", "no_seeds",
              "float_universe", "float_cardinality", "bool_cardinality",
-             "another_kinds_noise_m", "another_kinds_fingerprint_bits"],
+             "another_kinds_noise_m", "another_kinds_fingerprint_bits",
+             "another_kinds_noise_m_false", "another_kinds_noise_m_float_zero"],
     )
     def test_a_library_caller_catches_every_refusal_as_config_error(self, refuse, error):
         for caught in (error, ConfigError, ValueError):
@@ -1325,7 +1325,7 @@ class TestCli:
         def never(*args):
             raise AssertionError("a sweep ran before the input was checked")
 
-        monkeypatch.setattr(harness, "check_reduction", never)
+        monkeypatch.setattr(reduction, "check_reduction", never)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"models": ZOO16, **change}))
         assert main(["verify", "--seed-bits", "16", "--config", str(path)]) == 2
@@ -1352,7 +1352,7 @@ class TestCli:
         def never(*args):
             raise AssertionError("a sweep ran before the input was checked")
 
-        monkeypatch.setattr(harness, "check_reduction", never)
+        monkeypatch.setattr(reduction, "check_reduction", never)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(change))
         assert main([*argv, "--config", str(path)]) == 2
@@ -1535,7 +1535,7 @@ class TestCli:
             raise AssertionError("a cell was checked or a model swept before the grid was priced")
 
         monkeypatch.setattr(bounds, "check_binom_scaling", never)
-        monkeypatch.setattr(harness, "check_reduction", never)
+        monkeypatch.setattr(reduction, "check_reduction", never)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(
             {"grid": {"u": [65536, 1000000], "n": [32768], "beta": ["1"]}}

@@ -32,9 +32,9 @@ from filterbounds.reduction import (
     pair_init,
     parse_paired_state,
 )
-from filterbounds import witness
+from filterbounds import bounds
+from filterbounds.bounds import EnumerationTooLarge
 from filterbounds.witness import (
-    EnumerationTooLarge,
     WitnessModel,
     state_after,
     witness_transform,
@@ -236,7 +236,7 @@ class TestCheckReduction:
         assert report.max_false_negative_rate == 0
 
     def test_dataset_budget_guard(self, noisy62, seeds8, monkeypatch):
-        monkeypatch.setattr(witness, "DATASET_BUDGET", 10)
+        monkeypatch.setattr(bounds, "DATASET_BUDGET", 10)
         with pytest.raises(EnumerationTooLarge):
             check_reduction(noisy62, seed_classes(noisy62, seeds8[:1]))
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from filterbounds import witness
+from filterbounds import bounds
+from filterbounds.bounds import EnumerationTooLarge, check_enumeration_budget
 from filterbounds.combinat import iter_subsets_of_size
 from filterbounds.core import UniverseParams
 from filterbounds.filters import (
@@ -16,9 +17,7 @@ from filterbounds.filters import (
 )
 from filterbounds.sequences import Operation, OpKind, run_sequence, validate_sequence
 from filterbounds.witness import (
-    EnumerationTooLarge,
     WitnessModel,
-    check_enumeration_budget,
     check_sticky,
     state_after,
     witness_transform,
@@ -88,7 +87,7 @@ def test_budget_counts_datasets_exactly_up_to_the_budget():
     # the running product equals math.comb up to the budget, 0 for n > u
     for u in range(0, 30):
         for n in range(0, 32):
-            if math.comb(u, n) <= witness.DATASET_BUDGET:
+            if math.comb(u, n) <= bounds.DATASET_BUDGET:
                 assert check_enumeration_budget(u, n) == math.comb(u, n)
             else:
                 with pytest.raises(EnumerationTooLarge, match=rf"C\({u}, {n}\)"):
@@ -105,7 +104,7 @@ def test_budget_counts_the_bits_of_the_member_masks():
 class TestWitnessModel:
     def test_budget_guard(self, exact62, monkeypatch):
         with monkeypatch.context() as patch:
-            patch.setattr(witness, "DATASET_BUDGET", 10)
+            patch.setattr(bounds, "DATASET_BUDGET", 10)
             with pytest.raises(EnumerationTooLarge):
                 WitnessModel(exact62)
         big = FingerprintMultisetModel(UniverseParams(40, 10), Fraction(1, 2))

@@ -18,8 +18,10 @@ and unknown flags, values it refuses, help after a flag), and two config
 files json cannot read: bytes that are not UTF-8, and nesting past the
 recursion limit; the refusals of a config's own fields: seed_bits past
 16 or not an integer, 0 trials, both at once, and an unknown model kind;
-and verify at 16 seed bits on the two-model zoo at u=16, n=4 and at u=20,
-n=5, sweeps that the zoo-wide step budget still admits.
+the refusals of fp-rate's own model checks: an exact_set model, u = n and
+a dataset past the dataset budget; and verify at 16 seed bits on the
+two-model zoo at u=16, n=4 and at u=20, n=5, sweeps that the zoo-wide step
+budget still admits.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -61,6 +63,13 @@ NOISY20 = {"models": [{"kind": "noisy_exact", "u": 20, "n": 5, "eps_plus": "1/20
 # C(2**62, 2**61) datasets, past every budget
 FP62 = {"models": [{"kind": "fingerprint_multiset", "u": 1 << 62, "n": 1 << 61, "eps_plus": "1/2"}]}
 ALPHA1 = {"best_seed_alpha": "1"}
+# fp-rate's own refusals: a model other than the fingerprint one, no
+# nonmembers, and a dataset past bounds.DATASET_BUDGET
+FP_EXACT = {"models": [{"kind": "exact_set", "u": 6, "n": 2}]}
+FP_FULL = {"models": [{"kind": "fingerprint_multiset", "u": 4, "n": 4, "eps_plus": "1/2"}]}
+FP_WIDE = {"models": [
+    {"kind": "fingerprint_multiset", "u": 10**7, "n": 10**6 + 1, "eps_plus": "1/8"}
+]}
 
 
 def zoo(u: int, n: int) -> dict:
@@ -140,6 +149,9 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
         ("config seed bits 40, trials 0",
          ["verify", *config("two_sizes", {"seed_bits": 40, "trials": 0})]),
         ("config unknown kind", ["verify", *config("bogus", BOGUS_KIND)]),
+        ("fp-rate exact_set", ["fp-rate", *config("fp_exact", FP_EXACT)]),
+        ("fp-rate u = n", ["fp-rate", *config("fp_full", FP_FULL)]),
+        ("fp-rate n past the dataset budget", ["fp-rate", *config("fp_wide", FP_WIDE)]),
         ("zoo u=16 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo16", zoo(16, 4))]),
         ("zoo u=20 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo20", zoo(20, 5))]),
     ]
