@@ -193,7 +193,7 @@ class BoundsParams(
         return alpha.numerator * self.n * eps.numerator // (alpha.denominator * eps.denominator)
 
 
-def _printed(value: int | Fraction) -> str:
+def printed(value: int | Fraction) -> str:
     """The report text of an integer, or the exact 'p/q' of a Fraction; one
     past Python's int-to-str digit limit cannot be printed and is refused."""
     try:
@@ -224,8 +224,8 @@ def check_counting_bound(fspace_bits: int, params: BoundsParams) -> dict:
             "alpha": frac_str(params.alpha),
             "fspace_bits": fspace_bits,
         },
-        "lhs": _printed(lhs),
-        "rhs": _printed(rhs),
+        "lhs": printed(lhs),
+        "rhs": printed(rhs),
         "holds": lhs * rhs.denominator >= rhs.numerator,
     }
 

@@ -12,8 +12,8 @@ small seed space in full and use rational arithmetic throughout.
 
 Every command imports this module, so it holds only what they share and
 the runners of fp-rate, verify, bounds, encode and decode.  The sweep of
-verify, encode and decode and the checks read off its report are in
-filterbounds.reduction, which those runners import when they run, so
+verify, encode and decode, the checks read off its report and the coder are
+in filterbounds.reduction, which those runners import when they run, so
 fp-rate and bounds load neither it nor witness.  The
 demo-violations runner and its default config are in filterbounds.demo,
 which cli imports only for that command.
@@ -514,38 +514,20 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
 
 def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
     # only verify, encode and decode sweep, so only they load the sweep modules
-    from .reduction import _coding_check, _measured_params, _presweep, _sticky_check, _sweep
+    from .reduction import model_checks, presweep
 
-    probe = cfg.negative_probe and _counting(check_counting_bound)(
-        **_read_fields(cfg.negative_probe, "negative_probe", *_COUNTING))
-    grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
+    try:
+        probe = cfg.negative_probe and _counting(check_counting_bound)(
+            **_read_fields(cfg.negative_probe, "", *_COUNTING))
+    except ValueError as exc:
+        raise _under("config negative_probe", exc) from exc
+    try:
+        grid = check_binom_grid(cfg.grid.u, cfg.grid.n, cfg.grid.beta)
+    except ValueError as exc:
+        raise _under("config grid", exc) from exc
     checks = []
-    for model, classes in _presweep(cfg, cfg.models, (cfg.best_seed_alpha, *cfg.alphas)):
-        report, coder = _sweep(cfg, model, classes)
-        checks.append(_sticky_check(model, report))
-        reduction_ok = (
-            report.false_positive_count == 0
-            and report.completeness_violations == 0
-            and report.max_false_negative_rate <= model.eps_plus
-            and report.fn_matches_delete_fp
-            and report.space_pair_bits <= report.space_budget_bits
-            and report.fail_fraction == 0
-        )
-        checks.append({
-            "name": f"reduction[{model.describe()}]",
-            "passed": reduction_ok,
-            "details": report.to_json_dict(),
-        })
-        checks.append(_coding_check(*coder))
-        counting = [
-            check_counting_bound(report.space_pair_bits, _measured_params(report, alpha))
-            for alpha in cfg.alphas
-        ]
-        checks.append({
-            "name": f"counting_bound[{model.describe()}]",
-            "passed": all(r["holds"] for r in counting),
-            "details": {"results": counting},
-        })
+    for model, classes in presweep(cfg, cfg.models, (cfg.best_seed_alpha, *cfg.alphas)):
+        checks += model_checks(cfg, model, classes)
     if probe is not None:
         checks.append({
             "name": "counting_bound_negative_probe",
@@ -562,14 +544,14 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
 
 def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
     """Code a dataset under the best seed of the zoo's first model; input is checked first."""
-    from .reduction import _presweep, _sweep
+    from .reduction import best_coder, check_reduction, presweep
 
-    [(model, classes)] = _presweep(cfg, cfg.models[:1])
+    [(model, classes)] = presweep(cfg, cfg.models[:1])
     dataset = sorted(elements)
     u, n = model.params.u, model.params.n
     if len(set(dataset)) != n or not all(0 <= x < u for x in dataset):
         raise ConfigError(f"encode needs {n} distinct elements of [0, {u}), got {dataset}")
-    _, (static, params, best) = _sweep(cfg, model, classes)
+    static, params, best = best_coder(cfg, model, check_reduction(model, classes))
     code = encode_dataset(static, params, best.seed, dataset)
     return {
         "command": "encode",
@@ -584,11 +566,11 @@ def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
 
 def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
     """Invert run_encode from its printed state and index; the state is checked first."""
-    from .reduction import _presweep, _sweep, parse_paired_state
+    from .reduction import best_coder, check_reduction, parse_paired_state, presweep
 
-    [(model, classes)] = _presweep(cfg, cfg.models[:1])
+    [(model, classes)] = presweep(cfg, cfg.models[:1])
     code = DatasetCode(parse_paired_state(state_text), index)
-    _, (static, params, best) = _sweep(cfg, model, classes)
+    static, params, best = best_coder(cfg, model, check_reduction(model, classes))
     dataset = sorted(decode_dataset(static, params, best.seed, code))
     # decoding reads any state, so a code counts only if encoding what it
     # decodes to prints it back

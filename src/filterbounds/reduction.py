@@ -12,10 +12,11 @@ false-positive probability.  Space doubles, failure probability picks up
 a factor of the 2n steps used to build the pair.
 
 check_reduction certifies all of that over an enumerable seed space with
-exact rational arithmetic.  The sweep of verify, encode and decode is built
-here too: _presweep builds, checks and prices every model before the first
-sweep, _sweep runs check_reduction and picks the best seed, and
-_sticky_check, _measured_params and _coding_check read the report it returns.
+exact rational arithmetic.  The whole read of the sweep of verify, encode
+and decode is here too: presweep builds, checks and prices every model
+before the first sweep, model_checks reads verify's four checks of a model
+off one check_reduction report, and best_coder, the one place a coder is
+built, reads a report's best seed for the coding check, encode and decode.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from .bounds import (
     BoundsParams,
     InvalidCode,
     NotGoodPair,
-    _printed,
     check_counting_bound,
     check_enumeration_budget,
     decode_dataset,
     encode_dataset,
     pick_best_seed,
+    printed,
 )
 from .combinat import bounded_subset_count, frac_str, iter_subsets_of_size
 from .core import ConfigError, _mask_elems, _Record
@@ -283,28 +284,6 @@ def check_reduction(
     )
 
 
-def _sticky_check(model: FilterModel, report: ReductionReport) -> dict:
-    # a false positive of a live pair is exactly a wrong yes at the full
-    # state that the emptied state drops, i.e. what check_sticky returns
-    details = {
-        "cells": report.seed_count * report.dataset_count,
-        "violations": report.false_positive_count,
-        "failed_cells": report.failed_pairs,
-    }
-    if report.first_false_positive:
-        seed, dataset, elements = report.first_false_positive
-        details["example"] = {
-            "seed": seed.value,
-            "dataset": list(dataset),
-            "elements": elements,
-        }
-    return {
-        "name": f"sticky[{model.describe()}]",
-        "passed": report.false_positive_count == 0,
-        "details": details,
-    }
-
-
 def _measured_params(report: ReductionReport, alpha: Fraction) -> BoundsParams:
     return BoundsParams(
         u=report.u,
@@ -347,14 +326,14 @@ def _coding_check(static: PairedStaticFilter, params: BoundsParams, best: BestSe
         "details": {
             "best_seed": best.seed.value,
             "good_count": best.good_count,
-            "required": _printed(best.required),
+            "required": printed(best.required),
             "distinct_codes": len(codes),
             "roundtrip_failures": roundtrip_failures,
         },
     }
 
 
-def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence = ()) -> list:
+def presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence = ()) -> list:
     """Each (witness model, its seed classes) to sweep, with every spec built,
     each alpha of alphas checked on every model, each sweep grouped and priced
     on top of those before it, and best_seed_alpha refused at or below 1, all
@@ -380,9 +359,45 @@ def _presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequenc
     return sweeps
 
 
-def _sweep(cfg: ExperimentConfig, model: FilterModel, classes: list) -> tuple:
-    """check_reduction on a _presweep pair, and its coder: the paired filter,
-    the measured parameters at best_seed_alpha and the best seed under them."""
-    report = check_reduction(model, classes)
+def best_coder(cfg: ExperimentConfig, model: FilterModel, report: ReductionReport) -> tuple:
+    """The coder of model's check_reduction report: the paired filter, the
+    measured parameters at best_seed_alpha and the best seed under them."""
     params = _measured_params(report, cfg.best_seed_alpha)
-    return report, (PairedStaticFilter(model), params, report.best_seed(params))
+    return PairedStaticFilter(model), params, report.best_seed(params)
+
+
+def model_checks(cfg: ExperimentConfig, model: FilterModel, classes: list) -> list[dict]:
+    """verify's four checks of a presweep pair, read off one check_reduction
+    sweep: sticky, reduction, dataset coding, and the counting bound at each
+    of cfg.alphas on the measured space and error rates."""
+    report = check_reduction(model, classes)
+    name = model.describe()
+    # a false positive of a live pair is exactly a wrong yes at the full
+    # state that the emptied state drops, i.e. what check_sticky returns
+    sticky = {
+        "cells": report.seed_count * report.dataset_count,
+        "violations": report.false_positive_count,
+        "failed_cells": report.failed_pairs,
+    }
+    if report.first_false_positive:
+        seed, dataset, elements = report.first_false_positive
+        sticky["example"] = {"seed": seed.value, "dataset": list(dataset), "elements": elements}
+    reduction_ok = (
+        report.false_positive_count == 0
+        and report.completeness_violations == 0
+        and report.max_false_negative_rate <= model.eps_plus
+        and report.fn_matches_delete_fp
+        and report.space_pair_bits <= report.space_budget_bits
+        and report.fail_fraction == 0
+    )
+    counting = [
+        check_counting_bound(report.space_pair_bits, _measured_params(report, alpha))
+        for alpha in cfg.alphas
+    ]
+    return [
+        {"name": f"sticky[{name}]", "passed": report.false_positive_count == 0, "details": sticky},
+        {"name": f"reduction[{name}]", "passed": reduction_ok, "details": report.to_json_dict()},
+        _coding_check(*best_coder(cfg, model, report)),
+        {"name": f"counting_bound[{name}]", "passed": all(r["holds"] for r in counting),
+         "details": {"results": counting}},
+    ]

@@ -1211,10 +1211,15 @@ class TestCli:
              "bounds config bounds_checks[1]: bounds check check: must be one of "
              "['counting', 'binom_scaling', 'space'], got 'nope'"),
             ({"grid": {"u": [10**400], "n": [10**400], "beta": ["1"]}}, "verify",
-             "binom_scaling needs floats past their range"),
+             "config grid: binom_scaling needs floats past their range"),
+            # a probe and a grid cell that read but are refused when evaluated
+            ({"negative_probe": {"u": 8, "n": 2, "fspace_bits": 3, "alpha": "1"}}, "verify",
+             "config negative_probe: alpha=1 must exceed 1"),
+            ({"grid": {"u": [4], "n": [8], "beta": ["1"]}}, "verify",
+             "config grid: need 1 <= n <= u, got u=4, n=8"),
         ],
         ids=["model", "grid_key", "grid_entry", "probe_key", "alpha", "bounds_entry",
-             "float_range"],
+             "float_range", "probe_range", "grid_range"],
     )
     def test_error_line_names_the_list_entry_and_each_object_once(
         self, config, command, line, tmp_path, capsys
@@ -1359,6 +1364,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    def test_each_model_is_swept_once_and_its_coder_read_off_that_sweep(
+        self, monkeypatch, capsys
+    ):
+        # verify reads all four checks of a model off one sweep; encode and
+        # decode build their coder, the one verify's coding check uses, off one
+        swept = []
+        sweep = reduction.check_reduction
+
+        def counted(model, classes):
+            swept.append(model.describe())
+            return sweep(model, classes)
+
+        monkeypatch.setattr(reduction, "check_reduction", counted)
+        assert main(["verify", "--seed-bits", "6"]) == 0
+        checks = {check["name"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
+        assert swept == ["witness(exact_set(u=6, n=2))", "witness(noisy_exact(u=6, n=2, m=1))"]
+        swept.clear()
+        assert main(["encode", "--seed-bits", "6", "--elements", "1,3"]) == 0
+        encoded = json.loads(capsys.readouterr().out)
+        assert swept == ["witness(exact_set(u=6, n=2))"]
+        coding = checks["dataset_coding[witness(exact_set(u=6, n=2))]"]
+        assert encoded["seed"]["value"] == coding["details"]["best_seed"]
+        swept.clear()
+        code = ["--state", encoded["state"], "--index", encoded["index"]]
+        assert main(["decode", "--seed-bits", "6", *code]) == 0
+        assert json.loads(capsys.readouterr().out)["dataset"] == [1, 3]
+        assert swept == ["witness(exact_set(u=6, n=2))"]
 
     @pytest.mark.parametrize("alpha", ["1e100000000", "1e-100000000"])
     def test_huge_decimal_exponent_exits_two_at_once(self, alpha, tmp_path):
@@ -1542,7 +1575,8 @@ class TestCli:
         ))
         assert main(["verify", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: binom_scaling needs exact integers past the budget of 131072 bits\n"
+            "error: config grid: binom_scaling needs exact integers past the budget of "
+            "131072 bits\n"
         )
 
     def test_verify_certifies_sixteen_seed_bits(self, capsys):

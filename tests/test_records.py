@@ -7,7 +7,8 @@ a hash of its fields where they have one, and the dataclass repr text.
 The module also ties the package to its benchmark: every perfbench tracer
 target resolves, and every public function or method is run by a command,
 named by the tracer, or kept in KEPT_UNRUN for a stated reason.  No module
-imports a name it never uses, unless UNUSED_IMPORTS keeps it.
+imports a name it never uses, unless UNUSED_IMPORTS keeps it, and none
+imports another module's private name, unless PRIVATE_IMPORTS lets it.
 """
 
 import ast
@@ -491,6 +492,31 @@ def test_the_package_imports_no_name_it_does_not_use():
     assert not leftover, f"{leftover} are imported and never used: delete the imports"
     stale = sorted(set(UNUSED_IMPORTS) - unused)
     assert not stale, f"{stale} in UNUSED_IMPORTS are used by their modules"
+
+
+# Private names that one package module imports from another, with the
+# reason each may cross; any other is made public.  Keys are module.name of
+# the module that defines the name.
+PRIVATE_IMPORTS = {
+    "core._Record": "the record base every module builds its records on; no caller builds one",
+    "core._set": "the one writer of a frozen record's field, for the records' _check",
+    "core._mask_elems": "the set bits of a mask, shared by every module that walks one",
+}
+
+
+def test_the_package_imports_no_private_name_of_another_module():
+    # the runners import the sweep modules inside functions, so every import
+    # in the tree counts, not only those at module level
+    crossing = set()
+    for path in sorted((SRC / "filterbounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                crossing.update(f"{node.module}.{alias.name}" for alias in node.names
+                                if alias.name.startswith("_"))
+    leftover = sorted(crossing - set(PRIVATE_IMPORTS))
+    assert not leftover, f"{leftover} are private and imported by another module: make them public"
+    stale = sorted(set(PRIVATE_IMPORTS) - crossing)
+    assert not stale, f"{stale} in PRIVATE_IMPORTS are imported by no other module"
 
 
 @pytest.mark.parametrize("workload", ["certify", "montecarlo", "coding"])

@@ -19,9 +19,11 @@ files json cannot read: bytes that are not UTF-8, and nesting past the
 recursion limit; the refusals of a config's own fields: seed_bits past
 16 or not an integer, 0 trials, both at once, and an unknown model kind;
 the refusals of fp-rate's own model checks: an exact_set model, u = n and
-a dataset past the dataset budget; and verify at 16 seed bits on the
-two-model zoo at u=16, n=4 and at u=20, n=5, sweeps that the zoo-wide step
-budget still admits.
+a dataset past the dataset budget; verify with no alphas (an empty
+counting check per model) and with one alpha and another best_seed_alpha;
+a negative probe and a grid cell that read but are refused when evaluated;
+and verify at 16 seed bits on the two-model zoo at u=16, n=4 and at u=20,
+n=5, sweeps that the zoo-wide step budget still admits.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -79,6 +81,9 @@ def zoo(u: int, n: int) -> dict:
 
 
 BOGUS_KIND = {"models": [{"kind": "bogus", "u": 6, "n": 2}]}
+# a probe and a grid cell whose fields read, refused only by their checks
+PROBE_ALPHA1 = {"negative_probe": {"u": 8, "n": 2, "fspace_bits": 3, "alpha": "1"}}
+GRID_N_PAST_U = {"grid": {"u": [4], "n": [8], "beta": ["1"]}}
 STATE13 = ["--state", "5:01011/5:00000", "--index", "0"]
 
 
@@ -152,6 +157,12 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
         ("fp-rate exact_set", ["fp-rate", *config("fp_exact", FP_EXACT)]),
         ("fp-rate u = n", ["fp-rate", *config("fp_full", FP_FULL)]),
         ("fp-rate n past the dataset budget", ["fp-rate", *config("fp_wide", FP_WIDE)]),
+        ("verify no alphas", ["verify", "--seed-bits", "7", *config("no_alphas", {"alphas": []})]),
+        ("verify alpha 3/2, best seed alpha 4",
+         ["verify", "--seed-bits", "7",
+          *config("alpha_best4", {"alphas": ["3/2"], "best_seed_alpha": "4"})]),
+        ("probe alpha 1", ["verify", *config("probe_alpha1", PROBE_ALPHA1)]),
+        ("grid n past u", ["verify", *config("grid_n_past_u", GRID_N_PAST_U)]),
         ("zoo u=16 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo16", zoo(16, 4))]),
         ("zoo u=20 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo20", zoo(20, 5))]),
     ]
