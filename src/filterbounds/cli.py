@@ -1,10 +1,10 @@
 """Command line front end: each command is one runner call; _report prints what it returns.
 
-Each command's options are declared once, in _COMMON and _COMMANDS.  A line
-of the plain form COMMAND (--flag value)* is read by _quick_args from that
-table; every other line (help, --flag=value, abbreviations, every error) goes
-to the argparse parser that _build_parser makes from the same table, so
-argparse is imported only when a line needs it.
+Each command's options are declared once, in _COMMANDS: the flags its runner
+reads and no other.  A line of the plain form COMMAND (--flag value)* is read
+by _quick_args from that table; every other line (help, --flag=value,
+abbreviations, every error) goes to the argparse parser that _build_parser
+makes from the same table, so argparse is imported only when a line needs it.
 
 Exit codes: 0 when every requested check passed, 1 when a check failed,
 2 for a ConfigError, the one class of refused input, printed on one line.
@@ -75,9 +75,10 @@ def _read_config(path: str) -> object:
 
 
 def _load_config(args: SimpleNamespace, defaults: ExperimentConfig) -> ExperimentConfig:
-    cfg = config_from_dict(_read_config(args.config) if args.config else {}, defaults)
-    flags = {"seed_bits": args.seed_bits, "trials": args.trials}
-    return config_from_dict({k: v for k, v in flags.items() if v is not None}, cfg)
+    # one read of the file's fields under the flags, so a value a flag replaces is not checked
+    flags = {k: vars(args)[k] for k in ("seed_bits", "trials") if vars(args).get(k) is not None}
+    data = _read_config(args.config) if args.config else {}
+    return config_from_dict({**data, **flags} if isinstance(data, dict) else data, defaults)
 
 
 def _check_out(out: str) -> None:
@@ -105,7 +106,7 @@ def _report(report: dict, args: SimpleNamespace) -> int:
     """Print a report (warnings on stderr, CSV or JSON to --out or stdout); return its exit code."""
     for text in report.get("warnings", ()):
         print(f"warning: {text}", file=sys.stderr)
-    csv = args.format == "csv"
+    csv = getattr(args, "format", None) == "csv"
     _emit(fp_report_csv(report) if csv else json.dumps(report, sort_keys=True, indent=2), args.out)
     checks = report.get("checks", ())
     failed = report.get("passed") is False or any(c.get("holds") is False for c in checks)
@@ -152,29 +153,31 @@ class _Option(_Record, defaults={"type": None, "default": None, "choices": None,
 
 
 class _Command(_Record):
-    """One subcommand: its help line, its runner and its own options."""
+    """One subcommand: its help line, its runner and the options it reads."""
 
     __slots__ = ("summary", "func", "options")
 
 
-# the options every command takes, in the order the help text lists them
-_COMMON = (
-    _Option("--config", "config", help="JSON config file"),
-    _Option("--seed-bits", "seed_bits", type=int),
-    _Option("--trials", "trials", type=int),
-    _Option("--out", "out", help="write the report here"),
-    _Option("--format", "format", default="json", choices=("json", "csv")),
-)
+# the options each command takes, in the order its help text lists them
+_CONFIG = _Option("--config", "config", help="JSON config file")
+_SEED_BITS = _Option("--seed-bits", "seed_bits", type=int)
+_TRIALS = _Option("--trials", "trials", type=int)
+_OUT = _Option("--out", "out", help="write the report here")
+_FORMAT = _Option("--format", "format", default="json", choices=("json", "csv"))
+_EXHAUSTIVE = (_CONFIG, _SEED_BITS, _OUT)
 
 _COMMANDS = {
-    "fp-rate": _Command("Monte-Carlo false-positive rate", _cmd_fp_rate, ()),
-    "demo-violations": _Command("deterministic failure demos", _cmd_demo, ()),
-    "verify": _Command("run the exhaustive verification suite", _cmd_verify, ()),
-    "bounds": _Command("evaluate bound checks from a config", _cmd_bounds, ()),
+    "fp-rate": _Command("Monte-Carlo false-positive rate", _cmd_fp_rate,
+                        (_CONFIG, _TRIALS, _OUT, _FORMAT)),
+    "demo-violations": _Command("deterministic failure demos", _cmd_demo, _EXHAUSTIVE),
+    "verify": _Command("run the exhaustive verification suite", _cmd_verify, _EXHAUSTIVE),
+    "bounds": _Command("evaluate bound checks from a config", _cmd_bounds, (_CONFIG, _OUT)),
     "encode": _Command("code a dataset as (state, index)", _cmd_encode, (
+        *_EXHAUSTIVE,
         _Option("--elements", "elements", required=True, help="comma separated elements"),
     )),
     "decode": _Command("recover a dataset from (state, index)", _cmd_decode, (
+        *_EXHAUSTIVE,
         _Option("--state", "state", required=True, help="serialized paired state"),
         _Option("--index", "index", type=int, required=True),
     )),
@@ -193,7 +196,7 @@ def _quick_args(argv: Sequence[str]) -> SimpleNamespace | None:
     command = _COMMANDS.get(argv[0]) if len(argv) % 2 else None
     if command is None:
         return None
-    options = {opt.flag: opt for opt in (*_COMMON, *command.options)}
+    options = {opt.flag: opt for opt in command.options}
     args = SimpleNamespace(command=argv[0], func=command.func,
                            **{opt.dest: opt.default for opt in options.values()})
     for flag, text in zip(argv[1::2], argv[2::2]):
@@ -224,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.summary)
         p.set_defaults(func=command.func)
-        for opt in (*_COMMON, *command.options):
+        for opt in command.options:
             p.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
                            choices=opt.choices, required=opt.required, help=opt.help)
     return parser
@@ -243,8 +246,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # argparse reads into the same kind of namespace as _quick_args
     args = _quick_args(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     try:
-        if args.format == "csv" and args.command != "fp-rate":
-            raise ConfigError("--format csv is only for fp-rate")
         if args.out:
             _check_out(args.out)
         return _report(args.func(args), args)

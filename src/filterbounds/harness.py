@@ -356,6 +356,8 @@ class ExperimentConfig(_Record, defaults={key: d for key, (_, d) in _CONFIG_FIEL
                 f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not self.alphas:  # a counting check at no alpha would pass having checked nothing
+            raise ConfigError("config alphas: must name at least one alpha")
 
     resolved_dict = _config_json
 

@@ -141,7 +141,7 @@ CONFIGS = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**64),
     "seed_bits": st.integers(0, 16),
     "trials": st.integers(1, 10**6),
-    "alphas": st.lists(RATIONALS, max_size=3),
+    "alphas": st.lists(RATIONALS, min_size=1, max_size=3),
     "best_seed_alpha": RATIONALS,
     "models": st.lists(MODELS, max_size=3),
     "grid": st.fixed_dictionaries({
@@ -718,6 +718,55 @@ MIXED_BOUNDS = {
     ]
 }
 
+# the line each command's flags are tried on, a flag at a time; --config
+# names an entry of FLAG_CONFIGS and --out a file
+FLAG_BASE = {
+    "fp-rate": {"--trials": "200"},
+    "demo-violations": {},
+    "verify": {"--seed-bits": "2"},
+    "bounds": {"--config": "mixed"},
+    "encode": {"--seed-bits": "2", "--elements": "1,3"},
+    "decode": {"--seed-bits": "2", "--state": "5:01011/5:00000", "--index": "0"},
+}
+# two values of each flag; decode reads index 1 and refuses it, since no
+# dataset of the default zoo has a false negative to rank
+FLAG_VALUES = {
+    "--seed-bits": ("2", "3"),
+    "--trials": ("200", "300"),
+    "--out": ("a.json", "b.json"),
+    "--format": ("json", "csv"),
+    "--elements": ("1,3", "0,1"),
+    "--state": ("5:01011/5:00000", "5:00111/5:00000"),
+    "--index": ("0", "1"),
+}
+# two configs for each command
+CONFIG_VALUES = {
+    "fp-rate": ("seed1", "seed2"),
+    "demo-violations": ("seed1", "seed2"),
+    "verify": ("exact", "noisy"),
+    "bounds": ("mixed", "counting"),
+    "encode": ("exact", "noisy"),
+    "decode": ("exact", "noisy"),
+}
+FLAG_CONFIGS = {
+    "seed1": {"seed": 1},
+    "seed2": {"seed": 2},
+    "exact": {"models": [{"kind": "exact_set", "u": 6, "n": 2}]},
+    "noisy": {"models": [{"kind": "noisy_exact", "u": 6, "n": 2, "eps_plus": "1/6",
+                          "noise_m": 1}]},
+    "mixed": MIXED_BOUNDS,
+    "counting": {"bounds_checks": MIXED_BOUNDS["bounds_checks"][:1]},
+}
+
+
+def flags_taken(command):
+    """Every flag command takes: one per field of the namespace its plain line
+    reads, so a flag counts for each command that takes it, however cli
+    declares it."""
+    line = [word for flag, value in FLAG_BASE[command].items() for word in (flag, value)]
+    fields = vars(cli._quick_args([command, *line]))
+    return ["--" + dest.replace("_", "-") for dest in fields if dest not in ("command", "func")]
+
 
 def encode_a_polluted_pair():
     # 2-bit fingerprints answer yes on 2 as well as on the stored 0 and 1
@@ -832,11 +881,13 @@ class TestRefusals:
              " models=({'kind': 'exact_set', 'u': 6, 'n': 2, 'noise_m': 1},)))",
              "config models[0]: exact_set model spec takes no ['noise_m']; "
              "its keys are ['eps_plus', 'kind', 'n', 'u']"),
+            ("run_verification_suite(built(default_verify_config(), alphas=()))",
+             "config alphas: must name at least one alpha"),
         ],
         ids=["verify", "demo", "encode", "decode", "negative_seed_bits", "no_trials",
              "float_seed_bits", "bool_seed_bits", "float_trials", "string_trials",
              "bool_trials", "empty_zoo_wide_seeds", "unknown_kind", "float_n", "bad_eps_plus",
-             "no_grid", "model_as_a_dict"],
+             "no_grid", "model_as_a_dict", "no_alphas"],
     )
     def test_a_runner_refuses_a_config_built_in_code_at_once(self, call, error):
         # config_from_dict is not the only way in: 2**40 seeds would fill any
@@ -1010,6 +1061,109 @@ class TestCli:
     def test_quick_reader_leaves_other_lines_to_argparse(self, argv):
         assert cli._quick_args(argv) is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--format", "csv"],
+            ["verify", "--trials", "3"],
+            ["bounds", "--seed-bits", "3"],
+            ["fp-rate", "--seed-bits", "17"],
+            ["demo-violations", "--trials", "0"],
+        ],
+        ids=["verify_format", "verify_trials", "bounds_seed_bits", "fp_rate_seed_bits",
+             "demo_trials"],
+    )
+    def test_a_flag_its_runner_does_not_read_is_an_argparse_error(self, argv, capsys):
+        assert cli._quick_args(argv) is None
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seed-bits", "7"],
+            ["verify", "--config", "negative_control.json", "--seed-bits", "7"],
+            ["fp-rate", "--trials", "10000"],
+            ["encode", "--seed-bits", "6", "--elements", "1,3"],
+            ["decode", "--seed-bits", "6", "--state", "5:01011/5:00000", "--index", "0"],
+        ],
+        ids=["verify", "negative_control", "fp_rate", "encode", "decode"],
+    )
+    def test_quick_reader_reads_the_lines_the_benchmark_runs(self, argv):
+        # the benchmark's commands start without importing argparse
+        quick = cli._quick_args(argv)
+        assert quick is not None
+        assert vars(quick) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command in FLAG_BASE for flag in flags_taken(command)],
+        ids=lambda value: value,
+    )
+    def test_each_flag_a_command_takes_changes_its_output(
+        self, command, flag, tmp_path, monkeypatch, capsys
+    ):
+        # two values of the flag, each handed to the command's runner, print
+        # reports that differ in more than config_hash, or --out writes two
+        # files; a flag that no runner reads, or that main refuses before
+        # the runner, fails here
+        declared, reached = cli._COMMANDS[command], []
+
+        def runner(args):
+            reached.append(command)
+            return declared.func(args)
+
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            cli._Command(declared.summary, runner, declared.options))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def word(flag, value):
+            if flag == "--config":
+                path = tmp_path / f"{value}.json"
+                path.write_text(json.dumps(FLAG_CONFIGS[value]))
+                return str(path)
+            return str(out_dir / value) if flag == "--out" else value
+
+        def outcome(value):
+            line = {**FLAG_BASE[command], flag: value}
+            main([command, *[w for f, v in line.items() for w in (f, word(f, v))]])
+            printed = capsys.readouterr().out
+            with contextlib.suppress(ValueError):
+                printed = json.loads(printed)
+                printed.pop("config_hash", None)
+            written = sorted(path.name for path in out_dir.iterdir())
+            for path in out_dir.iterdir():
+                path.unlink()
+            return printed, written
+
+        values = CONFIG_VALUES[command] if flag == "--config" else FLAG_VALUES[flag]
+        first, second = outcome(values[0]), outcome(values[1])
+        assert reached == [command, command]
+        assert first != second
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"seed_bits": 40}, ["verify", "--seed-bits", "2"]),
+            ({"trials": 0}, ["fp-rate", "--trials", "10"]),
+        ],
+        ids=["seed_bits", "trials"],
+    )
+    def test_a_flag_replaces_the_config_value_it_overrides(
+        self, config, argv, tmp_path, capsys
+    ):
+        # the file's value is never read on its own, so it cannot be refused;
+        # the same stdout, config_hash included, means the same config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(path)]) == 0
+        overlaid = capsys.readouterr().out
+        assert main(argv) == 0
+        assert overlaid == capsys.readouterr().out
+
     def test_seed_bits_flag_out_of_range_exits_two(self):
         assert main(["verify", "--seed-bits", "30"]) == 2
 
@@ -1085,10 +1239,10 @@ class TestCli:
             # step budget, refused before any model step
             ({"models": [{"kind": "fingerprint_multiset", "u": 20, "n": 5,
                           "eps_plus": "1/2"}]}, ["verify", "--seed-bits", "16"]),
-            # a report that cannot be written, and a format only fp-rate has
+            # a report that cannot be written, as JSON and as CSV
             (None, ["verify", "--out", "/nonexistent/dir/x.json"]),
             (None, ["encode", "--elements", "1,3", "--out", "/nonexistent/x"]),
-            (None, ["verify", "--format", "csv"]),
+            (None, ["fp-rate", "--format", "csv", "--out", "/nonexistent/x"]),
             # fields that were coerced or dropped: a float, bool or string
             # for an integer, a bool for a rational, and misspelt keys
             ({"models": [{"kind": "exact_set", "u": 6.9, "n": 2}]}, ["verify"]),
@@ -1178,6 +1332,8 @@ class TestCli:
             *[(None, ["decode", "--seed-bits", "6", "--state", state, "--index", "0"])
               for state in ["5:+1011/5:00000", "5: 1011/5:00000", "5:01011/5:0_000",
                             "5:01011/5:-0000", "05:01011/5:00000", "5:01011/+5:00000"]],
+            # no alpha, at which a counting check would pass having checked nothing
+            ({"alphas": []}, ["verify", "--seed-bits", "2"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -1226,7 +1382,8 @@ class TestCli:
     ):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main([command, "--seed-bits", "2", "--config", str(path)]) == 2
+        seed_bits = [] if command == "bounds" else ["--seed-bits", "2"]
+        assert main([command, *seed_bits, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
 
     @pytest.mark.parametrize(
@@ -1656,23 +1813,22 @@ class TestCli:
         [
             ([], "930aec3dc30e4cd04faaf0fb36f8acf6f1e909cfdc322b27e54c2687199e2a28"),
             (["fp-rate"],
-             "93da46c6b2ccc7992a7d02ce89998d0515ddc014003e101bfa9ec2d5a0886db8"),
+             "b347366f5349ab37eba6823051a759ff9e5763dba0fc80230898a8f1749ad12c"),
             (["demo-violations"],
-             "e097e55fac57e0877efe23bbb89857ec3dc1784930fea550c9931b5fc77ae49c"),
+             "8611acfd9bb211364e8e3f5640ea9743f19ff3f227af897afd26f3efc7d7fc5a"),
             (["verify"],
-             "8348400d3ef25fb8c5235cad0169960c90b10ec53d79986851999b37e7532e0c"),
+             "6a56a06069c345c80f503158d13cf0f3afe4fcc8c3b7f24cb52f84632fca3933"),
             (["bounds"],
-             "0deb2315abb3059cd5d57c34846bc30b724aed585c9ff1baa5d92425615e7e66"),
+             "18debebd7eed7e72465d7f8009837ad0069a1af12bd61de32834a1d7fe5690e7"),
             (["encode"],
-             "b21bbb4ec6109bb88a9f77ca0a3f073dc6b8b6767b3753ae92d4f455a9be81f8"),
+             "711fd74e8d0242707e8ef1c7af3235ec6b80cec1f20e05ce47999bfcba5372a0"),
             (["decode"],
-             "267e2500cfc793ef63172983b6044dc19516167c25601aad4a65fd02a14d8d4f"),
+             "83680f0ef8f6a56df42a35d9c99d2077d424b91ff2c72ecd7f96f98d00ef1e17"),
         ],
         ids=["top", "fp_rate", "demo", "verify", "bounds", "encode", "decode"],
     )
     def test_help_text_is_pinned(self, argv, digest, monkeypatch, capsys):
-        # recorded from the parser that added every option to each
-        # subcommand one by one; sharing them must not move a byte
+        # each subcommand lists only the options its runner reads
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as stop:
             main([*argv, "--help"])
@@ -1903,20 +2059,25 @@ def fuzzed_config(draw, command):
     return config
 
 
+# the flags each command takes, as cli declares them
+FLAGS = {name: [opt.flag for opt in command.options] for name, command in cli._COMMANDS.items()}
+
+
 @st.composite
 def cli_calls(draw):
     """argv, config and whether --out points into a missing directory."""
     command = draw(st.sampled_from(
         ["fp-rate", "bounds", "encode", "decode", "verify", "demo-violations"]
     ))
+    flags = FLAGS[command]
     argv = [command]
-    fmt = draw(st.sampled_from([None, "json", "csv"]))
+    fmt = draw(st.sampled_from([None, "json", "csv"])) if "--format" in flags else None
     if fmt is not None:
         argv += ["--format", fmt]
     config = draw(st.none() | fuzzed_config(command))
-    if command == "fp-rate":
+    if "--trials" in flags:
         argv += ["--trials", str(draw(st.integers(-1, 100)))]
-    elif command != "bounds":
+    if "--seed-bits" in flags:
         argv += ["--seed-bits", str(draw(st.sampled_from([-1, 0, 2, 4, 17])))]
     if command == "encode":
         elements = st.sampled_from(["0,1", "1,3", "2", "7,8", "1,x", ""])
@@ -1945,7 +2106,7 @@ def test_cli_exit_code_contract_under_fuzzed_input(call):
             code = main(argv)
     assert code in (0, 1, 2)
     # every command writes its report before it returns 0 or 1
-    if out_missing or (argv[0] != "fp-rate" and argv[1:3] == ["--format", "csv"]):
+    if out_missing:
         assert code == 2
     if code == 2:
         assert err.getvalue().startswith("error:")
@@ -1955,11 +2116,9 @@ def test_cli_exit_code_contract_under_fuzzed_input(call):
 # the words a command line is drawn from: every command and flag, and the
 # spellings and values that only argparse reads or refuses
 COMMANDS = ["fp-rate", "demo-violations", "verify", "bounds", "encode", "decode"]
-COMMON_FLAGS = ["--config", "--seed-bits", "--trials", "--out", "--format"]
-OWN_FLAGS = {"encode": ["--elements"], "decode": ["--state", "--index"]}
 ARGV_VALUES = ["--seed-bits=7", "--seed", "-h", "--help", "--", "-1", "1e3", "+5", "1_0",
                "xml", "", "7", "json", "csv", "1,3", "5:01011/5:00000"]
-ARGV_WORDS = [*COMMANDS, *COMMON_FLAGS, *sum(OWN_FLAGS.values(), []), *ARGV_VALUES]
+ARGV_WORDS = [*COMMANDS, *dict.fromkeys(sum(FLAGS.values(), [])), *ARGV_VALUES]
 
 
 @st.composite
@@ -1969,7 +2128,7 @@ def argv_lines(draw):
     if draw(st.booleans()):
         return draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=7))
     command = draw(st.sampled_from(COMMANDS))
-    flags = draw(st.permutations([*COMMON_FLAGS, *OWN_FLAGS.get(command, [])]))
+    flags = draw(st.permutations(FLAGS[command]))
     argv = [command]
     for flag in flags[:draw(st.integers(0, len(flags)))]:
         readable = ["json", "csv"] if flag == "--format" else ["7", "+5", "1_0", " 7 "]

@@ -19,11 +19,15 @@ files json cannot read: bytes that are not UTF-8, and nesting past the
 recursion limit; the refusals of a config's own fields: seed_bits past
 16 or not an integer, 0 trials, both at once, and an unknown model kind;
 the refusals of fp-rate's own model checks: an exact_set model, u = n and
-a dataset past the dataset budget; verify with no alphas (an empty
-counting check per model) and with one alpha and another best_seed_alpha;
-a negative probe and a grid cell that read but are refused when evaluated;
-and verify at 16 seed bits on the two-model zoo at u=16, n=4 and at u=20,
-n=5, sweeps that the zoo-wide step budget still admits.
+a dataset past the dataset budget; verify with no alphas (refused, as a
+counting check at no alpha would check nothing) and with one alpha and
+another best_seed_alpha; a negative probe and a grid cell that read but are
+refused when evaluated; flags a command does not read (--trials on verify
+and encode, --format on verify, --seed-bits on fp-rate and bounds), which
+argparse refuses; a --seed-bits or --trials flag over a config file value
+that alone would be refused; and verify at 16 seed bits on the two-model
+zoo at u=16, n=4 and at u=20, n=5, sweeps that the zoo-wide step budget
+still admits.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -163,6 +167,16 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
           *config("alpha_best4", {"alphas": ["3/2"], "best_seed_alpha": "4"})]),
         ("probe alpha 1", ["verify", *config("probe_alpha1", PROBE_ALPHA1)]),
         ("grid n past u", ["verify", *config("grid_n_past_u", GRID_N_PAST_U)]),
+        # flags a command does not read, and flags that override a refused config value
+        ("verify trials 5", ["verify", "--trials", "5"]),
+        ("encode trials 5", ["encode", "--trials", "5", "--elements", "1,3"]),
+        ("verify format json", ["verify", "--format", "json"]),
+        ("fp-rate seed bits 3", ["fp-rate", "--seed-bits", "3"]),
+        ("bounds seed bits 3", ["bounds", *config("bounds", MIXED_BOUNDS), "--seed-bits", "3"]),
+        ("seed bits 2 over config seed bits 40",
+         ["verify", *config("seed_bits40", {"seed_bits": 40}), "--seed-bits", "2"]),
+        ("trials 10 over config trials 0",
+         ["fp-rate", *config("trials0", {"trials": 0}), "--trials", "10"]),
         ("zoo u=16 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo16", zoo(16, 4))]),
         ("zoo u=20 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo20", zoo(20, 5))]),
     ]
