@@ -1,8 +1,8 @@
 """Command line front end: each command is one runner call; _report prints what it returns.
 
-Each command's options are declared once, in _COMMANDS: the flags its runner
-reads and no other.  A line of the plain form COMMAND (--flag value)* is read
-by _quick_args from that table; every other line (help, --flag=value,
+_COMMANDS declares each command once: the flags and config fields its runner
+reads, and no others.  A plain line, COMMAND (--flag value)*, is read by
+_quick_args from that table; every other line (help, --flag=value,
 abbreviations, every error) goes to the argparse parser that _build_parser
 makes from the same table, so argparse is imported only when a line needs it.
 
@@ -78,7 +78,18 @@ def _load_config(args: SimpleNamespace, defaults: ExperimentConfig) -> Experimen
     # one read of the file's fields under the flags, so a value a flag replaces is not checked
     flags = {k: vars(args)[k] for k in ("seed_bits", "trials") if vars(args).get(k) is not None}
     data = _read_config(args.config) if args.config else {}
-    return config_from_dict({**data, **flags} if isinstance(data, dict) else data, defaults)
+    cfg = config_from_dict({**data, **flags} if isinstance(data, dict) else data, defaults)
+    # a field the runner does not read may only restate the command's default,
+    # so an accepted config's hash depends only on what the command reads
+    command = _COMMANDS[args.command]
+    unread = [key for key in cfg.__slots__
+              if key not in command.fields and getattr(cfg, key) != getattr(defaults, key)]
+    if unread:
+        raise ConfigError(f"{args.command} config takes no {unread}; "
+                          f"its keys are {sorted(command.fields)}")
+    if command.one_model and len(cfg.models) > 1 and cfg.models != defaults.models:
+        raise ConfigError(f"config models: {args.command} reads one model, got {len(cfg.models)}")
+    return cfg
 
 
 def _check_out(out: str) -> None:
@@ -152,10 +163,11 @@ class _Option(_Record, defaults={"type": None, "default": None, "choices": None,
     __slots__ = ("flag", "dest", "type", "default", "choices", "required", "help")
 
 
-class _Command(_Record):
-    """One subcommand: its help line, its runner and the options it reads."""
+class _Command(_Record, defaults={"fields": (), "one_model": False}):
+    """One subcommand: its help line, its runner, the options and config fields
+    it reads, and whether it reads only the first of the config's models."""
 
-    __slots__ = ("summary", "func", "options")
+    __slots__ = ("summary", "func", "options", "fields", "one_model")
 
 
 # the options each command takes, in the order its help text lists them
@@ -165,22 +177,25 @@ _TRIALS = _Option("--trials", "trials", type=int)
 _OUT = _Option("--out", "out", help="write the report here")
 _FORMAT = _Option("--format", "format", default="json", choices=("json", "csv"))
 _EXHAUSTIVE = (_CONFIG, _SEED_BITS, _OUT)
+_CODER = ("seed_bits", "best_seed_alpha", "models")
 
 _COMMANDS = {
-    "fp-rate": _Command("Monte-Carlo false-positive rate", _cmd_fp_rate,
-                        (_CONFIG, _TRIALS, _OUT, _FORMAT)),
-    "demo-violations": _Command("deterministic failure demos", _cmd_demo, _EXHAUSTIVE),
-    "verify": _Command("run the exhaustive verification suite", _cmd_verify, _EXHAUSTIVE),
+    "fp-rate": _Command("Monte-Carlo false-positive rate", _cmd_fp_rate, (
+        _CONFIG, _TRIALS, _OUT, _FORMAT), ("seed", "trials", "models"), one_model=True),
+    "demo-violations": _Command("deterministic failure demos", _cmd_demo, _EXHAUSTIVE,
+                                ("seed", "seed_bits", "models"), one_model=True),
+    "verify": _Command("run the exhaustive verification suite", _cmd_verify, _EXHAUSTIVE, (
+        "seed_bits", "alphas", "best_seed_alpha", "models", "grid", "negative_probe")),
     "bounds": _Command("evaluate bound checks from a config", _cmd_bounds, (_CONFIG, _OUT)),
     "encode": _Command("code a dataset as (state, index)", _cmd_encode, (
         *_EXHAUSTIVE,
         _Option("--elements", "elements", required=True, help="comma separated elements"),
-    )),
+    ), _CODER, one_model=True),
     "decode": _Command("recover a dataset from (state, index)", _cmd_decode, (
         *_EXHAUSTIVE,
         _Option("--state", "state", required=True, help="serialized paired state"),
         _Option("--index", "index", type=int, required=True),
-    )),
+    ), _CODER, one_model=True),
 }
 
 

@@ -757,6 +757,54 @@ FLAG_CONFIGS = {
     "mixed": MIXED_BOUNDS,
     "counting": {"bounds_checks": MIXED_BOUNDS["bounds_checks"][:1]},
 }
+# two valid values of each config field, tried a field at a time in a config
+# file on the command's FLAG_BASE line, less the flag that would replace it
+FIELD_VALUES = {
+    "seed": (1, 2),
+    "seed_bits": (2, 3),
+    "trials": (200, 300),
+    "alphas": (["2"], ["3/2", "4"]),
+    "best_seed_alpha": ("2", "4"),
+    "grid": ({"u": [16], "n": [4], "beta": ["1/2"]}, {"u": [16, 32], "n": [4], "beta": ["1/2"]}),
+    "negative_probe": (DEFAULT_NEGATIVE_PROBE, None),
+}
+DEMO_MODEL = {"kind": "fingerprint_multiset", "u": 8, "n": 2, "eps_plus": "1/2",
+              "collision_table": [[1, 0], [2, 0]]}
+# two valid models lists for each command that reads a config
+MODELS_VALUES = {
+    "fp-rate": ([{"kind": "fingerprint_multiset", "u": 1 << 16, "n": 16, "eps_plus": "1/8"}],
+                [{"kind": "fingerprint_multiset", "u": 1 << 10, "n": 8, "eps_plus": "1/4"}]),
+    "demo-violations": ([DEMO_MODEL], [dict(DEMO_MODEL, u=10)]),
+    "verify": (FLAG_CONFIGS["exact"]["models"], FLAG_CONFIGS["noisy"]["models"]),
+    "encode": (FLAG_CONFIGS["exact"]["models"], FLAG_CONFIGS["noisy"]["models"]),
+    "decode": (FLAG_CONFIGS["exact"]["models"], FLAG_CONFIGS["noisy"]["models"]),
+}
+# fields a command reads that no shipped model lets change its stdout, with
+# the reason each stays; the guard holds each to the same stdout, so an entry
+# goes once a model makes its field count
+FN_LIMIT_ZERO = "sets the coder's fn_limit, 0 while every witness-wrapped model has eps_minus 0"
+READ_BUT_UNSEEN = {
+    ("encode", "best_seed_alpha"): f"{FN_LIMIT_ZERO} (item 4)",
+    ("decode", "best_seed_alpha"): f"{FN_LIMIT_ZERO} (item 4)",
+}
+# a valid value of each config field, away from every command's default
+UNREAD_VALUES = {
+    "seed": 1,
+    "seed_bits": 3,
+    "trials": 3,
+    "alphas": ["3"],
+    "best_seed_alpha": "3",
+    "grid": FIELD_VALUES["grid"][0],
+    "negative_probe": dict(DEFAULT_NEGATIVE_PROBE, fspace_bits=2),
+}
+# the config each command's runner reads a config file over
+COMMAND_DEFAULTS = {
+    "fp-rate": default_fp_config,
+    "demo-violations": default_demo_config,
+    "verify": default_verify_config,
+    "encode": default_verify_config,
+    "decode": default_verify_config,
+}
 
 
 def flags_taken(command):
@@ -766,6 +814,24 @@ def flags_taken(command):
     line = [word for flag, value in FLAG_BASE[command].items() for word in (flag, value)]
     fields = vars(cli._quick_args([command, *line]))
     return ["--" + dest.replace("_", "-") for dest in fields if dest not in ("command", "func")]
+
+
+def fields_read(command, read=True):
+    """The config fields command reads (or, with read=False, those it does
+    not), as cli declares them."""
+    declared = cli._COMMANDS[command].fields
+    return [key for key in ExperimentConfig.__slots__ if (key in declared) == read]
+
+
+def run_with_config(command, config, tmp_path, capsys, line=None):
+    """(exit code, stdout, stderr) of command on line, FLAG_BASE's by default,
+    with config written to a file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    line = FLAG_BASE[command] if line is None else line
+    code = main([command, *[w for kv in line.items() for w in kv], "--config", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def encode_a_polluted_pair():
@@ -1115,8 +1181,8 @@ class TestCli:
             reached.append(command)
             return declared.func(args)
 
-        monkeypatch.setitem(cli._COMMANDS, command,
-                            cli._Command(declared.summary, runner, declared.options))
+        monkeypatch.setitem(cli._COMMANDS, command, cli._Command(
+            declared.summary, runner, declared.options, declared.fields, declared.one_model))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
 
@@ -1143,6 +1209,52 @@ class TestCli:
         first, second = outcome(values[0]), outcome(values[1])
         assert reached == [command, command]
         assert first != second
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(command, field) for command in COMMAND_DEFAULTS for field in fields_read(command)],
+        ids=lambda value: value,
+    )
+    def test_each_config_field_a_command_reads_changes_its_output(
+        self, command, field, tmp_path, capsys
+    ):
+        # two values of the field in a config file print reports that differ
+        # in more than config_hash; a field the runner never reads fails here
+        flag = "--" + field.replace("_", "-")
+        line = {f: v for f, v in FLAG_BASE[command].items() if f != flag}
+        values = MODELS_VALUES[command] if field == "models" else FIELD_VALUES[field]
+        printed = []
+        for value in values:
+            code, out, err = run_with_config(command, {field: value}, tmp_path, capsys, line)
+            assert code in (0, 1), err
+            report = json.loads(out)
+            report.pop("config_hash")
+            printed.append(report)
+        if (command, field) in READ_BUT_UNSEEN:
+            assert printed[0] == printed[1]
+        else:
+            assert printed[0] != printed[1]
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(command, field) for command in COMMAND_DEFAULTS
+         for field in fields_read(command, read=False)],
+        ids=lambda value: value,
+    )
+    def test_a_config_field_its_runner_does_not_read_is_refused(
+        self, command, field, tmp_path, capsys
+    ):
+        code, out, err = run_with_config(command, {field: UNREAD_VALUES[field]}, tmp_path,
+                                         capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {command} config takes no ['{field}']")
+        assert len(err.splitlines()) == 1
+        # the same field at the command's default is accepted, and changes nothing
+        restated = COMMAND_DEFAULTS[command]().resolved_dict().get(field)
+        code, out, _ = run_with_config(command, {field: restated}, tmp_path, capsys)
+        assert code == 0
+        assert main([command, *[w for kv in FLAG_BASE[command].items() for w in kv]]) == 0
+        assert out == capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "config, argv",
@@ -1188,15 +1300,21 @@ class TestCli:
         assert dec["dataset"] == [1, 3]
 
     def test_encode_and_decode_read_only_the_first_model(self, tmp_path, capsys):
+        # so a models list past the first, which they would never build, is refused
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"models": LATE_DATASET_ZOO}))
         common = ["--seed-bits", "6", "--config", str(path)]
+        assert main(["encode", *common, "--elements", "1,3"]) == 2
+        assert capsys.readouterr().err == "error: config models: encode reads one model, got 2\n"
+        state = ["--state", "5:01011/5:00000", "--index", "0"]
+        assert main(["decode", *common, *state]) == 2
+        assert capsys.readouterr().err == "error: config models: decode reads one model, got 2\n"
+        # the default zoo, restated, is the one list of two they accept
+        path.write_text(json.dumps(default_verify_config().resolved_dict()))
         assert main(["encode", *common, "--elements", "1,3"]) == 0
-        enc = json.loads(capsys.readouterr().out)
-        assert main(
-            ["decode", *common, "--state", enc["state"], "--index", enc["index"]]
-        ) == 0
-        assert json.loads(capsys.readouterr().out)["dataset"] == [1, 3]
+        restated = capsys.readouterr().out
+        assert main(["encode", "--seed-bits", "6", "--elements", "1,3"]) == 0
+        assert restated == capsys.readouterr().out
 
     def test_bad_elements_exit_two(self, capsys):
         assert main(["encode", "--elements", "1,banana"]) == 2
@@ -2047,11 +2165,12 @@ def fuzzed_config(draw, command):
         targets = [(config, ("bounds_checks",))] + [(e, CHECK_KEYS) for e in entries]
     else:
         model = dict(draw(st.sampled_from(FUZZ_MODELS)))
-        config = {"seed_bits": 2, "models": [model]}
+        probe = dict(DEFAULT_NEGATIVE_PROBE)
+        # the fields of the base that the command reads, as cli declares them
+        base = {"seed_bits": 2, "models": [model], "negative_probe": probe}
+        config = {key: value for key, value in base.items() if key in fields_read(command)}
         targets = [(config, CONFIG_KEYS), (model, MODEL_KEYS)]
-        if command == "verify":
-            probe = dict(DEFAULT_NEGATIVE_PROBE)
-            config["negative_probe"] = probe
+        if "negative_probe" in config:
             targets.append((probe, PROBE_KEYS))
     for _ in range(draw(st.integers(1, 2))):
         target, keys = draw(st.sampled_from(targets))

@@ -25,9 +25,14 @@ another best_seed_alpha; a negative probe and a grid cell that read but are
 refused when evaluated; flags a command does not read (--trials on verify
 and encode, --format on verify, --seed-bits on fp-rate and bounds), which
 argparse refuses; a --seed-bits or --trials flag over a config file value
-that alone would be refused; and verify at 16 seed bits on the two-model
-zoo at u=16, n=4 and at u=20, n=5, sweeps that the zoo-wide step budget
-still admits.
+that alone would be refused; config fields a command does not read (trials
+on verify and encode, alphas on fp-rate and demo-violations) and fp-rate
+with no alphas, refused by the config itself; a models list of two on
+encode and fp-rate, which read only the first, and encode on the default
+zoo restated, which is accepted; and verify at 16 seed bits on the
+two-model zoo at u=16, n=4 and at u=20, n=5, sweeps that the zoo-wide step
+budget still admits.  With the 30 encodes and decodes, that makes 102
+cases.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -89,6 +94,11 @@ BOGUS_KIND = {"models": [{"kind": "bogus", "u": 6, "n": 2}]}
 PROBE_ALPHA1 = {"negative_probe": {"u": 8, "n": 2, "fspace_bits": 3, "alpha": "1"}}
 GRID_N_PAST_U = {"grid": {"u": [4], "n": [8], "beta": ["1"]}}
 STATE13 = ["--state", "5:01011/5:00000", "--index", "0"]
+# a second model that one-model commands never build, and no command could
+BAD_SECOND = {"kind": "exact_set", "u": 2, "n": 5}
+ENCODE_TWO = {"models": [{"kind": "exact_set", "u": 6, "n": 2}, BAD_SECOND]}
+FP_TWO = {"models": [{"kind": "fingerprint_multiset", "u": 65536, "n": 16, "eps_plus": "1/8"},
+                     BAD_SECOND]}
 
 
 def run(root: Path, argv: list[str]) -> tuple[str, str, int]:
@@ -177,6 +187,19 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
          ["verify", *config("seed_bits40", {"seed_bits": 40}), "--seed-bits", "2"]),
         ("trials 10 over config trials 0",
          ["fp-rate", *config("trials0", {"trials": 0}), "--trials", "10"]),
+        # config fields a command does not read, and models lists past a
+        # one-model command's first; the default zoo restated is accepted
+        ("verify config trials 3", ["verify", *config("trials3", {"trials": 3})]),
+        ("encode config trials 3",
+         ["encode", "--elements", "1,3", *config("trials3", {"trials": 3})]),
+        ("fp-rate config alphas 3", ["fp-rate", *config("alphas3", {"alphas": ["3"]})]),
+        ("demo config alphas 3", ["demo-violations", *config("alphas3", {"alphas": ["3"]})]),
+        ("fp-rate config no alphas", ["fp-rate", *config("no_alphas", {"alphas": []})]),
+        ("encode two models", ["encode", "--seed-bits", "3", "--elements", "1,3",
+                               *config("encode_two", ENCODE_TWO)]),
+        ("fp-rate two models", ["fp-rate", "--trials", "100", *config("fp_two", FP_TWO)]),
+        ("encode default zoo restated",
+         ["encode", "--elements", "1,3", *config("zoo6", zoo(6, 2))]),
         ("zoo u=16 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo16", zoo(16, 4))]),
         ("zoo u=20 verify 16 bits", ["verify", "--seed-bits", "16", *config("zoo20", zoo(20, 5))]),
     ]
