@@ -191,7 +191,8 @@ def check_reduction(
     count.  Each class is swept once, under its earliest seed, and every
     tally is weighted by the class size, so the enumeration stays complete
     and the fractions exact.  One subset walk per class gives the insert
-    snapshots and a witness model's table; a delete snapshot adds n
+    snapshots and a witness model's table, stepped through model itself (a
+    witness's steps are its base's own methods); a delete snapshot adds n
     deletes; tallies are set algebra on yes-masks.  Counts false positives
     (must be zero for a model with sticky wrong yeses), the largest
     false-negative seed fraction over (dataset, member) cells, the widest
@@ -216,8 +217,7 @@ def check_reduction(
     fail_count = 0
     max_pair_bits = 0
     max_component_bits = 0
-    # a witness model steps through its base; step the base directly
-    stepper = model.base if isinstance(model, WitnessModel) else model
+    fill_table = model.fill_table if isinstance(model, WitnessModel) else None
     yes_mask = model.yes_mask
     # per class: its earliest seed and each live dataset's miss count
     misses_by_class: list[tuple[Seed, list[int]]] = []
@@ -226,13 +226,13 @@ def check_reduction(
     for seed, weight in classes:
         class_misses: list[int] = []
         misses_by_class.append((seed, class_misses))
-        snapshots = insert_snapshots(stepper, seed, datasets)
-        if stepper is not model:
-            model.fill_table(seed, member_masks, snapshots)
+        snapshots = insert_snapshots(model, seed, datasets)
+        if fill_table:
+            fill_table(seed, member_masks, snapshots)
         for i, after_insert in enumerate(snapshots):
             ds = datasets[i]
             # delete_run passes a failed insert snapshot through unchanged
-            after_delete = delete_run(stepper, seed, after_insert, ds)
+            after_delete = delete_run(model, seed, after_insert, ds)
             if after_delete.fail:
                 fail_count += weight
                 continue

@@ -103,13 +103,11 @@ class FirstOpNotInit(ValidationError):
 class ArgOutOfUniverse(ValidationError):
     def __init__(self, t: int, arg: int, u: int):
         super().__init__(f"argument {arg} outside universe [0, {u})", t)
-        self.arg = arg
 
 
 class CardinalityExceeded(ValidationError):
     def __init__(self, t: int, card: int, n: int):
         super().__init__(f"dataset cardinality {card} exceeds bound {n}", t)
-        self.card = card
 
 
 def validate_sequence(
@@ -146,32 +144,14 @@ def _step_mask(mask: int, op: Operation) -> int:
     return mask
 
 
-class DatasetTrace(_Record):
-    """Per-index dataset contents, stored as bitmasks over [u]."""
-
-    __slots__ = ("u", "masks")
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def set_at(self, t: int) -> frozenset[int]:
-        return frozenset(_mask_elems(self.masks[t]))
-
-    def card_at(self, t: int) -> int:
-        return self.masks[t].bit_count()
-
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.set_at(t) for t in range(len(self.masks)))
-
-
-def dataset_trace(seq: OpSequence) -> DatasetTrace:
+def dataset_trace(seq: OpSequence) -> tuple[frozenset[int], ...]:
     """Dataset after each operation of a valid sequence."""
-    masks = []
+    sets = []
     mask = 0
     for op in seq.ops:
         mask = _step_mask(mask, op)
-        masks.append(mask)
-    return DatasetTrace(seq.params.u, tuple(masks))
+        sets.append(frozenset(_mask_elems(mask)))
+    return tuple(sets)
 
 
 class OpClass(Enum):

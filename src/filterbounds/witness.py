@@ -4,8 +4,9 @@ The yes-set of a state is everything a model answers 1 on.  A witness of
 an element x at a state M is a full-capacity dataset S with x in S whose
 plain insertion run lands the base model exactly on M; the witness
 transform replaces a model's query by a search for such a witness while
-keeping its states, so it trades query time for a yes-set that is pinned
-to what insertion runs can explain.
+keeping its states (a witness model's steps are its base's own methods),
+so it trades query time for a yes-set that is pinned to what insertion
+runs can explain.
 
 The sticky check probes the persistence of false positives: after
 inserting a dataset and then deleting it again, anything that was wrongly
@@ -19,7 +20,7 @@ bounds.check_enumeration_budget.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .combinat import iter_subsets_of_size
 from .bounds import check_enumeration_budget
@@ -86,23 +87,28 @@ def insert_snapshots(
     return out
 
 
-class WitnessModel(FilterModel):
+class WitnessModel:
     """A model whose query searches for a witnessing full-capacity dataset.
 
-    State handling delegates to the base model, so states, encodings, and
-    space are identical.  A query on x at state M answers 1 exactly when
-    some dataset of cardinality n containing x reaches M by a plain
-    insertion run from init under the same seed.  The search table is
-    memoized per seed; with C(u, n) datasets the table stays within the
-    enumeration budget enforced at construction.
+    Its fresh_state, insert_state, delete_state and seed_class are its
+    base's own bound methods, so states, encodings, space and seed classes
+    are identical and a step costs what the base's does.  A query on x at
+    state M answers 1 exactly when some dataset of cardinality n containing
+    x reaches M by a plain insertion run from init under the same seed.  The
+    search table is memoized per seed; with C(u, n) datasets the table stays
+    within the enumeration budget enforced at construction.
     """
 
     def __init__(self, base: FilterModel):
         check_enumeration_budget(base.params.u, base.params.n)
         self.base = base
-        self.kind = base.kind
         self.params = base.params
         self.eps_plus = base.eps_plus
+        self.fresh_state = base.fresh_state
+        self.insert_state = base.insert_state
+        self.delete_state = base.delete_state
+        # the table is built from base runs alone, so the base's classes hold
+        self.seed_class = base.seed_class
         # only the most recent seed's table is kept; callers sweep
         # seed-major, and one table per seed bounds memory at the budget
         self._cached: tuple[tuple[int, int], dict[tuple[int, int], int]] | None = None
@@ -126,19 +132,6 @@ class WitnessModel(FilterModel):
                 table[key] = table.get(key, 0) | mask
         self._cached = ((seed.value, seed.bits), table)
         return table
-
-    def seed_class(self, seed: Seed) -> Hashable:
-        # the table is built from base runs alone, so the base's classes hold
-        return self.base.seed_class(seed)
-
-    def fresh_state(self, seed: Seed) -> FilterState:
-        return self.base.fresh_state(seed)
-
-    def insert_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        return self.base.insert_state(seed, state, x)
-
-    def delete_state(self, seed: Seed, state: FilterState, x: int) -> FilterState:
-        return self.base.delete_state(seed, state, x)
 
     def query_bit(self, seed: Seed, state: FilterState, x: int) -> int:
         return (self.yes_mask(seed, state) >> x) & 1

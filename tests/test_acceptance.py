@@ -266,10 +266,10 @@ def test_8_rewriters_trade_redundant_operations(verdict):
             ok = ok and out.seq.params.n == bound
             new_trace = dataset_trace(out.seq)
             ok = ok and all(
-                new_trace.masks[image] == trace.masks[t]
+                new_trace[image] == trace[t]
                 for t, image in enumerate(out.index_map)
             )
-            ok = ok and max(new_trace.card_at(t) for t in range(len(new_trace))) <= bound
+            ok = ok and max(len(new_trace[t]) for t in range(len(new_trace))) <= bound
             if not ok:
                 break
         if not ok:

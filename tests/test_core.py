@@ -128,8 +128,8 @@ class TestValidation:
             Operation(OpKind.INIT), Operation(OpKind.INS, 2),
         ]
         seq = validate_sequence(ops, P82)
-        assert dataset_trace(seq).set_at(3) == frozenset()
-        assert dataset_trace(seq).set_at(4) == {2}
+        assert dataset_trace(seq)[3] == frozenset()
+        assert dataset_trace(seq)[4] == {2}
 
 
 class TestTrace:
@@ -137,11 +137,11 @@ class TestTrace:
         seq = validate_sequence([
             Operation(OpKind.INIT), Operation(OpKind.INS, 3), Operation(OpKind.INS, 3),
         ], P82)
-        assert dataset_trace(seq).sets() == (frozenset(), {3}, {3})
+        assert dataset_trace(seq) == (frozenset(), {3}, {3})
 
     def test_delete_of_nonelement_leaves_set(self):
         seq = validate_sequence([Operation(OpKind.INIT), Operation(OpKind.DEL, 7)], P82)
-        assert dataset_trace(seq).sets() == (frozenset(), frozenset())
+        assert dataset_trace(seq) == (frozenset(), frozenset())
 
     def test_query_leaves_set(self):
         seq = validate_sequence(
@@ -151,13 +151,13 @@ class TestTrace:
             ], P82
         )
         trace = dataset_trace(seq)
-        assert trace.set_at(2) == {1} == trace.set_at(3)
-        assert trace.card_at(3) == 1
+        assert trace[2] == {1} == trace[3]
+        assert len(trace[3]) == 1
 
     @given(valid_sequences())
     def test_matches_set_semantics_oracle(self, seq):
         trace = dataset_trace(seq)
-        assert list(trace.sets()) == oracle_trace(seq)
+        assert list(trace) == oracle_trace(seq)
 
     @given(valid_sequences())
     def test_trace_is_deterministic(self, seq):
@@ -189,8 +189,8 @@ class TestClassify:
         classes = classify_ops(seq)
         for t, cls in enumerate(classes):
             if cls is not OpClass.NORMAL:
-                before = trace.set_at(t - 1) if t else frozenset()
-                assert trace.set_at(t) == before
+                before = trace[t - 1] if t else frozenset()
+                assert trace[t] == before
 
 
 class TestRewriters:
@@ -223,7 +223,7 @@ class TestRewriters:
             (op.kind.value, op.arg) for op in out.seq.ops
         ] == [("init", None), ("ins", 1), ("ins", 1), ("del", 1)]
         trace = dataset_trace(out.seq)
-        assert max(trace.card_at(t) for t in range(len(trace))) == 1
+        assert max(len(trace[t]) for t in range(len(trace))) == 1
 
     @given(valid_sequences())
     def test_dup_to_del_properties(self, seq):

@@ -165,7 +165,7 @@ class TestExactSet:
             _, answers = run_sequence(model, S0, seq)
             for t, op in enumerate(seq.ops):
                 if answers[t] is not None:
-                    assert answers[t] == int(op.arg in trace.set_at(t))
+                    assert answers[t] == int(op.arg in trace[t])
 
 
 class TestNoisyExact:
@@ -259,8 +259,8 @@ class TestExactModelsAreComplete:
             for model in models:
                 states, answers = run_sequence(model, seed, seq)
                 for t, op in enumerate(seq.ops):
-                    assert states[t] == model.encode_set(sorted(trace.set_at(t)))
-                    if answers[t] is not None and op.arg in trace.set_at(t):
+                    assert states[t] == model.encode_set(sorted(trace[t]))
+                    if answers[t] is not None and op.arg in trace[t]:
                         assert answers[t] == 1
 
 

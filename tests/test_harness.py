@@ -1452,6 +1452,8 @@ class TestCli:
                             "5:01011/5:-0000", "05:01011/5:00000", "5:01011/+5:00000"]],
             # no alpha, at which a counting check would pass having checked nothing
             ({"alphas": []}, ["verify", "--seed-bits", "2"]),
+            # a universe past the widest one fp-rate samples from
+            ({"models": [dict(FP62, u=1 << 63)]}, ["fp-rate", "--trials", "5"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -1491,9 +1493,17 @@ class TestCli:
              "config negative_probe: alpha=1 must exceed 1"),
             ({"grid": {"u": [4], "n": [8], "beta": ["1"]}}, "verify",
              "config grid: need 1 <= n <= u, got u=4, n=8"),
+            # a collision table that forces nothing together, and a pair of three
+            ({"models": [{"kind": "fingerprint_multiset", "u": 8, "n": 2, "eps_plus": "1/2",
+                          "collision_table": [[1, 0]]}]}, "demo-violations",
+             "collision table must force at least two elements together"),
+            ({"models": [{"kind": "fingerprint_multiset", "u": 6, "n": 2, "eps_plus": "1/2",
+                          "collision_table": [[1, 0, 3]]}]}, "verify",
+             "config models[0]: fingerprint_multiset model spec collision_table: "
+             "must hold [element, fingerprint] pairs, got [[1, 0, 3]]"),
         ],
         ids=["model", "grid_key", "grid_entry", "probe_key", "alpha", "bounds_entry",
-             "float_range", "probe_range", "grid_range"],
+             "float_range", "probe_range", "grid_range", "one_collision", "collision_triple"],
     )
     def test_error_line_names_the_list_entry_and_each_object_once(
         self, config, command, line, tmp_path, capsys
@@ -1526,8 +1536,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     @pytest.mark.parametrize(
         "data, words",
-        [(b"\xff\xfe{}", "is not UTF-8 text"), (b"[" * 100_000, "nests too deeply")],
-        ids=["not_utf8", "too_deep"],
+        [(b"\xff\xfe{}", "is not UTF-8 text"), (b"[" * 100_000, "nests too deeply"),
+         (b'{"seed": ', "is not valid JSON")],
+        ids=["not_utf8", "too_deep", "not_json"],
     )
     def test_undecodable_or_too_deep_config_exits_two(
         self, command, data, words, tmp_path, capsys

@@ -46,7 +46,7 @@ from filterbounds.harness import (
     ModelSpec,
 )
 from filterbounds.reduction import PairedState, ReductionReport
-from filterbounds.sequences import DatasetTrace, Operation, OpKind, OpSequence, RewriteResult
+from filterbounds.sequences import Operation, OpKind, OpSequence, RewriteResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,7 +73,6 @@ RECORDS = [
         "OpSequence(params=UniverseParams(u=6, n=2), "
         "ops=(Operation(kind=<OpKind.INIT: 'init'>, arg=None),))",
     ),
-    (DatasetTrace, (6, (0, 8)), {}, "DatasetTrace(u=6, masks=(0, 8))"),
     (
         RewriteResult,
         (SEQ, (0, 1)),
@@ -360,12 +359,6 @@ KEPT_UNRUN = {
         "the exchange of duplicate insertions for deletes that acceptance test 8 checks",
     "sequences.rewrite_del_to_dup":
         "the exchange of nonelement deletes for inserts that acceptance test 8 checks",
-    "sequences.DatasetTrace.set_at":
-        "reads the traced set at one index, as the sequence tests do",
-    "sequences.DatasetTrace.card_at":
-        "the traced cardinality that acceptance test 8 bounds by n",
-    "sequences.DatasetTrace.sets":
-        "every traced set, which the sequence tests compare whole",
 }
 
 

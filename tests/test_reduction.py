@@ -376,8 +376,10 @@ class TestSeedClasses:
         assert len(fast.misses_by_class) < len(seeds)
         row_of_class = {model.seed_class(s): row for s, row in fast.misses_by_class}
         per_seed = [(s, row_of_class[model.seed_class(s)]) for s in seeds]
-        # the default key makes every seed its own class: plain brute force
+        # the default key makes every seed its own class: plain brute force;
+        # a witness binds its base's seed_class when built, so wrap again
         monkeypatch.setattr(type(base), "seed_class", FilterModel.seed_class)
+        model = wrap(base)
         slow = check_reduction(model, seed_classes(model, seeds))
         # each seed's brute-force row is its class's row
         assert slow.misses_by_class == per_seed

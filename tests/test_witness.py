@@ -12,6 +12,7 @@ from filterbounds.core import UniverseParams
 from filterbounds.filters import (
     FAIL_STATE,
     FailStateError,
+    FilterModel,
     FingerprintMultisetModel,
     Seed,
 )
@@ -121,6 +122,13 @@ class TestWitnessModel:
                 seed, state, 3
             )
             assert state.nbits == noisy62.encode_set((3,)).nbits
+
+    def test_steps_are_the_base_methods(self, noisy62):
+        # a step through the witness is the base's step, with no frame of its own
+        assert not issubclass(WitnessModel, FilterModel)
+        wmodel = witness_transform(noisy62)
+        for name in ("fresh_state", "insert_state", "delete_state", "seed_class"):
+            assert getattr(wmodel, name) == getattr(noisy62, name), name
 
     def test_query_fail_raises(self, noisy62):
         with pytest.raises(FailStateError):
