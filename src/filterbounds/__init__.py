@@ -11,10 +11,11 @@ violation demo in demo, and the CLI in cli.
 
 Importing the package loads none of these modules and re-exports nothing:
 each name is imported from the module that defines it.  Every command
-loads cli, harness, bounds, filters, combinat and core; only the sweeps of
-verify, encode and decode load witness and reduction, and only
-demo-violations loads sequences and demo, so fp-rate and bounds compile
-neither when no bytecode is cached.
+loads cli, harness, filters, combinat and core; only the runners of verify,
+bounds, encode and decode load bounds, only the sweeps of verify, encode
+and decode load witness and reduction, and only demo-violations loads
+sequences and demo, so fp-rate compiles none of these six when no bytecode
+is cached.
 """
 
 __version__ = "0.1.0"

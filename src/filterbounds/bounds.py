@@ -31,8 +31,10 @@ by entry, in order, until the running sum of their bits passes GRID_BIT_BUDGET.
 
 Every exhaustive sweep (verify's, encode's and decode's, a witness table,
 find_best_seed) is priced by check_enumeration_budget against DATASET_BUDGET,
-SEED_BUDGET, STEP_BUDGET and MASK_BIT_BUDGET, so every cost limit of the
-package lives in this module.
+SEED_BUDGET, STEP_BUDGET and MASK_BIT_BUDGET.  Every cost limit of the
+package lives in this module but the first two, which are defined in core
+and imported here: the config checks and fp-rate read them, and those run
+without this module.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .combinat import (
     frac_str,
     iter_subsets_of_size,
 )
-from .core import ConfigError, _mask_elems, _Record, _set
+from .core import DATASET_BUDGET, SEED_BUDGET, ConfigError, _mask_elems, _Record, _set
 from .filters import Seed
 
 if TYPE_CHECKING:  # reduction imports this module
@@ -83,8 +85,6 @@ class EnumerationTooLarge(ConfigError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-DATASET_BUDGET = 10**6
-SEED_BUDGET = 1 << 16
 # model steps a sweep may take, estimated as seed classes x C(u, n) x n; the
 # u=20, n=5 noisy_exact model at 16 seed bits takes 1.6 million in seconds
 STEP_BUDGET = 10**7

@@ -114,9 +114,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _report(report: dict, args: SimpleNamespace) -> int:
-    """Print a report (warnings on stderr, CSV or JSON to --out or stdout); return its exit code."""
-    for text in report.get("warnings", ()):
-        print(f"warning: {text}", file=sys.stderr)
+    """Print a report (CSV or JSON to --out or stdout); return its exit code."""
     csv = getattr(args, "format", None) == "csv"
     _emit(fp_report_csv(report) if csv else json.dumps(report, sort_keys=True, indent=2), args.out)
     checks = report.get("checks", ())

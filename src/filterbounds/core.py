@@ -1,8 +1,11 @@
-"""ConfigError, the record base, the universe parameters and the bitmask helper.
+"""ConfigError, the record base, the universe parameters, the bitmask helper
+and the two budgets that the config checks read.
 
 What the other modules share: ConfigError; _Record and its field writer
 _set; UniverseParams, a universe size u and a dataset cardinality bound
-n; and the set bits of a mask, _mask_elems.
+n; the set bits of a mask, _mask_elems; and DATASET_BUDGET and
+SEED_BUDGET, which bounds imports from here, so that fp-rate and
+demo-violations, which read them, load no bounds.
 
 The package's value types are plain records built on _Record.  A record
 lists its fields once, in __slots__, and the defaults of its trailing
@@ -36,6 +39,12 @@ from typing import Iterator
 
 class ConfigError(ValueError):
     """An input the commands refuse; the CLI prints it on one line and exits 2."""
+
+
+# the datasets and seeds a sweep may enumerate (bounds prices it); the
+# config caps seed_bits by SEED_BUDGET, fp-rate's dataset by DATASET_BUDGET
+DATASET_BUDGET = 10**6
+SEED_BUDGET = 1 << 16
 
 
 class _Record:

@@ -14,9 +14,10 @@ Every command imports this module, so it holds only what they share and
 the runners of fp-rate, verify, bounds, encode and decode.  The sweep of
 verify, encode and decode, the checks read off its report and the coder are
 in filterbounds.reduction, which those runners import when they run, so
-fp-rate and bounds load neither it nor witness.  The
-demo-violations runner and its default config are in filterbounds.demo,
-which cli imports only for that command.
+fp-rate and bounds load neither it nor witness.  Those runners and that of
+bounds import filterbounds.bounds when they run, too, so fp-rate and
+demo-violations load no bounds.  The demo-violations runner and its default
+config are in filterbounds.demo, which cli imports only for that command.
 """
 
 from __future__ import annotations
@@ -29,27 +30,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .bounds import (
-    DATASET_BUDGET,
-    SEED_BUDGET,
-    BoundsParams,
-    DatasetCode,
-    InvalidCode,
-    NotGoodPair,
-    check_binom_grid,
-    check_binom_scaling,
-    check_counting_bound,
-    check_list_cost,
-    decode_dataset,
-    encode_dataset,
-    find_best_seed,  # unused here; perfbench's tracer test looks it up on this module
-    price_binom_scaling,
-    price_counting_bound,
-    price_space_bound,
-    space_lower_bound,
-)
 from .combinat import frac_str
-from .core import ConfigError, UniverseParams, _Record, _set
+from .core import DATASET_BUDGET, SEED_BUDGET, ConfigError, UniverseParams, _Record, _set
 from .filters import ExactSetModel, FilterModel, FingerprintMultisetModel, NoisyExactModel, Seed
 
 # hashlib loads OpenSSL, which costs every command milliseconds and
@@ -62,6 +44,16 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10 and 3.11
     except ImportError:
         from hashlib import sha256
+
+
+def __getattr__(name: str) -> Any:
+    # perfbench's rebind test looks up bounds.find_best_seed on this module;
+    # a module-level import would load bounds on every command (PEP 562)
+    if name != "find_best_seed":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .bounds import find_best_seed
+
+    return find_best_seed
 
 
 # a decimal exponent in the syntax Fraction accepts
@@ -277,36 +269,33 @@ _COUNTING = (
 
 def _counting(function: Callable) -> Callable:
     # function(fspace_bits, params), called with a counting entry's fields
+    from .bounds import BoundsParams
+
     return lambda fspace_bits, **params: function(fspace_bits, BoundsParams(**params))
-
-
-# check name: (function, its price, its parsers, required keys)
-_BOUNDS_CHECKS = {
-    "counting": (_counting(check_counting_bound), _counting(price_counting_bound), *_COUNTING),
-    "binom_scaling": (
-        check_binom_scaling,
-        price_binom_scaling,
-        {"u": _integer, "n": _integer, "beta": parse_fraction},
-        ("u", "n", "beta"),
-    ),
-    "space": (
-        space_lower_bound,
-        price_space_bound,
-        # price_space_bound refuses a kind other than nstatic and dynamic
-        {"kind": lambda kind: kind, "u": _integer, "n": _integer, "eps": parse_fraction},
-        ("u", "n"),
-    ),
-}
 
 
 def run_bounds(data: Any) -> dict:
     """The report bounds prints: data's bounds_checks, each read, then priced
     in order, alone and by running sum (bounds.check_list_cost), then checked."""
-    entry = _list_of(lambda obj: _kind_fields(obj, "bounds check", "check", _BOUNDS_CHECKS))
+    from .bounds import (check_binom_scaling, check_counting_bound, check_list_cost,
+                         price_binom_scaling, price_counting_bound, price_space_bound,
+                         space_lower_bound)
+
+    # check name: (function, its price, its parsers, required keys); price_space_bound
+    # refuses a kind other than nstatic and dynamic
+    checks = {
+        "counting": (_counting(check_counting_bound), _counting(price_counting_bound), *_COUNTING),
+        "binom_scaling": (check_binom_scaling, price_binom_scaling,
+                          {"u": _integer, "n": _integer, "beta": parse_fraction}, ("u", "n", "beta")),
+        "space": (space_lower_bound, price_space_bound,
+                  {"kind": lambda kind: kind, "u": _integer, "n": _integer, "eps": parse_fraction},
+                  ("u", "n")),
+    }
+    entry = _list_of(lambda obj: _kind_fields(obj, "bounds check", "check", checks))
     entries = _read_fields(data, "bounds config", {"bounds_checks": entry}).get("bounds_checks")
     if not entries:
         raise ConfigError("bounds needs a config with a bounds_checks list")
-    calls = [(*_BOUNDS_CHECKS[fields.pop("check")][:2], fields) for fields in entries]
+    calls = [(*checks[fields.pop("check")][:2], fields) for fields in entries]
     check_list_cost("bounds config", len(calls), (_entry(price, f) for _, price, f in calls))
     return {"checks": [_entry(check, fields) for check, _, fields in calls]}
 
@@ -356,8 +345,6 @@ class ExperimentConfig(_Record, defaults={key: d for key, (_, d) in _CONFIG_FIEL
                 f"seed_bits must lie in [0, {MAX_SEED_BITS}] for exhaustive commands")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not self.alphas:  # a counting check at no alpha would pass having checked nothing
-            raise ConfigError("config alphas: must name at least one alpha")
 
     resolved_dict = _config_json
 
@@ -498,17 +485,24 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
     Followed by the negative probe (a capacity the counting bound must
     reject) and the binomial scaling grid.  Both are evaluated, every model
     built, every alpha checked and every sweep grouped into seed classes and
-    priced, the zoo's as a whole too, before the first sweep.  An empty
-    zoo yields zero checks and one warning, which verify also prints on stderr.
+    priced, the zoo's as a whole too, before the first sweep.  Before all of
+    that, no alphas, no models or a grid with no cells is refused: a check
+    over nothing would read as a pass.  The report's "warnings" is always
+    empty; it stays so that the report's bytes do not move.
     """
-    empty_zoo = "no models configured; verification suite has nothing to check"
-    checks = _zoo_checks(cfg) if cfg.models else []
+    if not cfg.alphas:
+        raise ConfigError("config alphas: must name at least one alpha")
+    if not cfg.models:
+        raise ConfigError("config models: verify needs at least one model")
+    if not (cfg.grid.u and cfg.grid.n and cfg.grid.beta):
+        raise ConfigError("config grid: needs at least one cell")
+    checks = _zoo_checks(cfg)
     return {
         "suite": "verification",
         "passed": all(check["passed"] for check in checks),
         "check_count": len(checks),
         "checks": checks,
-        "warnings": [] if cfg.models else [empty_zoo],
+        "warnings": [],
         "seed_bits": cfg.seed_bits,
         "config_hash": cfg.config_hash(),
     }
@@ -516,6 +510,7 @@ def run_verification_suite(cfg: ExperimentConfig) -> dict:
 
 def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
     # only verify, encode and decode sweep, so only they load the sweep modules
+    from .bounds import check_binom_grid, check_counting_bound
     from .reduction import model_checks, presweep
 
     try:
@@ -546,6 +541,7 @@ def _zoo_checks(cfg: ExperimentConfig) -> list[dict]:
 
 def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
     """Code a dataset under the best seed of the zoo's first model; input is checked first."""
+    from .bounds import encode_dataset
     from .reduction import best_coder, check_reduction, presweep
 
     [(model, classes)] = presweep(cfg, cfg.models[:1])
@@ -568,6 +564,7 @@ def run_encode(cfg: ExperimentConfig, elements: Sequence[int]) -> dict:
 
 def run_decode(cfg: ExperimentConfig, state_text: str, index: int) -> dict:
     """Invert run_encode from its printed state and index; the state is checked first."""
+    from .bounds import DatasetCode, InvalidCode, NotGoodPair, decode_dataset, encode_dataset
     from .reduction import best_coder, check_reduction, parse_paired_state, presweep
 
     [(model, classes)] = presweep(cfg, cfg.models[:1])

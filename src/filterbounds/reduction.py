@@ -339,7 +339,7 @@ def presweep(cfg: ExperimentConfig, specs: Sequence[ModelSpec], alphas: Sequence
     on top of those before it, and best_seed_alpha refused at or below 1, all
     before the first sweep."""
     if not specs:
-        raise ConfigError("encode/decode need a model spec")  # verify reports an empty zoo
+        raise ConfigError("encode/decode need a model spec")  # verify refuses an empty zoo first
     bases = [spec.build() for spec in specs]
     for alpha in alphas:
         for base in bases:

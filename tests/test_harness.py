@@ -14,11 +14,10 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filterbounds import bounds, cli, filters, harness, reduction
@@ -141,7 +140,7 @@ CONFIGS = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**64),
     "seed_bits": st.integers(0, 16),
     "trials": st.integers(1, 10**6),
-    "alphas": st.lists(RATIONALS, min_size=1, max_size=3),
+    "alphas": st.lists(RATIONALS, max_size=3),
     "best_seed_alpha": RATIONALS,
     "models": st.lists(MODELS, max_size=3),
     "grid": st.fixed_dictionaries({
@@ -647,14 +646,12 @@ class TestVerificationSuite:
         assert coding["best_seed"] == best.seed.value
         assert coding["good_count"] == best.good_count
 
-    def test_empty_zoo_warns_and_checks_nothing(self):
+    def test_empty_zoo_is_refused(self):
+        # a suite that checked no model would pass vacuously
         cfg = config_from_dict({"models": []}, default_verify_config())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the report carries the warning
-            report = run_verification_suite(cfg)
-        assert report["checks"] == []
-        assert report["warnings"] == [EMPTY_ZOO_WARNING]
-        assert report["passed"]  # vacuously
+        with pytest.raises(ConfigError) as refused:
+            run_verification_suite(cfg)
+        assert str(refused.value) == "config models: verify needs at least one model"
 
     def test_report_json_stable(self):
         cfg = config_from_dict(
@@ -949,11 +946,16 @@ class TestRefusals:
              "its keys are ['eps_plus', 'kind', 'n', 'u']"),
             ("run_verification_suite(built(default_verify_config(), alphas=()))",
              "config alphas: must name at least one alpha"),
+            ("run_verification_suite(built(default_verify_config(), models=()))",
+             "config models: verify needs at least one model"),
+            ("run_verification_suite(built(default_verify_config(),"
+             " grid={'u': [16], 'n': [], 'beta': ['1/2']}))",
+             "config grid: needs at least one cell"),
         ],
         ids=["verify", "demo", "encode", "decode", "negative_seed_bits", "no_trials",
              "float_seed_bits", "bool_seed_bits", "float_trials", "string_trials",
              "bool_trials", "empty_zoo_wide_seeds", "unknown_kind", "float_n", "bad_eps_plus",
-             "no_grid", "model_as_a_dict", "no_alphas"],
+             "no_grid", "model_as_a_dict", "no_alphas", "empty_zoo", "empty_grid_axis"],
     )
     def test_a_runner_refuses_a_config_built_in_code_at_once(self, call, error):
         # config_from_dict is not the only way in: 2**40 seeds would fill any
@@ -1012,16 +1014,16 @@ class TestCli:
         blob = json.loads(capsys.readouterr().out)
         assert blob["passed"] is False
 
-    def test_verify_empty_zoo_prints_one_warning_line(self, tmp_path):
+    def test_verify_empty_zoo_prints_one_error_line(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"models": []}')
         done = subprocess.run(
             [sys.executable, "-m", "filterbounds", "verify", "--config", str(path)],
             env=child_env(), capture_output=True, text=True, timeout=60,
         )
-        assert done.returncode == 0
-        assert done.stderr == f"warning: {EMPTY_ZOO_WARNING}\n"
-        assert json.loads(done.stdout)["warnings"] == [EMPTY_ZOO_WARNING]
+        assert done.returncode == 2
+        assert done.stderr == "error: config models: verify needs at least one model\n"
+        assert done.stdout == ""
 
     def test_fp_rate_csv(self, capsys):
         assert main(["fp-rate", "--trials", "500", "--format", "csv"]) == 0
@@ -1454,6 +1456,9 @@ class TestCli:
             ({"alphas": []}, ["verify", "--seed-bits", "2"]),
             # a universe past the widest one fp-rate samples from
             ({"models": [dict(FP62, u=1 << 63)]}, ["fp-rate", "--trials", "5"]),
+            # a zoo with no model and a grid with no cell, which would check nothing
+            ({"models": []}, ["verify", "--seed-bits", "2"]),
+            ({"grid": {"u": [], "n": [4], "beta": ["1/2"]}}, ["verify", "--seed-bits", "2"]),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(
@@ -1605,10 +1610,12 @@ class TestCli:
             {"best_seed_alpha": HUGE_ALPHA},
             {"models": LATE_STEP_ZOO},
             {"models": LATE_DATASET_ZOO},
+            {"models": []},
+            {"grid": {"u": [16], "n": [4], "beta": []}},
         ],
         ids=["second_model", "alphas", "best_seed_alpha", "unprintable_alpha",
              "unprintable_best_seed_alpha", "later_model_over_step_budget",
-             "later_model_over_dataset_budget"],
+             "later_model_over_dataset_budget", "empty_zoo", "empty_grid_axis"],
     )
     def test_bad_input_is_refused_before_the_first_sweep(
         self, change, tmp_path, monkeypatch, capsys
@@ -1839,10 +1846,8 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("an entry was checked before the list was priced")
 
-        for row in ("binom_scaling", "space"):
-            monkeypatch.setitem(
-                harness._BOUNDS_CHECKS, row, (never, *harness._BOUNDS_CHECKS[row][1:])
-            )
+        monkeypatch.setattr(bounds, "check_binom_scaling", never)
+        monkeypatch.setattr(bounds, "space_lower_bound", never)
         with pytest.raises(ConfigError) as refused:
             run_bounds({"bounds_checks": entries})
         assert str(refused.value) == error
@@ -2077,6 +2082,22 @@ class TestStartup:
         assert "filterbounds.demo" not in before_demo
         assert "filterbounds.demo" in loaded
 
+    def test_demo_violations_loads_no_bounds(self):
+        # the demo checks no bound and codes no dataset
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from filterbounds.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['demo-violations', '--seed-bits', '3']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('filterbounds.'))))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(done.stdout) == [
+            f"filterbounds.{name}"
+            for name in ("cli", "combinat", "core", "demo", "filters", "harness", "sequences")
+        ]
+
     def test_verify_loads_no_module_past_the_tracer_imports(self):
         # the benchmark's tracer wraps the functions of the modules imported
         # here before verify runs; a module that verify loads later would
@@ -2116,9 +2137,6 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.split() == [make().config_hash() for make in DEFAULT_CONFIGS]
-
-
-EMPTY_ZOO_WARNING = "no models configured; verification suite has nothing to check"
 
 
 def child_env():
@@ -2221,6 +2239,7 @@ def cli_calls(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(cli_calls())
+@example((["verify", "--seed-bits", "2"], {"models": []}, False))
 def test_cli_exit_code_contract_under_fuzzed_input(call):
     argv, config, out_missing = call
     with tempfile.TemporaryDirectory() as tmp:
@@ -2238,6 +2257,9 @@ def test_cli_exit_code_contract_under_fuzzed_input(call):
     # every command writes its report before it returns 0 or 1
     if out_missing:
         assert code == 2
+    # stderr carries the one error line of exit 2 and nothing else
+    if code in (0, 1):
+        assert err.getvalue() == ""
     if code == 2:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1

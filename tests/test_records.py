@@ -279,7 +279,8 @@ def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     # milliseconds, hashlib loads OpenSSL, argparse is loaded only for a line
     # the quick reader leaves to it, and only demo-violations runs the
     # sequence algebra and the demo; fp-rate, run here, loads none of the
-    # sweep modules, which only verify, encode and decode run
+    # sweep modules, which only verify, encode and decode run, and no
+    # bounds, which it checks none of
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -295,7 +296,7 @@ def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     assert "filterbounds.cli" in added
     for name in ("dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
                  "filterbounds.sequences", "filterbounds.demo",
-                 "filterbounds.reduction", "filterbounds.witness"):
+                 "filterbounds.reduction", "filterbounds.witness", "filterbounds.bounds"):
         assert name not in added
 
 
@@ -448,8 +449,6 @@ def test_every_public_function_is_run_by_a_command_or_kept_for_a_reason(tmp_path
 # Module-level imports that the importing module never uses, with the
 # reason each stays.  Keys are module.name.
 UNUSED_IMPORTS = {
-    "harness.find_best_seed":
-        "perfbench's rebind test looks up the tracer's wrapper on harness",
     "reduction.yes_set":
         "perfbench's rebind test looks up the tracer's wrapper on reduction",
 }

@@ -10,13 +10,22 @@ at 7 and 16 seed bits, fp-rate at 10k and 100k trials, demo-violations at
 16 seed bits, and verify at 16 seed bits on outputs.zoo at u=16, n=4, at
 u=20, n=5 and at u=24, n=6 (the last is refused by the step budget).
 
+Then one more child, with the same environment, times each layer in
+process (time_layers): subset index and unindex, the exact-set
+insert_state, fingerprint(), the fingerprint model's query_bit, the witness
+table of one seed, pair_init, check_reduction at 256 seeds, find_best_seed
+and one fp-rate trial.  Each layer runs a fixed loop of calls 5 times; its
+row keeps the loop's call count, the min over the 5 repeats of the time per
+call in microseconds, and the sha256 of what the loop returned.
+
 BENCH_<LABEL>.json, written in the current directory, records the Python
-version, os.cpu_count() and per row its min and median wall time in
-seconds, its exit code and the sha256 of its stdout.  Two BENCH files
-whose digests agree row by row show that a change moved no report.  A row
-whose 5 runs disagree on exit code or stdout is an error.  Standard library
-only.  Exit 0 when the file is written, 1 when a row is not deterministic,
-2 for a bad checkout or label.
+version, os.cpu_count(), per command row its min and median wall time in
+seconds, its exit code and the sha256 of its stdout, and the layer rows
+under "layers".  Two BENCH files whose digests agree row by row show that
+a change moved no report and no layer's result.  A row whose 5 runs
+disagree on exit code, stdout or result is an error.  Standard library
+only.  Exit 0 when the file is written, 1 when a row is not deterministic
+or the layer child fails, 2 for a bad checkout or label.
 """
 
 from __future__ import annotations
@@ -82,6 +91,90 @@ def measure(name: str, call) -> dict:
             "exit": code, "stdout_sha256": digest}
 
 
+def time_layers() -> None:
+    """Print, as JSON, the row of each layer; run in a child whose
+    filterbounds is the checkout's."""
+    from fractions import Fraction
+
+    from filterbounds.bounds import BoundsParams, find_best_seed
+    from filterbounds.combinat import (bounded_subset_count, bounded_subset_index,
+                                       bounded_subset_unindex, iter_subsets_of_size)
+    from filterbounds.core import UniverseParams
+    from filterbounds.filters import (ExactSetModel, FingerprintMultisetModel, NoisyExactModel,
+                                      Seed, fingerprint, seed_classes, seed_space)
+    from filterbounds.harness import config_from_dict, default_fp_config, run_fp_experiment
+    from filterbounds.reduction import PairedStaticFilter, check_reduction, pair_init
+    from filterbounds.witness import witness_transform
+
+    # u=16, n=4: 1,820 datasets and 2,517 subsets of size at most 4
+    u, n = 16, 4
+    datasets = list(iter_subsets_of_size(u, n))
+    subsets = [s for k in range(n + 1) for s in iter_subsets_of_size(u, k)]
+    indices = range(bounded_subset_count(u, n))
+    seed = Seed(5, 8)
+    exact = ExactSetModel(UniverseParams(u, n))
+    noisy = witness_transform(NoisyExactModel(UniverseParams(u, n), Fraction(1, 6), noise_m=1))
+    small = witness_transform(NoisyExactModel(UniverseParams(6, 2), Fraction(1, 6), noise_m=1))
+    fp = FingerprintMultisetModel(UniverseParams(1 << 16, 16), Fraction(1, 8))
+    fp_state = fp.state_for_elements(seed, range(0, 1 << 16, 1 << 12))
+    seeds = list(seed_space(8))
+    fp_cfg = config_from_dict({"trials": 1000}, default_fp_config())
+
+    def inserts() -> list:
+        out = []
+        for ds in datasets:
+            state = exact.fresh_state(seed)
+            for x in ds:
+                state = exact.insert_state(seed, state, x)
+            out.append(state)
+        return out
+
+    # name: (calls per loop, the loop); a witness keeps one seed's table, so
+    # tables built for alternating seeds are each built afresh
+    layers = {
+        "bounded_subset_index": (len(subsets), lambda: [
+            bounded_subset_index(s, u, n) for s in subsets]),
+        "bounded_subset_unindex": (len(indices), lambda: [
+            bounded_subset_unindex(i, u, n) for i in indices]),
+        "ExactSetModel.insert_state": (len(datasets) * n, inserts),
+        "fingerprint": (1000, lambda: [fingerprint(x, seed, 8, 1 << 16) for x in range(1000)]),
+        "FingerprintMultisetModel.query_bit": (1000, lambda: [
+            fp.query_bit(seed, fp_state, x) for x in range(1000)]),
+        "witness table of one seed": (8, lambda: [
+            noisy.yes_mask(s, noisy.fresh_state(s)) for s in seeds[:8]]),
+        "pair_init": (len(datasets), lambda: [pair_init(noisy, seed, ds) for ds in datasets]),
+        "check_reduction at 256 seeds": (1, lambda: check_reduction(
+            small, seed_classes(small, seeds)).to_json_dict()),
+        "find_best_seed": (1, lambda: find_best_seed(
+            PairedStaticFilter(small), BoundsParams(6, 2), seeds[:16])),
+        "fp-rate trial": (fp_cfg.trials, lambda: run_fp_experiment(fp_cfg)),
+    }
+    rows = []
+    for name, (calls, loop) in layers.items():
+        times, results = [], set()
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            result = loop()
+            times.append(time.perf_counter() - start)
+            results.add(hashlib.sha256(repr(result).encode()).hexdigest())
+        if len(results) != 1:
+            raise RuntimeError(f"{name}: repeats disagree on their result")
+        rows.append({"name": name, "calls": calls,
+                     "min_us": round(min(times) / calls * 1e6, 3),
+                     "result_sha256": results.pop()})
+    print(json.dumps(rows))
+
+
+def layer_rows(root: Path) -> list[dict]:
+    """The rows time_layers prints in a child on checkout root."""
+    tools = str(Path(__file__).resolve().parent)
+    script = f"import sys; sys.path.insert(0, {tools!r}); import bench; bench.time_layers()"
+    stdout, stderr, code = python(root, ["-c", script])
+    if code != 0:
+        raise RuntimeError(f"layer timings exited {code}: {stderr[-500:]}")
+    return json.loads(stdout)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
@@ -105,6 +198,10 @@ def main(argv: list[str] | None = None) -> int:
                 row = results[-1]
                 print(f"{name}: min {row['min_s']:.3f} s, median {row['median_s']:.3f} s, "
                       f"exit {row['exit']}, stdout {row['stdout_sha256'][:12]}", flush=True)
+        layers = layer_rows(root)
+        for row in layers:
+            print(f"layer {row['name']}: {row['min_us']:.3f} us per call over {row['calls']}, "
+                  f"result {row['result_sha256'][:12]}")
     except Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -112,7 +209,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"label": args.label, "python": platform.python_version(),
-              "cpu_count": os.cpu_count(), "repeats": REPEATS, "rows": results}
+              "cpu_count": os.cpu_count(), "repeats": REPEATS, "rows": results,
+              "layers": layers}
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -26,13 +26,13 @@ refused when evaluated; flags a command does not read (--trials on verify
 and encode, --format on verify, --seed-bits on fp-rate and bounds), which
 argparse refuses; a --seed-bits or --trials flag over a config file value
 that alone would be refused; config fields a command does not read (trials
-on verify and encode, alphas on fp-rate and demo-violations) and fp-rate
-with no alphas, refused by the config itself; a models list of two on
-encode and fp-rate, which read only the first, and encode on the default
-zoo restated, which is accepted; and verify at 16 seed bits on the
-two-model zoo at u=16, n=4 and at u=20, n=5, sweeps that the zoo-wide step
-budget still admits.  With the 30 encodes and decodes, that makes 102
-cases.
+on verify and encode, alphas on fp-rate and demo-violations, and fp-rate
+with no alphas); a models list of two on encode and fp-rate, which read
+only the first, and encode on the default zoo restated, which is accepted;
+verify at 16 seed bits on the two-model zoo at u=16, n=4 and at u=20, n=5,
+sweeps that the zoo-wide step budget still admits; and verify on an empty
+zoo and on a grid with an empty axis, refused as suites that would check
+nothing.  With the 30 encodes and decodes, that makes 104 cases.
 
 Each case whose stdout, stderr or exit code differs is printed, then the
 count.  Standard library only.  Exit 0 when no case differs, 1 when one
@@ -75,7 +75,7 @@ NOISY20 = {"models": [{"kind": "noisy_exact", "u": 20, "n": 5, "eps_plus": "1/20
 FP62 = {"models": [{"kind": "fingerprint_multiset", "u": 1 << 62, "n": 1 << 61, "eps_plus": "1/2"}]}
 ALPHA1 = {"best_seed_alpha": "1"}
 # fp-rate's own refusals: a model other than the fingerprint one, no
-# nonmembers, and a dataset past bounds.DATASET_BUDGET
+# nonmembers, and a dataset past core.DATASET_BUDGET
 FP_EXACT = {"models": [{"kind": "exact_set", "u": 6, "n": 2}]}
 FP_FULL = {"models": [{"kind": "fingerprint_multiset", "u": 4, "n": 4, "eps_plus": "1/2"}]}
 FP_WIDE = {"models": [
@@ -93,6 +93,7 @@ BOGUS_KIND = {"models": [{"kind": "bogus", "u": 6, "n": 2}]}
 # a probe and a grid cell whose fields read, refused only by their checks
 PROBE_ALPHA1 = {"negative_probe": {"u": 8, "n": 2, "fspace_bits": 3, "alpha": "1"}}
 GRID_N_PAST_U = {"grid": {"u": [4], "n": [8], "beta": ["1"]}}
+EMPTY_GRID_AXIS = {"grid": {"u": [], "n": [4], "beta": ["1/2"]}}
 STATE13 = ["--state", "5:01011/5:00000", "--index", "0"]
 # a second model that one-model commands never build, and no command could
 BAD_SECOND = {"kind": "exact_set", "u": 2, "n": 5}
@@ -215,6 +216,9 @@ def cases(parent: Path, tmp: Path) -> list[tuple[str, list[str]]]:
                            *config("fp62", FP62)]),
         ("u=2^62 decode", ["decode", "--state", "0:/0:", "--index", "0", "--seed-bits", "1",
                            *config("fp62", FP62)]),
+        ("verify empty zoo", ["verify", "--seed-bits", "7", *config("empty_zoo", {"models": []})]),
+        ("verify empty grid axis",
+         ["verify", "--seed-bits", "7", *config("empty_grid_axis", EMPTY_GRID_AXIS)]),
     ]
     return listed
 
